@@ -83,12 +83,11 @@ def _drive(server_url: str, queries, clients: int):
     return elapsed
 
 
-def _measure(store, queries, workers: int, parallel: bool, cache: bool, network_profile,
-             backend=None, process_workers=None):
+def _measure(store, queries, workers: int, cache: bool, network_profile,
+             backend="sequential", process_workers=None):
     """One configuration: queries/sec plus the service's latency percentiles."""
     service = QueryService(
         store,
-        parallel=parallel,
         backend=backend,
         process_workers=process_workers,
         worker_slots=workers,
@@ -125,10 +124,10 @@ def test_serving_throughput(context, results_dir):
     # its elapsed wall-clock well above scheduling noise.
     lan_queries = workload.sample_queries(_TOTAL_QUERIES * 10, seed=103)
     for workers in _WORKER_COUNTS:
-        edge = _measure(store, queries, workers, parallel=False, cache=False,
+        edge = _measure(store, queries, workers, cache=False,
                         network_profile=EDGE_UPLINK)
         edge_rows[f"{workers} worker(s)"] = [edge["qps"], edge["p50"], edge["p99"]]
-        lan = _measure(store, lan_queries, workers, parallel=False, cache=False,
+        lan = _measure(store, lan_queries, workers, cache=False,
                        network_profile=None)
         lan_rows[f"{workers} worker(s)"] = [lan["qps"], lan["p50"], lan["p99"]]
 
@@ -144,12 +143,12 @@ def test_serving_throughput(context, results_dir):
     shard_rows = {}
     for shards in _SHARD_COUNTS:
         if shards == 1:
-            target, parallel = store, False
+            target, backend = store, "sequential"
         else:
-            target, parallel = ShardedStore.from_store(store, shards=shards), True
-        result = _measure(target, queries, workers=4, parallel=parallel, cache=False,
-                          network_profile=EDGE_UPLINK)
-        label = f"{shards} shard(s)" + (" +par" if parallel else "")
+            target, backend = ShardedStore.from_store(store, shards=shards), "threads"
+        result = _measure(target, queries, workers=4, cache=False,
+                          network_profile=EDGE_UPLINK, backend=backend)
+        label = f"{shards} shard(s)" + (" +par" if backend == "threads" else "")
         shard_rows[label] = [result["qps"], result["p50"], result["p99"]]
 
     # ---------------------------------------------------------------- #
@@ -157,7 +156,7 @@ def test_serving_throughput(context, results_dir):
     # ---------------------------------------------------------------- #
     cache_rows = {}
     for cache in (False, True):
-        result = _measure(store, queries, workers=4, parallel=False, cache=cache,
+        result = _measure(store, queries, workers=4, cache=cache,
                           network_profile=EDGE_UPLINK)
         cache_rows["cache on" if cache else "cache off"] = [
             result["qps"], result["p50"], result["p99"], result["hit_rate"],
@@ -228,7 +227,7 @@ def test_serving_throughput_multiproc(context, results_dir):
     rows = {}
     for processes in _WORKER_COUNTS:
         result = _measure(
-            store, lan_queries, workers=4, parallel=False, cache=False,
+            store, lan_queries, workers=4, cache=False,
             network_profile=None, backend="process", process_workers=processes,
         )
         rows[f"{processes} process(es)"] = [result["qps"], result["p50"], result["p99"]]

@@ -43,7 +43,7 @@ def main() -> None:
     print(f"Workload: {len(reads)} queries, {len(writes)} writes ({operations} operations)")
 
     service = QueryService(
-        store, parallel=True, worker_slots=4, cache_capacity=128, default_timeout_s=30
+        store, backend="threads", worker_slots=4, cache_capacity=128, default_timeout_s=30
     )
     with QueryServer(service) as server:
         print(f"Serving SPARQL on {server.url}/sparql")

@@ -167,7 +167,7 @@ class AdministrationServer:
         epochs.  Only live devices carry a long-lived store to serve;
         rebuild-per-instance devices raise.  ``service_options`` are passed
         to the service constructor (``worker_slots``, ``cache_capacity``,
-        ``default_timeout_s``, ``parallel``...).
+        ``default_timeout_s``, ``backend``...).
         """
         from repro.serve.service import QueryService  # deferred: keeps edge importable alone
 

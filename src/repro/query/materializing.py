@@ -250,8 +250,12 @@ class NaivePathOracle:
             closed = self._closure(self.relation(path.path))
             return list({o for s, o in closed if s == start} | {start})
         if isinstance(path, PathOneOrMore):
+            # The first step is one-sided (``start`` may be off-graph, and a
+            # zero-length inner path matches it to itself, §18.4); the
+            # graph-pair closure continues from there.
+            first = set(self.targets(path.path, start))
             closed = self._closure(self.relation(path.path))
-            return list({o for s, o in closed if s == start})
+            return list(first | {o for s, o in closed if s in first})
         if isinstance(path, PathNegatedSet):
             return [o for s, o in self._negated_relation(path) if s == start]
         raise TypeError(f"unknown path node {type(path).__name__}")
@@ -275,8 +279,9 @@ class NaivePathOracle:
             closed = self._closure(self.relation(path.path))
             return list({s for s, o in closed if o == end} | {end})
         if isinstance(path, PathOneOrMore):
+            last = set(self.sources(path.path, end))
             closed = self._closure(self.relation(path.path))
-            return list({s for s, o in closed if o == end})
+            return list(last | {s for s, o in closed if o in last})
         if isinstance(path, PathNegatedSet):
             return [s for s, o in self._negated_relation(path) if o == end]
         raise TypeError(f"unknown path node {type(path).__name__}")

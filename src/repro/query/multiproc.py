@@ -1,41 +1,35 @@
-"""Process-pool query execution over memory-mapped store images.
+"""The process transport: work units run in worker processes over mapped images.
 
-The GIL keeps :class:`~repro.query.parallel.ParallelExecutor`'s thread-pool
-fan-out from buying compute scaling on stock CPython; this module executes
-the *same* scatter/gather plan shape on a pool of **worker processes** that
-memory-map the v4 store image (persistence PR 6) — N workers share one page
-cache, so attaching is near-free and RAM stays O(1) in the worker count.
+The GIL keeps threads from buying compute scaling on stock CPython; this
+module runs the work units of :mod:`repro.query.units` — the same units the
+thread back end runs in-process, emitted by the same scatter path of
+:class:`~repro.query.parallel.ParallelExecutor` — on a pool of **worker
+processes** that memory-map the v4 store image (N workers share one page
+cache, so attaching is near-free and RAM stays O(1) in the worker count).
+What is particular to crossing a process boundary lives here:
 
-Architecture
-------------
-
-* **Attachment**: every task ships a small *attach spec* — the base image
-  path (a monolithic ``.sedg`` v4 image or a
+* **Attachment** (:class:`ProcessExecutor`'s attach-spec lifecycle): every
+  unit carries a small *attach spec* — the base image path (a monolithic
+  ``.sedg`` v4 image or a
   :meth:`~repro.store.sharding.ShardedStore.save_image_directory` tree), a
-  *generation* (the compaction epoch / image-directory generation, so a
-  compact-and-swap rotation re-attaches workers), and the path of a spilled
-  **term-level delta log** holding the writes applied since the base image
-  was taken.  Workers ``load_store(path, mmap=True)`` lazily, cache the
-  attachment, and replay only the log suffix they have not applied yet.
-  Replaying through the public ``insert``/``delete`` path reproduces the
-  coordinator's dictionary state exactly — overflow and instance identifiers
-  are assigned sequentially and idempotently, so id-level work units mean
-  the same terms on both sides.
-* **Work units** are compact and id-level: leaf scans ship as one task per
-  ``(candidate property × shard)`` returning raw identifier pairs, and
-  bind-join batches ship encoded bindings evaluated sequentially inside one
-  worker.  The coordinator merges replies in the exact monolithic PSO/PS/SO
-  order that :class:`~repro.query.parallel.ParallelExecutor` defines
-  (property-major, object layout before datatype layout, shard-minor), so
-  results stay **byte-identical** to the sequential engine.
-* **Fault containment**: a worker crash (:class:`BrokenProcessPool`), a
+  *generation* (so a compact-and-swap rotation re-attaches workers) and the
+  path of a spilled **term-level delta log** of the writes applied since the
+  base image was taken.  Workers ``load_store(path, mmap=True)`` lazily,
+  cache the attachment, and replay only the log suffix they have not
+  applied yet — through the public ``insert``/``delete`` path, which
+  assigns identifiers exactly as the coordinator did, so the id-level
+  replies of the unit codec mean the same terms on both sides.
+* **The pool** (:class:`WorkerPool`): a self-healing
+  :class:`~concurrent.futures.ProcessPoolExecutor`.  A worker crash, a
   corrupt image (:class:`~repro.store.persistence.PersistenceError` raised
-  inside the task) or a task timeout surfaces as a clean exception on the
+  inside the unit) or a unit timeout surfaces as a clean exception on the
   coordinator — never a hang, never partial rows (engines materialize rows
-  before releasing them).  The pool restarts lazily on the next submit, and
-  :class:`ProcessPoolQueryEngine` retries a failed query once after healing.
-* **Kernel accounting**: each reply carries the worker's per-task kernel
-  counter delta; the coordinator folds it into its own
+  before releasing them); :class:`ProcessPoolQueryEngine` heals the pool
+  and retries.  Three transport-only ops ride beside the unit vocabulary:
+  ``ping``, ``counters`` and ``sleep`` (the fault harness's unit of known
+  duration).
+* **Kernel accounting**: each reply carries the worker's kernel-counter
+  delta; the coordinator folds it into its own
   :data:`~repro.sds.kernels.KERNEL_COUNTS`, so ``bench.measure.measure_call``
   sees worker-side rank/select work in the existing breakdown.
 
@@ -58,17 +52,14 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import multiprocessing
 
-from repro.query.engine import QueryEngine
-from repro.query.parallel import DEFAULT_BATCH_SIZE, ParallelExecutor
+from repro.query.parallel import DEFAULT_BATCH_SIZE, ParallelExecutor, ParallelQueryEngine
 from repro.query.tp_eval import TriplePatternEvaluator
-from repro.rdf.terms import BlankNode, Literal, URI
+from repro.query.units import decode_reply, decode_request, encode_reply, encode_request, execute_unit
 from repro.sds.kernels import kernel_counters, merge_kernel_counters, reset_kernel_counters
-from repro.sparql.ast import TriplePattern, Variable
-from repro.sparql.bindings import Binding
 from repro.store.sharding import ShardedStore
 from repro.store.succinct_edge import SuccinctEdge
 from repro.store.updatable import UpdatableSuccinctEdge
@@ -83,79 +74,19 @@ class WorkerPoolError(RuntimeError):
 
 
 # --------------------------------------------------------------------------- #
-# wire codec: terms, bindings and patterns as compact picklable tuples
-# --------------------------------------------------------------------------- #
-
-
-def _encode_term(term, instances):
-    """Encode one RDF term against the shared instance dictionary.
-
-    Terms present in the dictionary travel as a bare identifier (the
-    common case: every stored individual); literals and never-stored terms
-    travel self-contained.
-    """
-    if isinstance(term, Literal):
-        return ("l", term.lexical, term.datatype, term.language)
-    identifier = instances.try_locate(term)
-    if identifier is not None:
-        return ("i", identifier)
-    if isinstance(term, URI):
-        return ("u", term.value)
-    return ("b", term.label)
-
-
-def _decode_term(code, instances):
-    kind = code[0]
-    if kind == "i":
-        return instances.extract(code[1])
-    if kind == "l":
-        return Literal(code[1], datatype=code[2], language=code[3])
-    if kind == "u":
-        return URI(code[1])
-    return BlankNode(code[1])
-
-
-def _encode_binding(binding: Binding, instances) -> tuple:
-    return tuple((name, _encode_term(value, instances)) for name, value in binding.items())
-
-
-def _decode_binding(code: tuple, instances) -> Binding:
-    return Binding._adopt({name: _decode_term(value, instances) for name, value in code})
-
-
-def _encode_pattern(pattern: TriplePattern, instances) -> tuple:
-    def slot(value):
-        if isinstance(value, Variable):
-            return ("v", value.name)
-        return _encode_term(value, instances)
-
-    return (slot(pattern.subject), slot(pattern.predicate), slot(pattern.object))
-
-
-def _decode_pattern(code: tuple, instances) -> TriplePattern:
-    def slot(value):
-        if value[0] == "v":
-            return Variable(value[1])
-        return _decode_term(value, instances)
-
-    return TriplePattern(slot(code[0]), slot(code[1]), slot(code[2]))
-
-
-# --------------------------------------------------------------------------- #
 # worker side (module-level so both fork and spawn start methods pickle it)
 # --------------------------------------------------------------------------- #
 
 
 class _WorkerState:
-    """One worker's cached attachment: mapped base, live overlay, evaluators."""
+    """One worker's cached attachment: mapped base plus live overlay."""
 
-    __slots__ = ("token", "base", "live", "evaluators", "applied_epoch", "applied_ops")
+    __slots__ = ("token", "base", "live", "applied_epoch", "applied_ops")
 
     def __init__(self, token) -> None:
         self.token = token
         self.base = None
         self.live = None
-        self.evaluators: Dict[bool, TriplePatternEvaluator] = {}
         self.applied_epoch = 0
         self.applied_ops = 0
 
@@ -187,16 +118,12 @@ def _wrap_writable(base):
 def _apply_delta(state: _WorkerState, spec) -> None:
     with open(spec["delta_path"], "rb") as handle:
         operations = pickle.load(handle)
-    if state.live is None:
-        state.live = _wrap_writable(state.base)
-        state.evaluators = {}
-    if state.applied_ops > len(operations):
+    if state.live is None or state.applied_ops > len(operations):
         # The log can only grow within one generation; a shorter log means
         # this worker is somehow ahead of the spec — rebuild defensively.
         # (Replaying from scratch is safe: identifier assignment is
         # idempotent, so already-grown dictionaries resolve identically.)
         state.live = _wrap_writable(state.base)
-        state.evaluators = {}
         state.applied_ops = 0
     for operation, triple in operations[state.applied_ops :]:
         if operation == "insert":
@@ -229,20 +156,6 @@ def _attach(spec) -> _WorkerState:
     return state
 
 
-def _evaluator(state: _WorkerState, reasoning: bool) -> TriplePatternEvaluator:
-    evaluator = state.evaluators.get(reasoning)
-    if evaluator is None:
-        evaluator = TriplePatternEvaluator(state.live or state.base, reasoning=reasoning)
-        state.evaluators[reasoning] = evaluator
-    return evaluator
-
-
-def _shard_view(store, shard_index):
-    if shard_index is None:
-        return store
-    return store.shards[shard_index]
-
-
 def _dispatch(spec, op, args, reasoning):
     if op == "ping":
         return {"pid": os.getpid()}
@@ -253,45 +166,8 @@ def _dispatch(spec, op, args, reasoning):
         return args[0]
     state = _attach(spec)
     store = state.live or state.base
-    instances = store.instances
-    if op == "eval_many":
-        pattern_code, binding_codes = args
-        pattern = _decode_pattern(pattern_code, instances)
-        evaluate = _evaluator(state, reasoning).evaluate
-        rows: List[tuple] = []
-        for code in binding_codes:
-            for result in evaluate(pattern, _decode_binding(code, instances)):
-                rows.append(_encode_binding(result, instances))
-        return rows
-    shard = _shard_view(store, args[-1])
-    if op == "pairs":
-        property_id = args[0]
-        return (
-            list(shard.object_store.pairs_for_property(property_id)),
-            [
-                (subject_id, _encode_term(literal, instances))
-                for subject_id, literal in shard.datatype_store.pairs_for_property(property_id)
-            ],
-        )
-    if op == "subjects_obj":
-        return list(shard.object_store.subjects_for(args[0], args[1]))
-    if op == "subjects_lit":
-        literal = _decode_term(args[1], instances)
-        return list(shard.datatype_store.subjects_for(args[0], literal))
-    if op == "type_interval":
-        return list(shard.type_store.subjects_of_interval(args[0], args[1]))
-    if op == "type_concept":
-        return list(shard.type_store.subjects_of(args[0]))
-    if op == "expand":
-        from repro.query.paths import expand_frontier_local
-
-        forward_pids, inverse_pids, frontier_ids, literal_codes = args[:4]
-        literals = [_decode_term(code, instances) for code in literal_codes]
-        out_ids, out_literals = expand_frontier_local(
-            shard, forward_pids, inverse_pids, frontier_ids, literals
-        )
-        return [out_ids, [_encode_term(literal, instances) for literal in out_literals]]
-    raise ValueError(f"unknown worker op {op!r}")
+    reply = execute_unit(store, op, decode_request(op, args), reasoning)
+    return encode_reply(op, reply, store.instances)
 
 
 def _worker_run(task):
@@ -369,9 +245,19 @@ class WorkerPool:
         return [process.pid for process in self._processes_of(executor) if process.is_alive()]
 
     def prime(self) -> List[int]:
-        """Spin every worker up with a ping; returns the distinct PIDs seen."""
-        futures = [self.submit(None, "ping", (), True) for _ in range(self.max_workers)]
-        return sorted({self.result(future)["pid"] for future in futures})
+        """Spin every worker up with a ping; returns the distinct PIDs seen.
+
+        Workers killed *between* tasks leave an executor that only learns it
+        is broken when the next tasks fail; those failed pings restart the
+        pool, so they are sent once more before the error is surfaced.
+        """
+        for attempt in range(2):
+            futures = [self.submit(None, "ping", (), True) for _ in range(self.max_workers)]
+            try:
+                return sorted({self.result(future)["pid"] for future in futures})
+            except WorkerPoolError:
+                if attempt:
+                    raise
 
     def restart(self) -> None:
         """Tear the executor down (killing stuck workers); next submit rebuilds."""
@@ -468,14 +354,13 @@ class WorkerPool:
 
 
 class ProcessExecutor(ParallelExecutor):
-    """:class:`ParallelExecutor` whose fan-out crosses process boundaries.
+    """The process transport for :class:`ParallelExecutor`'s work units.
 
-    Shares the thread version's scatter decisions, batch sizing and shard
-    pruning (inherited), but ships the work units to a :class:`WorkerPool`
-    as encoded id-level tasks.  Single-shard leaf scans stay local — a
-    whole-store scan gains nothing from one round trip and would lose
-    ``LIMIT``/``ASK`` early termination — while bind-join batches (the
-    compute bulk of multi-pattern queries) and per-shard leaf scans ship.
+    Inherits every scatter decision; :meth:`_submit` ships a unit — wire
+    encoded, stamped with the attach spec sampled once per scatter — to a
+    :class:`WorkerPool`, and :meth:`_await` decodes the worker's reply.  The
+    attach-spec lifecycle (saving an image for stores without one, spilling
+    the delta log, :meth:`resync` after a rotation) is the rest of it.
     """
 
     def __init__(
@@ -615,218 +500,26 @@ class ProcessExecutor(ParallelExecutor):
         if self._owns_workspace:
             shutil.rmtree(self.workspace, ignore_errors=True)
 
-    # -- scatter/gather over the process pool ---------------------------- #
+    # -- the transport: units cross the process boundary ---------------- #
 
-    def _scatter_rdf_type(
-        self, subject_var: str, object_term: URI, binding: Binding
-    ) -> Iterator[Binding]:
-        store = self.store
-        concept_id = store.concepts.try_locate(object_term)
-        if concept_id is None:
-            return
-        spec = self._attach_spec()
-        pool = self.pool
-        if self.reasoning:
-            low, high = store.concepts.interval(object_term)
-            indexes = self._shard_indexes_holding(self._concept_shard_counts(low, high))
-            futures = [
-                pool.submit(spec, "type_interval", (low, high, index), self.reasoning)
-                for index in indexes
-            ]
-        else:
-            indexes = self._shard_indexes_holding(
-                self._concept_shard_counts(concept_id, concept_id + 1)
-            )
-            futures = [
-                pool.submit(spec, "type_concept", (concept_id, index), self.reasoning)
-                for index in indexes
-            ]
-        extract = store.instances.extract
-        extend = binding.extended
-        for future in futures:
-            for subject_id in pool.result(future):
-                yield extend(subject_var, extract(subject_id))
+    def _session(self) -> dict:
+        return self._attach_spec()
 
-    def _scatter_property(
-        self,
-        predicate_term: URI,
-        subject_var: str,
-        object_slot,
-        binding: Binding,
-    ) -> Iterator[Binding]:
-        object_term, object_var = object_slot
-        store = self.store
-        property_ids = self.inner._candidate_property_ids(predicate_term)
-        if not property_ids:
-            return
-        spec = self._attach_spec()
-        pool = self.pool
-        instances = store.instances
-        extract = instances.extract
-        extend = binding.extended
+    def _submit(self, spec, op: str, args):
+        return op, self.pool.submit(spec, op, encode_request(op, args), self.reasoning)
 
-        if object_term is not None:
-            futures = []
-            if isinstance(object_term, Literal):
-                literal_code = _encode_term(object_term, instances)
-                for property_id in property_ids:
-                    for index in self._shard_indexes_holding(
-                        self._property_shard_counts(property_id)
-                    ):
-                        futures.append(
-                            pool.submit(
-                                spec, "subjects_lit", (property_id, literal_code, index),
-                                self.reasoning,
-                            )
-                        )
-            else:
-                object_id = instances.try_locate(object_term)
-                if object_id is None:
-                    return
-                for property_id in property_ids:
-                    for index in self._shard_indexes_holding(
-                        self._property_shard_counts(property_id)
-                    ):
-                        futures.append(
-                            pool.submit(
-                                spec, "subjects_obj", (property_id, object_id, index),
-                                self.reasoning,
-                            )
-                        )
-            for future in futures:
-                for found_subject in pool.result(future):
-                    yield extend(subject_var, extract(found_subject))
-            return
-
-        # (?s, p, ?o): one "pairs" task per (property × holding shard),
-        # scheduled one property ahead of consumption.  Each task returns
-        # both layouts of its shard; the drain emits the object layout
-        # across all shards, then the datatype layout — the monolithic
-        # order, property-major, shard-minor.
-        diagonal = subject_var == object_var
-        base = binding.as_dict()
-        adopt = Binding._adopt
-
-        def schedule(property_id: int):
-            indexes = self._shard_indexes_holding(self._property_shard_counts(property_id))
-            return [
-                pool.submit(spec, "pairs", (property_id, index), self.reasoning)
-                for index in indexes
-            ]
-
-        window = []  # at most 2 scheduled properties: current + next
-        position = 0
-        while position < len(property_ids) or window:
-            while position < len(property_ids) and len(window) < 2:
-                window.append(schedule(property_ids[position]))
-                position += 1
-            replies = [pool.result(future) for future in window.pop(0)]
-            for object_pairs, _ in replies:
-                for found_subject, found_object in object_pairs:
-                    if diagonal:
-                        if found_subject == found_object:
-                            yield extend(subject_var, extract(found_subject))
-                        continue
-                    values = dict(base)
-                    values[subject_var] = extract(found_subject)
-                    values[object_var] = extract(found_object)
-                    yield adopt(values)
-            for _, datatype_pairs in replies:
-                for found_subject, literal_code in datatype_pairs:
-                    if diagonal:
-                        continue  # a subject URI never equals a literal
-                    values = dict(base)
-                    values[subject_var] = extract(found_subject)
-                    values[object_var] = _decode_term(literal_code, instances)
-                    yield adopt(values)
-
-    def evaluate_many(
-        self, pattern: TriplePattern, bindings: Iterable[Binding]
-    ) -> Iterator[Binding]:
-        """Batched bind join across the process pool, in upstream order.
-
-        Same windowed ordered drain as the thread executor; the batches
-        travel as encoded id-level bindings and come back as encoded rows.
-        """
-        pool = self.pool
-        instances = self.store.instances
-        spec = self._attach_spec()
-        pattern_code = _encode_pattern(pattern, instances)
-
-        def submit(chunk: List[Binding]):
-            codes = tuple(_encode_binding(one, instances) for one in chunk)
-            return pool.submit(spec, "eval_many", (pattern_code, codes), self.reasoning)
-
-        def drain(future) -> List[Binding]:
-            return [_decode_binding(code, instances) for code in pool.result(future)]
-
-        return self._windowed_many(pattern, bindings, submit=submit, drain=drain)
-
-    def expand_frontier(self, forward_pids, inverse_pids, frontier_ids, frontier_literals):
-        """One property-path BFS round, shipped to the worker pool.
-
-        Sharded stores get one ``expand`` task per shard holding any of the
-        candidate properties; monolithic stores ship one whole-store task
-        (index ``None``) — the BFS round is the compute bulk of a transitive
-        query, so it always crosses the process boundary.  Literal frontier
-        members travel through the wire codec; ids are global and need none.
-        """
-        from repro.query.paths import merge_expansions
-
-        store = self.store
-        if isinstance(store, ShardedStore) and len(self.shards) >= 2:
-            indexes: List[Optional[int]] = []
-            seen = set()
-            for property_id in list(forward_pids) + list(inverse_pids):
-                holding = self._shard_indexes_holding(
-                    self._property_shard_counts(property_id)
-                )
-                for index in holding:
-                    if index not in seen:
-                        seen.add(index)
-                        indexes.append(index)
-            if not indexes:
-                return [], []
-        else:
-            indexes = [None]
-        spec = self._attach_spec()
-        pool = self.pool
-        instances = store.instances
-        literal_codes = tuple(
-            _encode_term(literal, instances) for literal in frontier_literals
-        )
-        task = (
-            tuple(forward_pids),
-            tuple(inverse_pids),
-            tuple(frontier_ids),
-            literal_codes,
-        )
-        futures = [
-            pool.submit(spec, "expand", task + (index,), self.reasoning)
-            for index in indexes
-        ]
-        replies = []
-        for future in futures:
-            reply_ids, reply_codes = pool.result(future)
-            replies.append(
-                (reply_ids, [_decode_term(code, instances) for code in reply_codes])
-            )
-        return merge_expansions(replies)
+    def _await(self, ticket):
+        op, future = ticket
+        return decode_reply(op, self.pool.result(future), self.store.instances)
 
 
-class ProcessPoolQueryEngine(QueryEngine):
-    """A :class:`QueryEngine` executing over a pool of mmap'd worker processes.
+class ProcessPoolQueryEngine(ParallelQueryEngine):
+    """A :class:`~repro.query.parallel.ParallelQueryEngine` over worker processes.
 
-    Same construction pattern as
-    :class:`~repro.query.parallel.ParallelQueryEngine` — the optimizer keeps
-    its sequential runtime estimator, so plans (and row order) cannot
-    diverge.  ``execute``/``ask`` retry once after a pool failure
-    (:attr:`retryable_exceptions`); the streaming path leaves retries to the
-    serving layer, which re-runs the whole query so no partial rows ever
-    escape.
+    Builds a :class:`ProcessExecutor`; a :class:`WorkerPoolError` (crash,
+    timeout) restarts the pool and retries the query ``retries`` times.
     """
 
-    #: Exceptions the serving layer may retry after calling :meth:`heal`.
     retryable_exceptions = (WorkerPoolError,)
 
     def __init__(
@@ -843,21 +536,24 @@ class ProcessPoolQueryEngine(QueryEngine):
         workspace: Optional[str] = None,
         retries: int = 1,
     ) -> None:
-        super().__init__(
-            store, reasoning=reasoning, join_strategy=join_strategy, planner=planner
-        )
         self.retries = max(0, retries)
-        self.evaluator = ProcessExecutor(
+        self._transport = {
+            "pool": pool,
+            "mp_context": mp_context,
+            "task_timeout": task_timeout,
+            "workspace": workspace,
+        }
+        super().__init__(
             store,
             reasoning=reasoning,
-            inner=self.evaluator,
+            join_strategy=join_strategy,
             max_workers=max_workers,
             batch_size=batch_size,
-            pool=pool,
-            mp_context=mp_context,
-            task_timeout=task_timeout,
-            workspace=workspace,
+            planner=planner,
         )
+
+    def _executor(self, **shared) -> ProcessExecutor:
+        return ProcessExecutor(self.store, **shared, **self._transport)
 
     @property
     def pool(self) -> WorkerPool:
@@ -871,30 +567,3 @@ class ProcessPoolQueryEngine(QueryEngine):
     def resync(self) -> None:
         """Drop cached attachment artifacts (after compact-and-swap)."""
         self.evaluator.resync()
-
-    def _retrying(self, call, *args, **kwargs):
-        for attempt in range(self.retries + 1):
-            try:
-                return call(*args, **kwargs)
-            except WorkerPoolError:
-                self.heal()
-                if attempt >= self.retries:
-                    raise
-
-    def execute(self, query):
-        """Execute with heal-and-retry on pool failure (results materialize)."""
-        return self._retrying(super().execute, query)
-
-    def ask(self, query):
-        """ASK with heal-and-retry on pool failure."""
-        return self._retrying(super().ask, query)
-
-    def close(self) -> None:
-        """Release the evaluator's worker pool and spill workspace."""
-        self.evaluator.close()
-
-    def __enter__(self) -> "ProcessPoolQueryEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -1,37 +1,47 @@
-"""Parallel query execution: thread-pool fan-out over shards and batches.
+"""Scatter execution: one work-unit scatter path, three transports.
 
 :class:`ParallelExecutor` is a drop-in replacement for
 :class:`~repro.query.tp_eval.TriplePatternEvaluator` (same ``evaluate`` /
-``evaluate_many`` / ``estimate_cardinality`` surface, so the streaming
-operators of :mod:`repro.query.operators` consume it unchanged) that fans
-work across a bounded thread pool:
+``evaluate_many`` / ``expand_frontier`` / ``estimate_cardinality`` surface,
+so the streaming operators of :mod:`repro.query.operators` consume it
+unchanged) that splits evaluation into the work units of
+:mod:`repro.query.units` and gathers their replies in order:
 
-* **scatter-gather for BGP leaves** — a leaf pattern with an unbound subject
-  against a :class:`~repro.store.sharding.ShardedStore` is split into one
-  task per ``(candidate property × layout × shard)``; the gathered lists are
-  emitted in property-major, shard-minor order, which reproduces the
-  monolithic evaluation order byte for byte;
+* **leaf scatter** — a leaf pattern with a constant predicate and an unbound
+  subject against a :class:`~repro.store.sharding.ShardedStore` becomes one
+  unit per ``(candidate property × shard)``; replies are emitted
+  property-major, object layout before datatype layout, shard-minor, which
+  reproduces the monolithic evaluation order byte for byte;
 * **shard pruning** — a bound subject resolves to exactly one shard through
-  the store's subject-interval partitioner, so no fan-out happens (the
-  sharded store views route the single probe);
-* **batched bind joins** — ``evaluate_many`` groups upstream bindings into
-  batches evaluated concurrently with a bounded in-flight window, yielding
-  extensions strictly in upstream order (the operator pipeline's emission
-  order, and with it ``LIMIT``/``ASK`` early termination up to one window of
-  read-ahead, is preserved).  Batches are **sized from the per-shard
-  cardinality statistics**: high-fan-out patterns get smaller batches so
-  tasks stay balanced and read-ahead stays bounded, and leaf scatters skip
-  shards whose per-shard counts
+  the store's subject-interval partitioner, so it is evaluated locally
+  without fan-out, and scatters skip shards whose per-shard counts
   (:meth:`~repro.store.sharding.ShardedStore.shard_property_cardinalities`)
-  say they hold nothing for the probed property.
+  say they hold nothing for the probed property;
+* **batched bind joins** — ``evaluate_many`` groups upstream bindings into
+  ``eval_many`` units (sized from the cardinality statistics so each unit
+  yields about the same number of rows) with a bounded in-flight window,
+  yielding extensions strictly in upstream order, so ``LIMIT``/``ASK``
+  early termination survives up to one window of read-ahead;
+* **path rounds** — ``expand_frontier`` sends one property-path BFS round as
+  one ``expand`` unit per shard holding a candidate property (one
+  whole-store unit on a monolithic store) and unions the replies.
 
-Honest scaling note: CPython's GIL serialises the pure-Python kernels, so on
-a single process the fan-out does not reduce wall-clock latency — the win is
-architectural (per-shard work units that a free-threaded build, subprocess
-workers, or native kernels can execute concurrently) and the pattern is the
-same scatter-gather a distributed deployment would use.  The serving layer
-(:mod:`repro.serve`) gets its concurrency from overlapping whole requests
-instead; see ``docs/performance.md``.
+Those decisions live here only.  A transport is two hooks —
+:meth:`ParallelExecutor._submit` a unit, :meth:`ParallelExecutor._await`
+its reply — plus :meth:`ParallelExecutor._session`, the per-scatter state
+sampled on the calling thread.  This class runs units on a thread pool,
+in-process; :class:`~repro.query.multiproc.ProcessExecutor` ships them to
+worker processes that map the store image, and
+:class:`~repro.serve.cluster.ClusterExecutor` to HTTP replicas pinned at one
+replicated position.  The three ``*QueryEngine`` classes share
+:class:`ParallelQueryEngine`'s retry, heal and close path and differ only in
+the executor they build.
+
+Honest scaling note: CPython's GIL serialises the pure-Python kernels, so
+threads do not reduce wall-clock latency; on this repository's 2-core
+benchmark host none of the three transports beats the sequential engine
+(``docs/performance.md``).  The serving layer (:mod:`repro.serve`) gets its
+concurrency from overlapping whole requests instead.
 """
 
 from __future__ import annotations
@@ -40,44 +50,47 @@ import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, Iterator, List, Optional
+from contextlib import contextmanager
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.caching import LruCache
 from repro.query.cardinality import CardinalityEstimator
 from repro.query.engine import QueryEngine
+from repro.query.paths import merge_expansions
 from repro.query.tp_eval import TriplePatternEvaluator
+from repro.query.units import execute_unit
 from repro.rdf.namespaces import RDF_TYPE
 from repro.rdf.terms import Literal, URI
 from repro.sparql.ast import TriplePattern, Variable
 from repro.sparql.bindings import Binding
 from repro.store.succinct_edge import SuccinctEdge
 
-#: Default number of upstream bindings grouped into one bind-join task.
+#: Default number of upstream bindings grouped into one bind-join unit.
 DEFAULT_BATCH_SIZE = 64
 
-#: Rows one bind-join task should produce under the adaptive batch sizing
+#: Rows one bind-join unit should produce under the adaptive batch sizing
 #: (per-shard cardinalities tell us the expected per-binding fan-out).
 _TARGET_ROWS_PER_TASK = 256
 
 
 class ParallelExecutor:
-    """Thread-pool evaluator with the TriplePatternEvaluator interface.
+    """Work-unit scatter with the TriplePatternEvaluator interface.
 
     Parameters
     ----------
     store:
         The store to evaluate against; a
         :class:`~repro.store.sharding.ShardedStore` additionally enables
-        per-shard leaf scatter-gather.
+        per-shard leaf scatter.
     reasoning:
-        Passed through to the wrapped evaluator.
+        Passed through to the wrapped evaluator and to every unit.
     inner:
         An existing :class:`TriplePatternEvaluator` to wrap (one is created
-        when omitted).
+        when omitted); it answers the local, unscattered evaluations.
     max_workers:
         Thread-pool size; defaults to the shard count (at least 2).
     batch_size:
-        Upstream bindings per bind-join task.
+        Upstream bindings per bind-join unit (an upper bound).
     """
 
     def __init__(
@@ -99,7 +112,7 @@ class ParallelExecutor:
         self.shards: List[SuccinctEdge] = list(shard_list) if shard_list else [store]
         self.max_workers = max_workers if max_workers else max(2, len(self.shards))
         self.batch_size = max(1, batch_size)
-        #: In-flight bind-join batches beyond the one being consumed.
+        #: In-flight bind-join units beyond the one being consumed.
         self.window = self.max_workers + 1
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
@@ -142,6 +155,27 @@ class ParallelExecutor:
         self.close()
 
     # ------------------------------------------------------------------ #
+    # the transport: units run in-process on the thread pool
+    # ------------------------------------------------------------------ #
+
+    def _session(self):
+        """Transport state shared by the units of one scatter.
+
+        Sampled on the calling thread before any unit is submitted (the
+        process transport returns its attach spec, the cluster its pinned
+        position); threads need none.
+        """
+        return None
+
+    def _submit(self, session, op: str, args):
+        """Start one work unit; returns a ticket for :meth:`_await`."""
+        return self._ensure_pool().submit(execute_unit, self.store, op, args, self.reasoning)
+
+    def _await(self, ticket):
+        """The reply of one submitted unit, as :func:`execute_unit` returns it."""
+        return ticket.result()
+
+    # ------------------------------------------------------------------ #
     # TriplePatternEvaluator interface
     # ------------------------------------------------------------------ #
 
@@ -150,47 +184,30 @@ class ParallelExecutor:
         return self.inner.estimate_cardinality(pattern)
 
     def expand_frontier(self, forward_pids, inverse_pids, frontier_ids, frontier_literals):
-        """One property-path BFS round, scattered shard-parallel.
+        """One property-path BFS round as ``expand`` units.
 
         Each shard expands the *whole* frontier against its local triples
         (frontier ids are global dictionary ids, so no routing is needed);
         the sorted distinct union of the per-shard one-step results equals
         the monolithic expansion.  Shards holding none of the candidate
-        properties are pruned via the epoch-keyed shard-cardinality cache.
+        properties are pruned; a monolithic store gets one whole-store unit.
         """
-        from repro.query.paths import expand_frontier_local, merge_expansions
-
         if len(self.shards) < 2:
-            return self.inner.expand_frontier(
-                forward_pids, inverse_pids, frontier_ids, frontier_literals
+            indexes: List[Optional[int]] = [None]
+        else:
+            indexes = sorted(
+                {
+                    index
+                    for property_id in (*forward_pids, *inverse_pids)
+                    for index in self._shards_holding(self._property_shard_counts(property_id))
+                }
             )
-        holding: List[SuccinctEdge] = []
-        seen = set()
-        for property_id in list(forward_pids) + list(inverse_pids):
-            counts = self._property_shard_counts(property_id)
-            for shard in self._shards_holding(counts):
-                if id(shard) not in seen:
-                    seen.add(id(shard))
-                    holding.append(shard)
-        if not holding:
-            return [], []
-        if len(holding) == 1:
-            return expand_frontier_local(
-                holding[0], forward_pids, inverse_pids, frontier_ids, frontier_literals
-            )
-        pool = self._ensure_pool()
-        futures = [
-            pool.submit(
-                expand_frontier_local,
-                shard,
-                forward_pids,
-                inverse_pids,
-                frontier_ids,
-                frontier_literals,
-            )
-            for shard in holding
-        ]
-        return merge_expansions(future.result() for future in futures)
+            if not indexes:
+                return [], []
+        session = self._session()
+        args = (tuple(forward_pids), tuple(inverse_pids), tuple(frontier_ids), tuple(frontier_literals))
+        tickets = [self._submit(session, "expand", args + (index,)) for index in indexes]
+        return merge_expansions(self._await(ticket) for ticket in tickets)
 
     def evaluate(self, pattern: TriplePattern, binding: Binding) -> Iterator[Binding]:
         """One pattern evaluation; leaf patterns scatter across shards."""
@@ -206,42 +223,13 @@ class ParallelExecutor:
     def evaluate_many(
         self, pattern: TriplePattern, bindings: Iterable[Binding]
     ) -> Iterator[Binding]:
-        """Batched, ordered bind-propagation join across the thread pool.
+        """Batched, ordered bind-propagation join over ``eval_many`` units.
 
         Upstream bindings are pulled at most ``window × batch_size`` ahead
         of the consumer; results stream strictly in upstream order, so the
         emission is byte-identical to the sequential evaluator's.
         """
-        pool = self._ensure_pool()
-        inner_evaluate = self.inner.evaluate
-
-        def expand(chunk: List[Binding]) -> List[Binding]:
-            results: List[Binding] = []
-            for one in chunk:
-                results.extend(inner_evaluate(pattern, one))
-            return results
-
-        return self._windowed_many(
-            pattern,
-            bindings,
-            submit=lambda chunk: pool.submit(expand, chunk),
-            drain=lambda future: future.result(),
-        )
-
-    def _windowed_many(
-        self, pattern: TriplePattern, bindings: Iterable[Binding], submit, drain
-    ) -> Iterator[Binding]:
-        """The shared windowed, order-preserving bind-join drain.
-
-        ``submit(chunk)`` dispatches one batch of upstream bindings and
-        returns a ticket; ``drain(ticket)`` blocks for (an iterable of) its
-        result rows.  The three execution backends differ only in what a
-        ticket is — a thread-pool future (here), a process-pool future
-        (:mod:`repro.query.multiproc`) or an HTTP round trip racing on a
-        local thread pool (:mod:`repro.serve.cluster`) — while the
-        windowing, batching and in-order emission (and with them
-        byte-identity to the sequential engine) live in this one place.
-        """
+        session = self._session()
         batch_size = self._sized_batch(pattern)
         pending = []  # ordered in-flight tickets
         chunk: List[Binding] = []
@@ -251,29 +239,29 @@ class ParallelExecutor:
                 # Keep emission order: drain everything queued before the
                 # scatterable binding, then fan it out across shards.
                 if chunk:
-                    pending.append(submit(chunk))
+                    pending.append(self._submit(session, "eval_many", (pattern, tuple(chunk))))
                     chunk = []
                 while pending:
-                    yield from drain(pending.pop(0))
+                    yield from self._await(pending.pop(0))
                 yield from scattered
                 continue
             chunk.append(binding)
             if len(chunk) >= batch_size:
-                pending.append(submit(chunk))
+                pending.append(self._submit(session, "eval_many", (pattern, tuple(chunk))))
                 chunk = []
                 while len(pending) > self.window:
-                    yield from drain(pending.pop(0))
+                    yield from self._await(pending.pop(0))
         if chunk:
-            pending.append(submit(chunk))
+            pending.append(self._submit(session, "eval_many", (pattern, tuple(chunk))))
         while pending:
-            yield from drain(pending.pop(0))
+            yield from self._await(pending.pop(0))
 
     def _sized_batch(self, pattern: TriplePattern) -> int:
-        """Batch size for one bind join, targeting a fixed rows-per-task.
+        """Batch size for one bind join, targeting a fixed rows-per-unit.
 
-        Sizes batches so one task produces about
+        Sizes batches so one unit produces about
         :data:`_TARGET_ROWS_PER_TASK` rows — high-fan-out patterns get
-        smaller batches so tasks stay balanced across the pool and
+        smaller batches so units stay balanced across the pool and
         read-ahead stays bounded — never exceeding the configured batch
         size and never dropping below 8.  Falls back to the static size
         when the statistics cannot estimate the pattern.
@@ -333,23 +321,12 @@ class ParallelExecutor:
         key = ("t", low, high, getattr(self.store, "snapshot_epoch", None))
         return self._cached_counts(key, lambda: counts_fn(low, high))
 
-    def _shards_holding(self, counts: Optional[List[int]]) -> List[SuccinctEdge]:
-        """The shards with a non-zero count, in shard order.
+    def _shards_holding(self, counts: Optional[List[int]]) -> List[int]:
+        """Indexes of the shards with a non-zero count, in shard order.
 
         Skipping empty shards cannot change the emission (they contribute
-        nothing) but saves one task — and one thread-pool round trip — per
-        (property × layout × empty shard).
-        """
-        if counts is None or len(counts) != len(self.shards):
-            return self.shards
-        return [shard for shard, count in zip(self.shards, counts) if count]
-
-    def _shard_indexes_holding(self, counts: Optional[List[int]]) -> List[int]:
-        """Like :meth:`_shards_holding` but as shard *indexes*.
-
-        The process execution backend (:mod:`repro.query.multiproc`) ships
-        shard indexes instead of shard objects — the worker resolves them
-        against its own mapped copy of the store.
+        nothing) but saves one unit — and one round trip — per
+        (property × empty shard).
         """
         if counts is None or len(counts) != len(self.shards):
             return list(range(len(self.shards)))
@@ -389,33 +366,28 @@ class ParallelExecutor:
     def _scatter_rdf_type(
         self, subject_var: str, object_term: URI, binding: Binding
     ) -> Iterator[Binding]:
-        """``?s rdf:type C``: one subjects-of-interval task per shard."""
+        """``?s rdf:type C``: one ``type_interval``/``type_concept`` unit per shard."""
         store = self.store
         concept_id = store.concepts.try_locate(object_term)
         if concept_id is None:
             return
-        pool = self._ensure_pool()
         if self.reasoning:
             low, high = store.concepts.interval(object_term)
-            shards = self._shards_holding(self._concept_shard_counts(low, high))
-            futures = [
-                pool.submit(shard.type_store.subjects_of_interval, low, high)
-                for shard in shards
-            ]
+            op, key = "type_interval", (low, high)
         else:
-            shards = self._shards_holding(
-                self._concept_shard_counts(concept_id, concept_id + 1)
-            )
-            futures = [
-                pool.submit(shard.type_store.subjects_of, concept_id)
-                for shard in shards
-            ]
+            low, high = concept_id, concept_id + 1
+            op, key = "type_concept", (concept_id,)
+        session = self._session()
+        tickets = [
+            self._submit(session, op, key + (index,))
+            for index in self._shards_holding(self._concept_shard_counts(low, high))
+        ]
         extract = store.instances.extract
         extend = binding.extended
         # Shard order == ascending subject-interval order: the gathered
         # concatenation reproduces the monolithic emission order.
-        for future in futures:
-            for subject_id in future.result():
+        for ticket in tickets:
+            for subject_id in self._await(ticket):
                 yield extend(subject_var, extract(subject_id))
 
     def _scatter_property(
@@ -425,7 +397,7 @@ class ParallelExecutor:
         object_slot,
         binding: Binding,
     ) -> Iterator[Binding]:
-        """Constant-predicate leaf: tasks per (property × layout × shard).
+        """Constant-predicate leaf: units per (candidate property × shard).
 
         Emission mirrors
         :meth:`~repro.query.tp_eval.TriplePatternEvaluator._evaluate_property`
@@ -438,74 +410,53 @@ class ParallelExecutor:
         property_ids = self.inner._candidate_property_ids(predicate_term)
         if not property_ids:
             return
-        pool = self._ensure_pool()
         extract = store.instances.extract
         extend = binding.extended
 
         if object_term is not None:
             # (?s, p, o): Algorithm 4 fanned per shard.
-            object_id: Optional[int] = None
-            if not isinstance(object_term, Literal):
-                object_id = store.instances.try_locate(object_term)
-                if object_id is None:
-                    return
-            futures = []
-            for property_id in property_ids:
-                shards = self._shards_holding(self._property_shard_counts(property_id))
-                for shard in shards:
-                    if isinstance(object_term, Literal):
-                        futures.append(
-                            pool.submit(
-                                shard.datatype_store.subjects_for, property_id, object_term
-                            )
-                        )
-                    else:
-                        futures.append(
-                            pool.submit(
-                                shard.object_store.subjects_for, property_id, object_id
-                            )
-                        )
-            for future in futures:
-                for found_subject in future.result():
+            if isinstance(object_term, Literal):
+                op = "subjects_lit"
+            elif store.instances.try_locate(object_term) is None:
+                return
+            else:
+                op = "subjects_obj"
+            session = self._session()
+            tickets = [
+                self._submit(session, op, (property_id, object_term, index))
+                for property_id in property_ids
+                for index in self._shards_holding(self._property_shard_counts(property_id))
+            ]
+            for ticket in tickets:
+                for found_subject in self._await(ticket):
                     yield extend(subject_var, extract(found_subject))
             return
 
-        # (?s, p, ?o): two batched property-run scans per shard.  Properties
-        # are scheduled one ahead of consumption (not all up front): a
+        # (?s, p, ?o): one "pairs" unit per (property × holding shard),
+        # scheduled one property ahead of consumption (not all up front): a
         # consumer that stops early — the LIMIT-paginated scans of the
         # serving mix — never pays for the property runs it never pulls,
-        # while the per-shard tasks of the current and next property still
-        # run concurrently.
+        # while the units of the current and next property still overlap.
+        session = self._session()
         diagonal = subject_var == object_var
         base = binding.as_dict()
         adopt = Binding._adopt
 
         def schedule(property_id: int):
-            shards = self._shards_holding(self._property_shard_counts(property_id))
-            return (
-                [
-                    pool.submit(
-                        lambda s=shard, p=property_id: list(s.object_store.pairs_for_property(p))
-                    )
-                    for shard in shards
-                ],
-                [
-                    pool.submit(
-                        lambda s=shard, p=property_id: list(s.datatype_store.pairs_for_property(p))
-                    )
-                    for shard in shards
-                ],
-            )
+            return [
+                self._submit(session, "pairs", (property_id, index))
+                for index in self._shards_holding(self._property_shard_counts(property_id))
+            ]
 
         window = []  # at most 2 scheduled properties: current + next
-        index = 0
-        while index < len(property_ids) or window:
-            while index < len(property_ids) and len(window) < 2:
-                window.append(schedule(property_ids[index]))
-                index += 1
-            object_futures, datatype_futures = window.pop(0)
-            for future in object_futures:
-                for found_subject, found_object in future.result():
+        position = 0
+        while position < len(property_ids) or window:
+            while position < len(property_ids) and len(window) < 2:
+                window.append(schedule(property_ids[position]))
+                position += 1
+            replies = [self._await(ticket) for ticket in window.pop(0)]
+            for object_pairs, _ in replies:
+                for found_subject, found_object in object_pairs:
                     if diagonal:
                         if found_subject == found_object:
                             yield extend(subject_var, extract(found_subject))
@@ -514,8 +465,8 @@ class ParallelExecutor:
                     values[subject_var] = extract(found_subject)
                     values[object_var] = extract(found_object)
                     yield adopt(values)
-            for future in datatype_futures:
-                for found_subject, literal in future.result():
+            for _, datatype_pairs in replies:
+                for found_subject, literal in datatype_pairs:
                     if diagonal:
                         continue  # a subject URI never equals a literal
                     values = dict(base)
@@ -598,12 +549,26 @@ def create_parallel_engine(
 
 
 class ParallelQueryEngine(QueryEngine):
-    """A :class:`QueryEngine` whose evaluator fans out across a thread pool.
+    """A :class:`QueryEngine` whose evaluator scatters work units.
 
     Byte-identical results to the sequential engine by construction (same
-    plans, same emission order); the differential suite verifies it on the
-    full paper workload.  ``close()`` releases the worker pool.
+    plans — the optimizer keeps its runtime estimator bound to the
+    sequential evaluator — and the same emission order); the differential
+    suites verify it on the full paper workload.  This class runs units on
+    threads; the process and cluster engines subclass it and override only
+    :meth:`_executor` (plus :meth:`heal`, and the cluster's per-attempt pin).
+
+    ``execute``/``ask`` retry up to :attr:`retries` times after a
+    :attr:`retryable_exceptions` failure, calling :meth:`heal` in between —
+    engines materialize rows, so a failed attempt surfaces none.  The
+    streaming path cannot retry (rows may already be consumed); the serving
+    layer re-runs whole queries instead.  ``close()`` releases the executor.
     """
+
+    #: Failures a fresh attempt can cure (the serving layer reads this too).
+    retryable_exceptions: Tuple[type, ...] = ()
+    #: Fresh attempts after the first one fails.
+    retries = 0
 
     def __init__(
         self,
@@ -617,19 +582,55 @@ class ParallelQueryEngine(QueryEngine):
         super().__init__(
             store, reasoning=reasoning, join_strategy=join_strategy, planner=planner
         )
-        # The optimizer keeps its runtime estimator (bound to the sequential
-        # evaluator, which the parallel one delegates to) — plans, and with
-        # them result order, cannot diverge from the sequential engine.
-        self.evaluator = ParallelExecutor(
-            store,
+        self.evaluator = self._executor(
             reasoning=reasoning,
             inner=self.evaluator,
             max_workers=max_workers,
             batch_size=batch_size,
         )
 
+    def _executor(self, **shared) -> ParallelExecutor:
+        """The executor this engine drives — what the three engines differ in."""
+        return ParallelExecutor(self.store, **shared)
+
+    def heal(self) -> None:
+        """Repair the transport between attempts (threads need nothing)."""
+
+    @contextmanager
+    def _attempt(self):
+        """The scope of one attempt (the cluster pins a position here)."""
+        yield
+
+    def _retrying(self, call, query):
+        for attempt in range(self.retries + 1):
+            try:
+                with self._attempt():
+                    return call(query)
+            except self.retryable_exceptions:
+                if attempt >= self.retries:
+                    raise
+                self.heal()
+        raise AssertionError("unreachable")
+
+    def execute(self, query):
+        """Execute, with a fresh attempt after a retryable failure."""
+        return self._retrying(super().execute, query)
+
+    def ask(self, query):
+        """ASK, with a fresh attempt after a retryable failure."""
+        return self._retrying(super().ask, query)
+
+    def stream(self, query):
+        """Stream rows, the whole iteration inside one attempt (no retry)."""
+
+        def generate():
+            with self._attempt():
+                yield from super(ParallelQueryEngine, self).stream(query)
+
+        return generate()
+
     def close(self) -> None:
-        """Release the evaluator's worker pool."""
+        """Release the executor's transport (threads, workers, spill files)."""
         self.evaluator.close()
 
     def __enter__(self) -> "ParallelQueryEngine":

@@ -29,8 +29,8 @@ shape: ``p+``, ``(p|^q)*`` ...), the BFS runs at the *identifier* level: the
 frontier is a sorted list of instance identifiers (coalesced into intervals
 for membership tests — LiteMat assigns hierarchy-clustered ids, so real
 frontiers coalesce well) and each round is one call to the evaluator's
-``expand_frontier`` hook, which the parallel / process / cluster backends
-override to scatter per-shard frontier expansion.  Per property the
+``expand_frontier`` hook, which the scatter executor
+(:mod:`repro.query.parallel`) answers with per-shard ``expand`` units.  Per property the
 expansion chooses **probe vs. scan** by the cost model's constants: a small
 frontier probes ``objects_for``/``subjects_for`` per id, a large one scans
 ``pairs_for_property`` once and filters against the interval frontier.
@@ -170,9 +170,8 @@ def expand_frontier_local(
     the run is chosen with the planner's cost constants; scan mode filters
     with the interval frontier.
 
-    This is the single primitive the execution backends parallelise: the
-    thread backend runs it per shard, the process backend ships it as a
-    worker op, the cluster backend as an epoch-pinned unit.  It must stay a
+    This is the ``expand`` work unit (:mod:`repro.query.units`) every
+    scatter transport runs, one per shard.  It must stay a
     pure function of the store snapshot — the union of sorted distinct
     per-shard results equals the monolithic result.
     """

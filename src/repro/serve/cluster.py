@@ -1,6 +1,10 @@
-"""Distributed serving: delta-log replication and a scatter-gather coordinator.
+"""Distributed serving: delta-log replication and the replica transport.
 
-This module turns the single-node serving stack into a small cluster:
+This module turns the single-node serving stack into a small cluster.  It
+adds no query logic of its own: the coordinator runs the one scatter path
+of :class:`~repro.query.parallel.ParallelExecutor`, and replicas answer the
+work units of :mod:`repro.query.units` with the same ``execute_unit`` the
+thread and process transports use.  What is particular to the network:
 
 * **Replication** (:class:`ReplicationSource` / :class:`ClusterReplica`) —
   a read replica bootstraps by downloading the primary's current v4 store
@@ -10,45 +14,33 @@ This module turns the single-node serving stack into a small cluster:
   applied yet (``/replicate?generation=G&applied=N``, the HTTP face of
   :meth:`~repro.store.updatable.UpdatableSuccinctEdge.replication_slice`).
   Replaying the log through the replica's own ``insert``/``delete`` path
-  reproduces dictionary and overflow identifier assignment *exactly* — the
-  same idempotent-replay property the process execution backend
-  (:mod:`repro.query.multiproc`) relies on — so id-level work units mean
-  the same terms on the primary, on every replica, and on the coordinator.
+  reproduces dictionary and overflow identifier assignment *exactly*, so
+  the identifiers in unit replies mean the same terms on the primary, on
+  every replica, and on the coordinator.
 * **Epoch-consistent reads** — a position in the replicated history is the
   pair ``(generation, epoch)``: the image generation (compaction epoch /
   image-directory generation; a bump means *re-bootstrap*) and the data
   epoch (applied write operations).  The coordinator pins one position per
-  query and stamps it on every work unit; a replica serves a unit only at
-  *exactly* that position — it syncs forward on demand (the pull is capped
-  at the pinned epoch, so concurrently shipped writes never leak into an
-  older query's rows) and answers **409 epoch conflict** when it has moved
-  past it.  A conflict aborts the whole attempt before any row is
+  query attempt and stamps it on every work unit; a replica serves a unit
+  only at *exactly* that position — it syncs forward on demand (the pull is
+  capped at the pinned epoch, so concurrently shipped writes never leak
+  into an older query's rows) and answers **409 epoch conflict** when it
+  has moved past it.  A conflict aborts the whole attempt before any row is
   surfaced; the engine re-pins at a fresh position and retries, so a query
   returns rows from one position or none at all — never a mix.
-* **Scatter-gather coordination** (:class:`ClusterExecutor` /
-  :class:`ClusterQueryEngine`) — the coordinator executes the *same*
-  scatter plan as the thread and process backends (it subclasses
-  :class:`~repro.query.parallel.ParallelExecutor`: same scatter decisions,
-  same per-shard cardinality pruning, same windowed ordered drain), but
-  ships each work unit as an HTTP call to a replica.  Replies are merged
-  in the monolithic property-major, shard-minor order, so results stay
-  byte-identical to the sequential engine.
-* **Failure handling** (:class:`ReplicaSet`) — per-replica health flags
-  (a transport failure marks the replica down; ``refresh_health`` probes
-  ``/cluster/health`` to readmit it), shard-affine routing with failover
-  to peers, **hedged retries** (a unit unanswered after ``hedge_after_s``
-  is also sent to the next candidate; first success wins) and a
-  coordinator-side deadline (:class:`ClusterTimeout`, never retried).
-  Every hop — request and response — can be charged to a
-  :class:`~repro.edge.device.SimulatedNetwork`, whose partition and drop
-  knobs are what the fault-injection suite drives.
-
-Wire format: coordinator→replica requests are **self-contained** (terms by
-value — the coordinator's dictionary may have grown past the pinned epoch,
-so its identifiers are not safe to ship), while replica→coordinator rows
-reuse the id-level codec of :mod:`repro.query.multiproc` — identifiers the
-replica assigned at epoch ``E`` are exactly the coordinator's identifiers
-at ``E``, and the coordinator's dictionary only ever grows.
+* **The transport** (:class:`ClusterExecutor`, :class:`ReplicaSet`) — each
+  unit is one ``/cluster/op`` call, wire-encoded by the shared codec
+  (requests carry terms by value, since the coordinator's dictionary may
+  have grown past the pinned epoch; replies carry identifiers, and the log
+  operations themselves travel as by-value triples in the same term
+  codes).  Per-replica health flags (a transport failure marks the replica
+  down; ``refresh_health`` probes ``/cluster/health`` to readmit it),
+  shard-affine routing with failover to peers, **hedged retries** (a unit
+  unanswered after ``hedge_after_s`` is also sent to the next candidate;
+  first success wins) and a coordinator-side deadline
+  (:class:`ClusterTimeout`, never retried).  Every hop — request and
+  response — can be charged to a :class:`~repro.edge.device.SimulatedNetwork`,
+  whose partition and drop knobs are what the fault-injection suite drives.
 
 Known limits, stated honestly: coordinator-local probes (bound-subject
 lookups the scatter planner prunes to one shard) read the primary live,
@@ -69,22 +61,21 @@ import urllib.parse
 import urllib.request
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.edge.device import NetworkPartitioned, SimulatedNetwork
-from repro.query.engine import QueryEngine
-from repro.query.multiproc import (
-    _decode_binding,
-    _decode_pattern,
-    _decode_term,
-    _encode_binding,
-    _encode_term,
-)
-from repro.query.parallel import DEFAULT_BATCH_SIZE, ParallelExecutor
+from repro.query.parallel import DEFAULT_BATCH_SIZE, ParallelExecutor, ParallelQueryEngine
 from repro.query.tp_eval import TriplePatternEvaluator
-from repro.rdf.terms import Literal, Triple, URI
-from repro.sparql.ast import TriplePattern, Variable
-from repro.sparql.bindings import Binding
+from repro.query.units import (
+    decode_reply,
+    decode_request,
+    decode_term,
+    encode_reply,
+    encode_request,
+    encode_term,
+    execute_unit,
+)
+from repro.rdf.terms import Triple
 from repro.store.sharding import ShardedStore
 from repro.store.succinct_edge import SuccinctEdge
 from repro.store.updatable import UpdatableSuccinctEdge
@@ -104,51 +95,6 @@ class EpochConflict(ClusterError):
 
 class ReplicaUnavailable(ClusterError):
     """A replica (or the primary, during a sync) could not be reached."""
-
-
-# --------------------------------------------------------------------------- #
-# wire codec: self-contained (by-value) terms for coordinator→replica requests
-# --------------------------------------------------------------------------- #
-
-
-def _value_term(term) -> tuple:
-    """Encode one term fully by value (no dictionary identifiers).
-
-    Requests must decode against a replica frozen at the *pinned* epoch;
-    the coordinator's dictionary may already hold later identifiers, so
-    unlike the process backend's codec this one never ships ``("i", id)``.
-    """
-    if isinstance(term, Literal):
-        return ("l", term.lexical, term.datatype, term.language)
-    if isinstance(term, URI):
-        return ("u", term.value)
-    return ("b", term.label)
-
-
-def _value_pattern(pattern: TriplePattern) -> tuple:
-    def slot(value):
-        if isinstance(value, Variable):
-            return ("v", value.name)
-        return _value_term(value)
-
-    return (slot(pattern.subject), slot(pattern.predicate), slot(pattern.object))
-
-
-def _value_binding(binding: Binding) -> tuple:
-    return tuple((name, _value_term(value)) for name, value in binding.items())
-
-
-def _encode_wire_triple(triple: Triple) -> list:
-    return [
-        _value_term(triple.subject),
-        _value_term(triple.predicate),
-        _value_term(triple.object),
-    ]
-
-
-def _decode_wire_triple(code) -> Triple:
-    subject, predicate, obj = (_decode_term(slot, None) for slot in code)
-    return Triple(subject, predicate, obj)
 
 
 # --------------------------------------------------------------------------- #
@@ -411,7 +357,7 @@ class ReplicationSource:
         if not reply.get("resync"):
             reply = dict(reply)
             reply["operations"] = [
-                [operation, _encode_wire_triple(triple)]
+                [operation, [encode_term(term) for term in triple]]
                 for operation, triple in reply["operations"]
             ]
         return reply
@@ -520,7 +466,6 @@ class ClusterReplica:
         self.syncs = 0
         self.bootstraps = 0
         self._lock = _ReadWriteLock()
-        self._evaluators = {}
 
     @property
     def epoch(self) -> int:
@@ -563,7 +508,6 @@ class ClusterReplica:
         self.base_epoch = manifest["base_epoch"]
         self.applied = 0
         self.bootstraps += 1
-        self._evaluators = {}
 
     def sync(self, upto_epoch: Optional[int] = None, max_rounds: int = 4) -> int:
         """Pull and replay the missing log suffix; returns the epoch reached.
@@ -581,7 +525,7 @@ class ClusterReplica:
                     self.store = None  # stale generation: full re-bootstrap
                     continue
                 for operation, code in reply["operations"]:
-                    triple = _decode_wire_triple(code)
+                    triple = Triple(*(decode_term(term) for term in code))
                     if operation == "insert":
                         self.store.insert(triple)
                     else:
@@ -626,71 +570,10 @@ class ClusterReplica:
                     f"replica stands at (g{self.generation}, e{self.epoch}); "
                     f"cannot serve a unit pinned at (g{generation}, e{epoch})"
                 )
-            return self._dispatch_locked(op, args, reasoning)
-
-    def _evaluator(self, reasoning: bool) -> TriplePatternEvaluator:
-        evaluator = self._evaluators.get(reasoning)
-        if evaluator is None:
-            evaluator = TriplePatternEvaluator(self.store, reasoning=reasoning)
-            self._evaluators[reasoning] = evaluator
-        return evaluator
-
-    def _shard_view(self, shard_index):
-        if shard_index is None or not isinstance(self.store, ShardedStore):
-            return self.store
-        return self.store.shards[shard_index]
-
-    def _dispatch_locked(self, op: str, args, reasoning: bool):
-        store = self.store
-        instances = store.instances
-        if op == "ping":
-            return {"generation": self.generation, "epoch": self.epoch}
-        if op == "eval_many":
-            pattern_code, binding_codes = args
-            pattern = _decode_pattern(pattern_code, instances)
-            evaluate = self._evaluator(reasoning).evaluate
-            rows: List[tuple] = []
-            for code in binding_codes:
-                for result in evaluate(pattern, _decode_binding(code, instances)):
-                    rows.append(_encode_binding(result, instances))
-            return rows
-        shard = self._shard_view(args[-1])
-        if op == "pairs":
-            property_id = args[0]
-            return [
-                list(shard.object_store.pairs_for_property(property_id)),
-                [
-                    [subject_id, _encode_term(literal, instances)]
-                    for subject_id, literal in shard.datatype_store.pairs_for_property(
-                        property_id
-                    )
-                ],
-            ]
-        if op == "subjects_obj":
-            object_id = instances.try_locate(_decode_term(args[1], instances))
-            if object_id is None:
-                return []  # the term entered the dictionary after this epoch
-            return list(shard.object_store.subjects_for(args[0], object_id))
-        if op == "subjects_lit":
-            literal = _decode_term(args[1], instances)
-            return list(shard.datatype_store.subjects_for(args[0], literal))
-        if op == "type_interval":
-            return list(shard.type_store.subjects_of_interval(args[0], args[1]))
-        if op == "type_concept":
-            return list(shard.type_store.subjects_of(args[0]))
-        if op == "expand":
-            from repro.query.paths import expand_frontier_local
-
-            forward_pids, inverse_pids, frontier_ids, literal_codes = args[:4]
-            literals = [_decode_term(code, instances) for code in literal_codes]
-            out_ids, out_literals = expand_frontier_local(
-                shard, forward_pids, inverse_pids, frontier_ids, literals
-            )
-            return [
-                list(out_ids),
-                [_encode_term(literal, instances) for literal in out_literals],
-            ]
-        raise ValueError(f"unknown cluster op {op!r}")
+            if op == "ping":
+                return {"generation": self.generation, "epoch": self.epoch}
+            reply = execute_unit(self.store, op, decode_request(op, args), reasoning)
+            return encode_reply(op, reply, self.store.instances)
 
     # -- HTTP face -------------------------------------------------------- #
 
@@ -962,15 +845,15 @@ class ReplicaSet:
 
 
 class ClusterExecutor(ParallelExecutor):
-    """:class:`ParallelExecutor` whose fan-out crosses the network.
+    """The cluster transport for :class:`ParallelExecutor`'s work units.
 
-    Inherits the scatter decisions, per-shard cardinality pruning, batch
-    sizing and the windowed ordered drain; only the transport differs —
-    work units go through :meth:`ReplicaSet.dispatch` (stamped with the
-    pinned position), raced on the inherited thread pool so per-shard
-    round trips overlap.  Bound-subject probes the planner prunes to a
-    single shard stay local on the coordinator's primary store, like the
-    single-shard cases of the thread and process backends.
+    Inherits every scatter decision; :meth:`_submit` races one
+    :meth:`ReplicaSet.dispatch` per unit on the inherited thread pool (so
+    per-shard round trips overlap), stamped with the position pinned for
+    the query — shard-scoped units prefer their shard's replica, bind-join
+    batches rotate across the set — and :meth:`_await` decodes the reply.
+    Bound-subject probes the planner prunes to a single shard stay local on
+    the coordinator's primary store, as on every transport.
     """
 
     def __init__(
@@ -995,6 +878,7 @@ class ClusterExecutor(ParallelExecutor):
         self.replicas = replicas
         self.source = source
         self._local = threading.local()
+        self._rotation = itertools.count()
 
     # -- position pinning ------------------------------------------------- #
 
@@ -1008,229 +892,48 @@ class ClusterExecutor(ParallelExecutor):
         finally:
             self._local.pin = previous
 
-    def _pin(self) -> Tuple[int, int, Optional[float]]:
+    # -- the transport: units cross the network --------------------------- #
+
+    def _session(self) -> Tuple[int, int, Optional[float]]:
         pin = getattr(self._local, "pin", None)
         if pin is not None:
             return pin
         generation, epoch = self.source.position()
         return generation, epoch, None
 
-    def _dispatch(self, op: str, args, shard_hint: int, pin=None):
-        generation, epoch, deadline_at = self._pin() if pin is None else pin
-        return self.replicas.dispatch(
+    def _submit(self, pin, op: str, args):
+        generation, epoch, deadline_at = pin
+        hint = next(self._rotation) if op == "eval_many" else (args[-1] or 0)
+        future = self._ensure_pool().submit(
+            self.replicas.dispatch,
             op,
-            args,
+            encode_request(op, args),
             self.reasoning,
             generation,
             epoch,
-            shard_hint=shard_hint,
+            shard_hint=hint,
             deadline_at=deadline_at,
         )
+        return op, future
 
-    # -- scatter/gather over the replica set ------------------------------ #
-
-    def expand_frontier(self, forward_pids, inverse_pids, frontier_ids, frontier_literals):
-        """One property-path BFS round as epoch-pinned cluster work units.
-
-        One ``expand`` unit per shard holding a candidate property (one
-        whole-store unit for monolithic stores), every unit stamped with
-        the query's pinned ``(generation, epoch)`` so each round reads the
-        same snapshot on whichever replica serves it.  Frontier ids travel
-        raw — the dictionary is append-only and replayed identically from
-        the delta log, so identifiers agree across the cluster at any
-        pinned position; literals go through the wire codec.
-        """
-        from repro.query.paths import merge_expansions
-
-        store = self.store
-        if isinstance(store, ShardedStore) and len(self.shards) >= 2:
-            indexes: List[Optional[int]] = []
-            seen = set()
-            for property_id in list(forward_pids) + list(inverse_pids):
-                holding = self._shard_indexes_holding(
-                    self._property_shard_counts(property_id)
-                )
-                for index in holding:
-                    if index not in seen:
-                        seen.add(index)
-                        indexes.append(index)
-            if not indexes:
-                return [], []
-        else:
-            indexes = [None]
-        pin = self._pin()
-        pool = self._ensure_pool()
-        instances = store.instances
-        literal_codes = [
-            _encode_term(literal, instances) for literal in frontier_literals
-        ]
-        unit = (
-            list(forward_pids),
-            list(inverse_pids),
-            list(frontier_ids),
-            literal_codes,
-        )
-        futures = [
-            pool.submit(self._dispatch, "expand", unit + (index,), index or 0, pin)
-            for index in indexes
-        ]
-        replies = []
-        for future in futures:
-            reply_ids, reply_codes = future.result()
-            replies.append(
-                (reply_ids, [_decode_term(code, instances) for code in reply_codes])
-            )
-        return merge_expansions(replies)
-
-    def _scatter_rdf_type(
-        self, subject_var: str, object_term: URI, binding: Binding
-    ) -> Iterator[Binding]:
-        store = self.store
-        concept_id = store.concepts.try_locate(object_term)
-        if concept_id is None:
-            return
-        pin = self._pin()
-        pool = self._ensure_pool()
-        if self.reasoning:
-            low, high = store.concepts.interval(object_term)
-            indexes = self._shard_indexes_holding(self._concept_shard_counts(low, high))
-            futures = [
-                pool.submit(self._dispatch, "type_interval", (low, high, index), index, pin)
-                for index in indexes
-            ]
-        else:
-            indexes = self._shard_indexes_holding(
-                self._concept_shard_counts(concept_id, concept_id + 1)
-            )
-            futures = [
-                pool.submit(self._dispatch, "type_concept", (concept_id, index), index, pin)
-                for index in indexes
-            ]
-        extract = store.instances.extract
-        extend = binding.extended
-        for future in futures:
-            for subject_id in future.result():
-                yield extend(subject_var, extract(subject_id))
-
-    def _scatter_property(
-        self,
-        predicate_term: URI,
-        subject_var: str,
-        object_slot,
-        binding: Binding,
-    ) -> Iterator[Binding]:
-        object_term, object_var = object_slot
-        store = self.store
-        property_ids = self.inner._candidate_property_ids(predicate_term)
-        if not property_ids:
-            return
-        pin = self._pin()
-        pool = self._ensure_pool()
-        instances = store.instances
-        extract = instances.extract
-        extend = binding.extended
-
-        if object_term is not None:
-            op = "subjects_lit" if isinstance(object_term, Literal) else "subjects_obj"
-            object_code = _value_term(object_term)
-            futures = []
-            for property_id in property_ids:
-                for index in self._shard_indexes_holding(
-                    self._property_shard_counts(property_id)
-                ):
-                    futures.append(
-                        pool.submit(
-                            self._dispatch, op, (property_id, object_code, index), index, pin
-                        )
-                    )
-            for future in futures:
-                for found_subject in future.result():
-                    yield extend(subject_var, extract(found_subject))
-            return
-
-        # (?s, p, ?o): one "pairs" unit per (property × holding shard),
-        # scheduled one property ahead — the monolithic emission order is
-        # property-major, object layout before datatype layout, shard-minor.
-        diagonal = subject_var == object_var
-        base = binding.as_dict()
-        adopt = Binding._adopt
-
-        def schedule(property_id: int):
-            indexes = self._shard_indexes_holding(self._property_shard_counts(property_id))
-            return [
-                pool.submit(self._dispatch, "pairs", (property_id, index), index, pin)
-                for index in indexes
-            ]
-
-        window = []  # at most 2 scheduled properties: current + next
-        position = 0
-        while position < len(property_ids) or window:
-            while position < len(property_ids) and len(window) < 2:
-                window.append(schedule(property_ids[position]))
-                position += 1
-            replies = [future.result() for future in window.pop(0)]
-            for object_pairs, _ in replies:
-                for found_subject, found_object in object_pairs:
-                    if diagonal:
-                        if found_subject == found_object:
-                            yield extend(subject_var, extract(found_subject))
-                        continue
-                    values = dict(base)
-                    values[subject_var] = extract(found_subject)
-                    values[object_var] = extract(found_object)
-                    yield adopt(values)
-            for _, datatype_pairs in replies:
-                for found_subject, literal_code in datatype_pairs:
-                    if diagonal:
-                        continue  # a subject URI never equals a literal
-                    values = dict(base)
-                    values[subject_var] = extract(found_subject)
-                    values[object_var] = _decode_term(literal_code, instances)
-                    yield adopt(values)
-
-    def evaluate_many(
-        self, pattern: TriplePattern, bindings: Iterable[Binding]
-    ) -> Iterator[Binding]:
-        """Batched bind join across the replica set, in upstream order.
-
-        Batches rotate across replicas (the hint advances per batch) and
-        race on the local thread pool so several round trips overlap; the
-        inherited windowed drain keeps emission in upstream order.
-        """
-        instances = self.store.instances
-        pattern_code = _value_pattern(pattern)
-        pin = self._pin()
-        pool = self._ensure_pool()
-        counter = itertools.count()
-
-        def submit(chunk: List[Binding]):
-            codes = tuple(_value_binding(one) for one in chunk)
-            hint = next(counter)
-            return pool.submit(
-                self._dispatch, "eval_many", (pattern_code, codes), hint, pin
-            )
-
-        def drain(future) -> List[Binding]:
-            return [_decode_binding(code, instances) for code in future.result()]
-
-        return self._windowed_many(pattern, bindings, submit=submit, drain=drain)
+    def _await(self, ticket):
+        op, future = ticket
+        return decode_reply(op, future.result(), self.store.instances)
 
 
-class ClusterQueryEngine(QueryEngine):
-    """A :class:`~repro.query.engine.QueryEngine` over a replica set.
+class ClusterQueryEngine(ParallelQueryEngine):
+    """A :class:`~repro.query.parallel.ParallelQueryEngine` over a replica set.
 
-    Same construction pattern as the thread and process engines (the
-    optimizer keeps the sequential runtime estimator over the primary, so
-    plans — and with them row order — cannot diverge).  ``execute`` /
-    ``ask`` / ``stream`` pin one ``(generation, epoch)`` position for the
-    whole query and stamp it on every work unit; :class:`ClusterError`
-    aborts the attempt before any row escapes, health is refreshed, and
-    the query retries once at a *fresh* pin.  :class:`ClusterTimeout` is
-    never retried — the deadline is already spent.
+    Builds a :class:`ClusterExecutor`.  Every attempt — ``execute``,
+    ``ask``, or one whole ``stream`` iteration — pins one ``(generation,
+    epoch)`` position and stamps it on every work unit; an
+    :class:`EpochConflict` or :class:`ReplicaUnavailable` aborts the attempt
+    before any row escapes, replica health is refreshed, and the query
+    retries at a *fresh* pin.  :class:`ClusterTimeout` is never retried —
+    the deadline is already spent.
     """
 
-    #: Exceptions the serving layer may retry after calling :meth:`heal`.
-    retryable_exceptions = (ClusterError,)
+    retryable_exceptions = (EpochConflict, ReplicaUnavailable)
 
     def __init__(
         self,
@@ -1245,20 +948,20 @@ class ClusterQueryEngine(QueryEngine):
         deadline_s: Optional[float] = None,
         retries: int = 1,
     ) -> None:
-        super().__init__(
-            store, reasoning=reasoning, join_strategy=join_strategy, planner=planner
-        )
         self.deadline_s = deadline_s
         self.retries = max(0, retries)
-        self.evaluator = ClusterExecutor(
+        self._transport = (replicas, source)
+        super().__init__(
             store,
-            replicas=replicas,
-            source=source,
             reasoning=reasoning,
-            inner=self.evaluator,
+            join_strategy=join_strategy,
             max_workers=max_workers,
             batch_size=batch_size,
+            planner=planner,
         )
+
+    def _executor(self, **shared) -> ClusterExecutor:
+        return ClusterExecutor(self.store, *self._transport, **shared)
 
     @property
     def replicas(self) -> ReplicaSet:
@@ -1270,55 +973,10 @@ class ClusterQueryEngine(QueryEngine):
         self.replicas.refresh_health()
 
     @contextmanager
-    def _pinned(self):
+    def _attempt(self):
         generation, epoch = self.evaluator.source.position()
         deadline_at = (
             None if self.deadline_s is None else time.perf_counter() + self.deadline_s
         )
         with self.evaluator.pinned(generation, epoch, deadline_at):
             yield
-
-    def _retrying(self, call, query):
-        for attempt in range(self.retries + 1):
-            try:
-                with self._pinned():
-                    return call(query)
-            except ClusterTimeout:
-                raise
-            except ClusterError:
-                if attempt >= self.retries:
-                    raise
-                self.heal()
-        raise AssertionError("unreachable")
-
-    def execute(self, query):
-        """Execute at one pinned position, re-pinning and retrying on failure."""
-        return self._retrying(super().execute, query)
-
-    def ask(self, query):
-        """ASK at one pinned position, with the same retry semantics."""
-        return self._retrying(super().ask, query)
-
-    def stream(self, query):
-        """Stream rows, the whole iteration pinned at one position.
-
-        Streaming cannot retry mid-flight (rows may already be consumed);
-        a :class:`ClusterError` propagates to the caller — the serving
-        layer materializes and re-runs whole queries, so partial rows
-        never reach a client.
-        """
-        def generate():
-            with self._pinned():
-                yield from super(ClusterQueryEngine, self).stream(query)
-
-        return generate()
-
-    def close(self) -> None:
-        """Release the executor's thread pool (the replica set is shared)."""
-        self.evaluator.close()
-
-    def __enter__(self) -> "ClusterQueryEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

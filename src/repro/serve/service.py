@@ -94,16 +94,13 @@ class QueryService:
         sharded-updatable stores); the cache keys on the snapshot epoch.
     reasoning:
         Default reasoning mode for queries that do not override it.
-    parallel:
-        Use :class:`~repro.query.parallel.ParallelQueryEngine` (per-shard
-        scatter-gather) instead of the sequential engine.  Shorthand for
-        ``backend="threads"``; ignored when ``backend`` is given.
     backend:
-        Execution backend: ``"sequential"``, ``"threads"``, ``"process"``
-        (a :class:`~repro.query.multiproc.ProcessPoolQueryEngine` over one
+        Execution backend: ``"sequential"`` (the default), ``"threads"`` (a
+        :class:`~repro.query.parallel.ParallelQueryEngine`, per-shard
+        scatter-gather), ``"process"`` (a
+        :class:`~repro.query.multiproc.ProcessPoolQueryEngine` over one
         shared worker-process pool) or ``"auto"`` (resolved by
-        :func:`~repro.query.parallel.select_backend`).  ``None`` derives it
-        from ``parallel``.
+        :func:`~repro.query.parallel.select_backend`).
     process_workers:
         Worker-process count for the ``process`` backend (``None``: the
         pool's own default).
@@ -132,8 +129,7 @@ class QueryService:
         self,
         store: SuccinctEdge,
         reasoning: bool = True,
-        parallel: bool = False,
-        backend: Optional[str] = None,
+        backend: str = "sequential",
         process_workers: Optional[int] = None,
         mp_context: Optional[str] = None,
         task_timeout_s: Optional[float] = None,
@@ -147,12 +143,9 @@ class QueryService:
             raise ValueError("worker_slots must be positive")
         self.store = store
         self.reasoning = reasoning
-        if backend is None:
-            backend = "threads" if parallel else "sequential"
         from repro.query.parallel import select_backend
 
         self.backend = select_backend(backend)
-        self.parallel = self.backend != "sequential"
         self.process_workers = process_workers
         self.mp_context = mp_context
         self.task_timeout_s = task_timeout_s
@@ -189,7 +182,7 @@ class QueryService:
                 if engine is None:
                     if self.backend == "process":
                         engine = self._process_engine(reasoning)
-                    elif self.parallel:
+                    elif self.backend == "threads":
                         from repro.query.parallel import ParallelQueryEngine
 
                         engine = ParallelQueryEngine(self.store, reasoning=reasoning)
@@ -517,7 +510,6 @@ class QueryService:
             },
             "worker_slots": self.worker_slots,
             "max_pending": self.max_pending,
-            "parallel": self.parallel,
             "backend": self.backend,
             "pool": self._process_pool.info() if self._process_pool is not None else None,
         }

@@ -199,6 +199,59 @@ def small_lubm_catalog(small_lubm: LubmDataset) -> QueryCatalog:
     return QueryCatalog(small_lubm)
 
 
+@pytest.fixture(scope="session")
+def two_shard_lubm(small_lubm_store: SuccinctEdge):
+    from repro.store.sharding import ShardedStore
+
+    return ShardedStore.from_store(small_lubm_store, shards=2)
+
+
+@pytest.fixture(scope="session")
+def unit_cases(two_shard_lubm):
+    """Arguments for every work-unit op on the 2-shard LUBM store.
+
+    Shard-scoped ops get one case per shard plus the whole store (``None``);
+    the terms include a literal and, in ``eval_many``, a binding value no
+    dictionary holds, so both halves of the wire codec are exercised.
+    """
+    from repro.rdf.namespaces import LUBM
+    from repro.rdf.terms import URI
+
+    store = two_shard_lubm
+    works_for = store.properties.locate(LUBM.worksFor)
+    name = store.properties.locate(LUBM.name)
+    sub_organization = store.properties.locate(LUBM.subOrganizationOf)
+    subject_id, department_id = next(iter(store.object_store.pairs_for_property(works_for)))
+    department = store.instances.extract(department_id)
+    _, literal = next(iter(store.datatype_store.pairs_for_property(name)))
+    department_concept = store.concepts.locate(LUBM.Department)
+    low, high = store.concepts.interval(LUBM.Student)
+    worker = store.instances.extract(subject_id)
+    shards = (0, 1, None)
+    return {
+        "eval_many": [
+            (
+                TriplePattern(Variable("x"), LUBM.name, Variable("n")),
+                (
+                    Binding({"x": worker}),
+                    Binding({"x": department, "tag": URI("http://example.org/not-stored")}),
+                    Binding({"x": URI("http://example.org/nobody"), "age": Literal(3)}),
+                ),
+            ),
+            (TriplePattern(Variable("x"), LUBM.memberOf, department), (Binding(),)),
+        ],
+        "pairs": [(property_id, shard) for property_id in (works_for, name) for shard in shards],
+        "subjects_obj": [(works_for, department, shard) for shard in shards],
+        "subjects_lit": [(name, literal, shard) for shard in shards],
+        "type_interval": [(low, high, shard) for shard in shards],
+        "type_concept": [(department_concept, shard) for shard in shards],
+        "expand": [
+            ((sub_organization, name), (works_for, name), (department_id,), (literal,), shard)
+            for shard in shards
+        ],
+    }
+
+
 # --------------------------------------------------------------------------- #
 # ENGIE fixtures
 # --------------------------------------------------------------------------- #

@@ -22,6 +22,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.query.engine import QueryEngine
+from repro.query.units import UNIT_OPS, execute_unit
 from repro.rdf.graph import Graph
 from repro.serve.cluster import (
     ClusterQueryEngine,
@@ -263,3 +264,41 @@ def test_cluster_actually_fans_out(cluster_live):
     assert sum(dispatches) > 0
     # Shard affinity plus per-batch rotation touches every replica.
     assert all(count > 0 for count in dispatches)
+
+
+# --------------------------------------------------------------------------- #
+# the work-unit vocabulary through a loopback replica
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture(scope="module")
+def unit_replica(two_shard_lubm, tmp_path_factory):
+    """One loopback replica of the 2-shard store, and an engine routing to it."""
+    source = ReplicationSource(two_shard_lubm, workspace=str(tmp_path_factory.mktemp("unit-ship")))
+    primary = QueryServer(QueryService(two_shard_lubm), routes=source.routes()).start()
+    replica = ClusterReplica(
+        HttpReplicationClient(primary.url), str(tmp_path_factory.mktemp("unit-replica"))
+    ).bootstrap()
+    server = replica.serve()
+    replica_set = ReplicaSet([server.url])
+    engine = ClusterQueryEngine(two_shard_lubm, replica_set, source)
+    yield engine
+    engine.close()
+    replica_set.close()
+    for stopping in (server, primary):
+        stopping.service.close()
+        stopping.stop()
+    source.close()
+
+
+@pytest.mark.parametrize("op", UNIT_OPS)
+def test_replica_unit_replies_equal_inline(op, unit_replica, unit_cases, two_shard_lubm):
+    # Each unit crosses HTTP as JSON, pinned at the replica's position, and
+    # is decoded on the coordinator: the reply must equal the inline one.
+    executor = unit_replica.evaluator
+    pin = executor._session()
+    [sent_before] = unit_replica.replicas.info()["dispatches"]
+    for args in unit_cases[op]:
+        reply = executor._await(executor._submit(pin, op, args))
+        assert reply == execute_unit(two_shard_lubm, op, args, True)
+    assert unit_replica.replicas.info()["dispatches"] == [sent_before + len(unit_cases[op])]

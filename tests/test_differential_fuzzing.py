@@ -94,7 +94,7 @@ def _project(bindings, names):
     return {tuple(binding.get(name) for name in names) for binding in bindings}
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(dataset=random_dataset(), patterns=random_bgp())
 def test_differential_plain_bgp(dataset, patterns):
     """Without reasoning, all three implementations agree on every BGP."""
@@ -114,7 +114,7 @@ def test_differential_plain_bgp(dataset, patterns):
     assert _project(baseline.query(query, reasoning=False), names) == expected
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(dataset=random_dataset(), patterns=random_bgp())
 def test_differential_reasoning_bgp(dataset, patterns):
     """With reasoning, LiteMat intervals agree with the materialised closure."""
@@ -160,7 +160,7 @@ def _multiset(result, names):
     return Counter(tuple(binding.get(name) for name in names) for binding in result)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, derandomize=True)
 @given(dataset=random_dataset(), patterns=random_bgp(), reasoning=st.booleans())
 def test_differential_process_backend(worker_pool, dataset, patterns, reasoning):
     """The process backend agrees with the materializing oracle on any BGP.
@@ -270,7 +270,7 @@ def replication_script(draw):
     return ops
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, derandomize=True)
 @given(dataset=random_dataset(), script=replication_script())
 def test_differential_replication_convergence(dataset, script):
     """After any write/ship/query interleaving the replica equals the primary.
@@ -436,7 +436,39 @@ def _check_path_example(dataset, pattern, reasoning):
     assert actual == expected
 
 
-@settings(max_examples=40, deadline=None)
+#: ``(p?)+`` / ``(p*)+`` from a bound endpoint with no ``p`` edge: the first
+#: step ``eval(c, p?)`` already contains ``c`` (SPARQL 1.1 §18.4), so the
+#: answer is ``c`` even on an empty graph.  The fuzzer's shrunk example.
+_P = _PROPERTIES[0]
+_EDGELESS_ENDPOINT_ROWS = [
+    (f"SELECT ?x WHERE {{ ?x (<{_P.value}>?)+ <{_GHOST.value}> }}", [(_GHOST,)]),
+    (f"SELECT ?x WHERE {{ <{_GHOST.value}> (<{_P.value}>?)+ ?x }}", [(_GHOST,)]),
+    (f"SELECT ?x WHERE {{ <{_GHOST.value}> (<{_P.value}>*)+ ?x }}", [(_GHOST,)]),
+    (f"ASK {{ <{_GHOST.value}> (<{_P.value}>?)+ <{_GHOST.value}> }}", True),
+]
+
+
+@pytest.mark.parametrize("triples", [0, 1], ids=["empty-graph", "one-triple"])
+@pytest.mark.parametrize("reasoning", [False, True])
+@pytest.mark.parametrize(
+    "sparql, expected",
+    _EDGELESS_ENDPOINT_ROWS,
+    ids=["?x (p?)+ c", "c (p?)+ ?x", "c (p*)+ ?x", "ask c (p?)+ c"],
+)
+def test_one_or_more_from_edgeless_endpoint(sparql, expected, reasoning, triples):
+    from repro.query.engine import QueryEngine
+    from repro.query.materializing import MaterializingQueryEngine
+
+    data = Graph()
+    if triples:
+        data.add(Triple(_INDIVIDUALS[0], _P, _INDIVIDUALS[1]))
+    store = SuccinctEdge.from_graph(data, ontology=Graph())
+    for engine in (QueryEngine, MaterializingQueryEngine):
+        result = engine(store, reasoning=reasoning).execute(sparql)
+        assert (result.boolean if expected is True else result.to_tuples()) == expected
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(dataset=random_dataset(), pattern=random_path_pattern(), reasoning=st.booleans())
 def test_differential_path_fuzzing(dataset, pattern, reasoning):
     """Any path over any graph: production must equal the naive fixpoint.
@@ -450,7 +482,7 @@ def test_differential_path_fuzzing(dataset, pattern, reasoning):
     _check_path_example(dataset, pattern, reasoning)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     dataset=random_dataset(),
     inner=random_path(depth=2),

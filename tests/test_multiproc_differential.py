@@ -25,6 +25,7 @@ import pytest
 
 from repro.query.engine import QueryEngine
 from repro.query.multiproc import ProcessPoolQueryEngine, WorkerPool
+from repro.query.units import UNIT_OPS, execute_unit
 from repro.rdf.graph import Graph
 from repro.sparql.bindings import AskResult
 from repro.store.persistence import load_store, save_store_image
@@ -267,3 +268,23 @@ def test_process_rotation_under_load(
                 engine.close()
     finally:
         process.close()
+
+
+# --------------------------------------------------------------------------- #
+# the work-unit vocabulary through a worker process
+# --------------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("op", UNIT_OPS)
+def test_worker_unit_replies_equal_inline(op, unit_cases, two_shard_lubm, tmp_path):
+    # Each unit is wire-encoded, run by a worker attached to the saved shard
+    # images, and decoded: the reply must equal the inline one exactly.
+    engine = ProcessPoolQueryEngine(two_shard_lubm, max_workers=1, workspace=str(tmp_path))
+    executor = engine.evaluator
+    try:
+        spec = executor._session()
+        for args in unit_cases[op]:
+            reply = executor._await(executor._submit(spec, op, args))
+            assert reply == execute_unit(two_shard_lubm, op, args, True)
+    finally:
+        engine.close()

@@ -13,7 +13,9 @@ import pytest
 
 from repro.query.engine import QueryEngine
 from repro.query.parallel import ParallelExecutor, ParallelQueryEngine
+from repro.query.paths import merge_expansions
 from repro.query.tp_eval import TriplePatternEvaluator
+from repro.query.units import UNIT_OPS, execute_unit
 from repro.sparql.ast import TriplePattern, Variable
 from repro.sparql.bindings import AskResult, Binding
 from repro.sparql.parser import parse_query
@@ -184,3 +186,36 @@ def test_adaptive_batch_shrinks_for_high_fanout(small_lubm_store):
         assert sized >= 8
     finally:
         executor.close()
+
+
+# --------------------------------------------------------------------------- #
+# the work-unit vocabulary, inline (the process and cluster suites compare
+# their transports' decoded replies against these same inline replies)
+# --------------------------------------------------------------------------- #
+
+
+def _merged(op, replies):
+    """Per-shard replies combined the way the scatter path gathers them."""
+    if op == "expand":
+        return merge_expansions(replies)
+    if op == "pairs":
+        return tuple([row for reply in replies for row in reply[layout]] for layout in (0, 1))
+    return [row for reply in replies for row in reply]
+
+
+@pytest.mark.parametrize("op", UNIT_OPS)
+def test_inline_units_partition_the_whole_store(op, unit_cases, two_shard_lubm, small_lubm_store):
+    if op == "eval_many":
+        # No shard argument: a batch must equal the sequential evaluator.
+        sequential = TriplePatternEvaluator(small_lubm_store)
+        for pattern, bindings in unit_cases[op]:
+            expected = [row for binding in bindings for row in sequential.evaluate(pattern, binding)]
+            assert execute_unit(two_shard_lubm, op, (pattern, bindings), True) == expected
+        return
+    whole = [args for args in unit_cases[op] if args[-1] is None]
+    assert whole
+    for args in whole:
+        per_shard = [execute_unit(two_shard_lubm, op, args[:-1] + (index,), True) for index in (0, 1)]
+        expected = execute_unit(two_shard_lubm, op, args, True)
+        assert _merged(op, per_shard) == expected
+        assert expected == execute_unit(small_lubm_store, op, args, True)

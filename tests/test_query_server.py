@@ -284,6 +284,33 @@ def test_http_explain_mode(small_lubm_store):
     service.close()
 
 
+def test_keepalive_requests_do_not_stall(small_lubm_store):
+    # Twenty requests over one reused connection: with Nagle on, every reply
+    # waited for the client's delayed ACK (~44 ms median).
+    import http.client
+    import statistics
+    import time
+    from urllib.parse import quote
+
+    service = QueryService(small_lubm_store, cache_capacity=16)
+    with QueryServer(service) as server:
+        host, port = server.address[0], server.address[1]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            times = []
+            for _ in range(20):
+                started = time.perf_counter()
+                connection.request("GET", "/sparql?query=" + quote(HEAD_ASK))
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+                times.append((time.perf_counter() - started) * 1000.0)
+        finally:
+            connection.close()
+    service.close()
+    assert statistics.median(times) < 10.0, times
+
+
 def test_http_error_statuses(small_lubm_store):
     service = QueryService(small_lubm_store, cache_capacity=0)
     with QueryServer(service) as server:
