@@ -88,10 +88,10 @@ class CostModel:
     concrete store by snapshotting the kernel counters around real probes
     (the calibration method documented in ``docs/query_planning.md``).
 
-    ``rdf:type`` paths run on the red-black-tree store, which issues no SDS
-    kernel calls at all — they are priced in *equivalent* units (an ``O(log
-    n)`` tree descent ≈ one bitmap select) so the planner does not treat
-    them as free.
+    ``rdf:type`` paths run on the sorted pair runs of the type store, which
+    issue no SDS kernel calls at all — they are priced in *equivalent* units
+    (an ``O(log n)`` binary search ≈ one bitmap select) so the planner does
+    not treat them as free.
     """
 
     #: Setup per bound-slot probe on a PSO layout ((s,p,?o) / (?s,p,o)).
@@ -103,7 +103,7 @@ class CostModel:
     pso_scan: float = 8.0
     #: Amortized cost per emitted PSO row (batched kernels).
     pso_row: float = 0.4
-    #: Equivalent cost of one red-black-tree lookup (rdf:type paths).
+    #: Equivalent cost of one pair-run lookup (rdf:type paths).
     rdftype_probe: float = 1.0
     #: Equivalent cost per emitted rdf:type row.
     rdftype_row: float = 0.05
@@ -531,7 +531,7 @@ class HeuristicJoinOrderOptimizer(_PlannerBase):
     def _shape_rank(self, node: QueryNode) -> int:
         pattern = node.pattern
         if node.is_rdf_type:
-            # rdf:type patterns use the dedicated red-black-tree store, which is
+            # rdf:type patterns use the dedicated pair-run type store, which is
             # cheaper than the SDS navigation — they rank above the PSO shapes:
             # (s, rdf:type, ?o) > (?s, rdf:type, o) > every non-type shape.
             if not isinstance(pattern.subject, Variable):

@@ -37,8 +37,8 @@ from repro.sparql.ast import TriplePattern, Variable
 class AccessPath(enum.Enum):
     """How a triple pattern is evaluated against the storage layouts."""
 
-    RDFTYPE_OS = "rdftype-os"          # (?s, rdf:type, C) — OS lookup in the red-black tree
-    RDFTYPE_SO = "rdftype-so"          # (s, rdf:type, ?o) — SO lookup in the red-black tree
+    RDFTYPE_OS = "rdftype-os"          # (?s, rdf:type, C) — OS lookup in the type store
+    RDFTYPE_SO = "rdftype-so"          # (s, rdf:type, ?o) — SO lookup in the type store
     RDFTYPE_SCAN = "rdftype-scan"      # (?s, rdf:type, ?o) — full scan of the type store
     PSO_SP = "pso-sp"                  # (s, p, ?o) — Algorithm 3
     PSO_PO = "pso-po"                  # (?s, p, o) — Algorithm 4

@@ -7,7 +7,7 @@ SDS operations of the paper's Section 5.2:
   ``DatatypeTripleStore.literals_for``);
 * ``(?s, p, o)`` — Algorithm 4 (``subjects_for``);
 * ``(?s, p, ?o)`` — a property-run scan (``pairs_for_property``);
-* ``rdf:type`` patterns — red-black-tree lookups in the RDFType store;
+* ``rdf:type`` patterns — binary-searched pair-run lookups in the RDFType store;
 * reasoning — the constant predicate/concept is replaced by its LiteMat
   identifier interval, so concept and property hierarchies are answered
   without materialisation or UNION rewriting.
@@ -91,7 +91,7 @@ class TriplePatternEvaluator:
 
         For a constant, non-``rdf:type`` predicate this is Algorithm 2
         (two ``select`` calls per layout); for ``rdf:type`` patterns it counts
-        the red-black-tree range.
+        the pair-run range.
         """
         predicate = pattern.predicate
         if isinstance(predicate, Variable):

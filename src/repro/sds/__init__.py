@@ -12,8 +12,9 @@ that preserves the operations the paper needs:
   and the paper's ``range_search`` primitive in O(log sigma).
 * :class:`~repro.sds.int_sequence.IntSequence` — a fixed-width packed integer
   array used for flat layers (e.g. the datatype-property literal pointers).
-* :class:`~repro.sds.rbtree.RedBlackTree` — the ordered map backing the
-  RDFType store layout (Section 4 of the paper).
+
+The paper keeps ``rdf:type`` triples in red-black trees; this reproduction
+uses two sorted pair runs instead (:mod:`repro.store.rdftype_store`).
 """
 
 from repro.sds.bitvector import BitVector, BitVectorBuilder
@@ -23,14 +24,12 @@ from repro.sds.kernels import (
     reset_kernel_counters,
     total_kernel_calls,
 )
-from repro.sds.rbtree import RedBlackTree
 from repro.sds.wavelet_tree import WaveletTree
 
 __all__ = [
     "BitVector",
     "BitVectorBuilder",
     "IntSequence",
-    "RedBlackTree",
     "WaveletTree",
     "kernel_counters",
     "reset_kernel_counters",

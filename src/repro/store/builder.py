@@ -14,7 +14,7 @@ The builder reproduces the construction pipeline of the paper's Figure 4:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.dictionary.literal_store import LiteralStore
 from repro.dictionary.statistics import DictionaryStatistics, profile_triples
@@ -34,11 +34,31 @@ from repro.rdf.namespaces import (
     RDFS_SUBPROPERTYOF,
 )
 from repro.rdf.terms import Literal, URI
-from repro.store.datatype_store import DatatypeTripleStore
-from repro.store.rdftype_store import RDFTypeStore
-from repro.store.triple_store import ObjectTripleStore
+from repro.store.datatype_store import DatatypeTripleStore, EncodedDatatypeTriple
+from repro.store.rdftype_store import EncodedTypeTriple, RDFTypeStore
+from repro.store.triple_store import EncodedTriple, ObjectTripleStore
 
 _SCHEMA_PREDICATES = {RDFS_SUBCLASSOF, RDFS_SUBPROPERTYOF, RDFS_DOMAIN, RDFS_RANGE}
+
+
+def build_layouts(
+    object_triples: Sequence[EncodedTriple],
+    datatype_triples: Sequence[EncodedDatatypeTriple],
+    type_triples: Sequence[EncodedTypeTriple],
+    presorted: bool = False,
+) -> Tuple[ObjectTripleStore, DatatypeTripleStore, RDFTypeStore]:
+    """Build the three storage layouts from encoded triples.
+
+    ``presorted`` promises that the object and datatype triples already come
+    in layout order (a compaction snapshot, a subject-filtered slice of a
+    built store), skipping their sort pass.  Each call gets its own literal
+    store.
+    """
+    return (
+        ObjectTripleStore(object_triples, presorted=presorted),
+        DatatypeTripleStore(datatype_triples, LiteralStore(), presorted=presorted),
+        RDFTypeStore(type_triples),
+    )
 
 
 class StoreBuilder:
@@ -117,10 +137,9 @@ class StoreBuilder:
                 instances.record_occurrence(object_id)
                 object_triples.append((property_id, subject_id, object_id))
 
-        literal_store = LiteralStore()
-        object_store = ObjectTripleStore(object_triples)
-        datatype_store = DatatypeTripleStore(datatype_triples, literal_store)
-        type_store = RDFTypeStore(type_triples)
+        object_store, datatype_store, type_store = build_layouts(
+            object_triples, datatype_triples, type_triples
+        )
         statistics = DictionaryStatistics(concepts, properties, instances)
         # Join-aware statistics for the cost-based planner: one profiling
         # pass over the already-encoded triples (distinct subject/object

@@ -37,9 +37,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.rdf.terms import Literal
-from repro.store.datatype_store import DatatypeTripleStore, EncodedDatatypeTriple
+from repro.store.datatype_store import DatatypeTripleStore
 from repro.store.rdftype_store import EncodedTypeTriple, RDFTypeStore
-from repro.store.triple_store import EncodedTriple, ObjectTripleStore
+from repro.store.triple_store import ObjectTripleStore
 
 #: Shared empty set returned for "no tombstones" (never mutated).
 _EMPTY_TOMBSTONES: frozenset = frozenset()
@@ -459,7 +459,7 @@ def _merge_sorted(left: List[int], right: List[int]) -> List[int]:
 
 
 class _PropertyOverlayMixin:
-    """Property-level arithmetic shared by the PSO and PS overlay views.
+    """Property-level arithmetic and scans shared by the PSO and PS overlay views.
 
     Relies on ``self.base`` / ``self.delta`` exposing the common counting
     interface (``count_triples_with_property`` / ``properties`` /
@@ -506,6 +506,19 @@ class _PropertyOverlayMixin:
             - self.delta.tombstone_count_for(property_id)
             + self.delta.insert_count_for(property_id)
         )
+
+    def pairs_for_property_interval(
+        self, property_low: int, property_high: int
+    ) -> Iterator[tuple]:
+        for property_id in self.properties_in_interval(property_low, property_high):
+            for subject_id, obj in self.pairs_for_property(property_id):
+                yield property_id, subject_id, obj
+
+    def iter_triples(self) -> Iterator[tuple]:
+        """All visible triples in layout order (the compaction feed)."""
+        for property_id in self.properties:
+            for subject_id, obj in self.pairs_for_property(property_id):
+                yield property_id, subject_id, obj
 
 
 class OverlayObjectStore(_PropertyOverlayMixin):
@@ -574,19 +587,6 @@ class OverlayObjectStore(_PropertyOverlayMixin):
             return
         yield from heapq.merge(base_pairs, iter(inserts))
 
-    def pairs_for_property_interval(
-        self, property_low: int, property_high: int
-    ) -> Iterator[EncodedTriple]:
-        for property_id in self.properties_in_interval(property_low, property_high):
-            for subject_id, object_id in self.pairs_for_property(property_id):
-                yield property_id, subject_id, object_id
-
-    def iter_triples(self) -> Iterator[EncodedTriple]:
-        """All visible triples in PSO order (the compaction feed)."""
-        for property_id in self.properties:
-            for subject_id, object_id in self.pairs_for_property(property_id):
-                yield property_id, subject_id, object_id
-
     # storage accounting -------------------------------------------------- #
 
     def size_in_bytes(self) -> int:
@@ -639,19 +639,6 @@ class OverlayDatatypeStore(_PropertyOverlayMixin):
             for literal in literals:
                 yield subject_id, literal
 
-    def pairs_for_property_interval(
-        self, property_low: int, property_high: int
-    ) -> Iterator[Tuple[int, int, Literal]]:
-        for property_id in self.properties_in_interval(property_low, property_high):
-            for subject_id, literal in self.pairs_for_property(property_id):
-                yield property_id, subject_id, literal
-
-    def iter_triples(self) -> Iterator[EncodedDatatypeTriple]:
-        """All visible triples in PS order (the compaction feed)."""
-        for property_id in self.properties:
-            for subject_id, literal in self.pairs_for_property(property_id):
-                yield property_id, subject_id, literal
-
     def _merged_runs(self, property_id: int) -> Iterator[Tuple[int, List[Literal]]]:
         """Visible ``(subject, literals)`` runs of ``property_id``, subjects ascending.
 
@@ -702,9 +689,9 @@ class OverlayDatatypeStore(_PropertyOverlayMixin):
 class OverlayTypeStore:
     """Read view merging an :class:`RDFTypeStore` base with a delta.
 
-    The red-black-tree base is itself insert-capable but supports no
-    deletion, so tombstones live in the delta either way; keeping inserts
-    there too gives compaction one uniform merged iterator per layout.
+    The base's sorted pair runs are immutable, so inserts and tombstones
+    both live in the delta — compaction gets one uniform merged iterator
+    per layout, exactly as for the PSO layouts.
     """
 
     def __init__(self, base: RDFTypeStore, delta: TypeDelta) -> None:

@@ -1,4 +1,4 @@
-"""Persistence of a SuccinctEdge store: compact v3 files and mmap v4 images.
+"""Persistence of a SuccinctEdge store as an mmap-backed v4 store image.
 
 The paper's storage evaluation (Section 7.3.2) "persisted all the data
 structures existing in SuccinctEdge to disk in order to make a fair
@@ -6,32 +6,19 @@ comparison" with the disk-based systems, and its deployment model has the
 central server broadcast pre-encoded dictionaries to the edge devices.  This
 module provides:
 
-* :func:`save_store` / :func:`load_store` — serialise a complete
-  :class:`~repro.store.succinct_edge.SuccinctEdge` instance and restore it
-  (``load_store`` sniffs the format version, so it reads both v3 files and
-  v4 images);
-* :func:`save_store_image` / :func:`dump_store_image` — the **v4 store
-  image** writer (page-aligned zero-copy layout, see below);
-* :func:`upgrade_store_image` — rewrite a v3 file as a v4 image;
-* :func:`serialized_size_in_bytes` — the v3 on-disk size, used as the
-  ground-truth measurement behind Figures 9 and 10.
+* :func:`save_store_image` / :func:`dump_store_image` — write a complete
+  :class:`~repro.store.succinct_edge.SuccinctEdge` instance as a v4 image;
+* :func:`load_store` / :func:`load_store_from_bytes` — map (or read) an
+  image back.
 
-Two formats coexist (see ``docs/persistence.md`` for the full layout):
-
-* **v3** is compact and layout-independent: a small header followed by
-  varint-encoded sections (dictionaries, schema, and the encoded triples of
-  the three layouts).  The SDS layouts are *rebuilt from the triples at load
-  time*, so a v3 load re-encodes the whole dataset — cheap to write, small
-  on disk, O(triples) to open.
-* **v4** is the mmap-backed store image (the default load path for anything
-  saved with :func:`save_store_image`): bitvector words, rank blocks, select
-  directories, wavelet-tree node bitmaps, packed int-sequences and the
-  sorted rdf:type pair buffers are written verbatim as aligned sections
-  behind a fixed header plus a table of contents.  :func:`load_store` maps
-  the file and hands read-only ``memoryview`` slices straight to the SDS
-  kernels — **no per-triple decode happens**, so cold-start cost is
-  independent of the triple count.  Only the small decoded section
-  (dictionaries, schema, statistics, structural manifest) is parsed.
+The image (see ``docs/persistence.md`` for the full layout) holds bitvector
+words, rank blocks, select directories, wavelet-tree node bitmaps, packed
+int-sequences and the sorted rdf:type pair runs verbatim as aligned
+sections behind a fixed header plus a table of contents.
+:func:`load_store` maps the file and hands read-only ``memoryview`` slices
+straight to the SDS kernels — **no per-triple decode happens**, so
+cold-start cost is independent of the triple count.  Only the small decoded
+section (dictionaries, schema, statistics, structural manifest) is parsed.
 """
 
 from __future__ import annotations
@@ -50,17 +37,13 @@ from repro.rdf.terms import BlankNode, Literal, Term, URI
 from repro.sds.bitvector import BitVector
 from repro.sds.int_sequence import IntSequence
 from repro.sds.kernels import words_view
-from repro.sds.rbtree import FrozenPairTree
 from repro.sds.wavelet_tree import WaveletTree
+from repro.store.rdftype_store import PairRun, RDFTypeStore
 
 _MAGIC = b"SEDG"
-# Version 3 added the dictionary overflow tables (live-inserted terms whose
-# identifiers live above the LiteMat space, see docs/update_lifecycle.md).
-_VERSION = 3
-
-# Version 4: the mmap-backed zero-copy store image.  The version field stays
-# a little-endian u16 at byte offset 4, exactly where v3 keeps it, so version
-# sniffing (and corruption detection) works uniformly across formats.
+# The version is a little-endian u16 at byte offset 4, right after the magic.
+# Version 4 is the mmap-backed zero-copy store image; earlier versions (the
+# varint streams that rebuilt every layout at load) are no longer read.
 _V4_VERSION = 4
 _V4_PAGE = 4096
 #: Fixed 64-byte v4 header: magic, version, flags, page size, section count,
@@ -250,7 +233,7 @@ def _read_schema(buffer: BinaryIO) -> OntologySchema:
 
 
 # --------------------------------------------------------------------------- #
-# shared decoded sections (dictionaries + schema), used by both v3 and v4
+# decoded sections (dictionaries + schema)
 # --------------------------------------------------------------------------- #
 
 
@@ -335,51 +318,11 @@ def _read_dictionary_sections(buffer: BinaryIO):
 
 
 # --------------------------------------------------------------------------- #
-# public API — v3 (compact, rebuild-at-load)
+# public API: loading
 # --------------------------------------------------------------------------- #
 
 
-def dump_store(store) -> bytes:
-    """Serialise a SuccinctEdge store into a compact (v3) byte string.
-
-    This remains the Figures 9/10 size-measurement format: triples are
-    varint-encoded and the SDS layouts are rebuilt at load time.  Use
-    :func:`dump_store_image` for the zero-copy v4 image instead.
-    """
-    buffer = io.BytesIO()
-    buffer.write(_MAGIC)
-    buffer.write(struct.pack("<H", _VERSION))
-
-    _write_dictionary_sections(buffer, store)
-
-    # rdf:type triples.
-    type_triples = list(store.type_store.iter_triples())
-    _write_varint(buffer, len(type_triples))
-    for subject_id, concept_id in type_triples:
-        _write_varint(buffer, subject_id)
-        _write_varint(buffer, concept_id)
-
-    # Object-property triples.
-    object_triples = list(store.object_store.iter_triples())
-    _write_varint(buffer, len(object_triples))
-    for property_id, subject_id, object_id in object_triples:
-        _write_varint(buffer, property_id)
-        _write_varint(buffer, subject_id)
-        _write_varint(buffer, object_id)
-
-    # Datatype-property triples (literal stored inline).
-    datatype_triples = list(store.datatype_store.iter_triples())
-    _write_varint(buffer, len(datatype_triples))
-    for property_id, subject_id, literal in datatype_triples:
-        _write_varint(buffer, property_id)
-        _write_varint(buffer, subject_id)
-        _write_term(buffer, literal)
-
-    _write_varint(buffer, store.skipped_triples)
-    return buffer.getvalue()
-
-
-def _sniff_version(payload) -> int:
+def _check_preamble(payload) -> None:
     """Magic + version check shared by every loader entry point."""
     if len(payload) < 6:
         raise PersistenceError(
@@ -388,118 +331,44 @@ def _sniff_version(payload) -> int:
     if bytes(payload[:4]) != _MAGIC:
         raise PersistenceError("not a persisted SuccinctEdge store (bad magic)")
     (version,) = struct.unpack("<H", bytes(payload[4:6]))
-    if version not in (_VERSION, _V4_VERSION):
+    if version != _V4_VERSION:
         raise PersistenceError(
-            f"unsupported format version {version} (supported: {_VERSION} and {_V4_VERSION})"
+            f"unsupported format version {version}: only version {_V4_VERSION} "
+            "store images load; re-create the store and save it with save_store_image()"
         )
-    return version
 
 
 def load_store_from_bytes(payload: bytes):
-    """Rebuild a SuccinctEdge store from serialised bytes (v3 or v4).
+    """Assemble a SuccinctEdge store over an in-memory v4 image.
 
-    v3 payloads rebuild the SDS layouts from the encoded triples; v4 payloads
-    take the zero-copy path over a ``memoryview`` of ``payload`` (no mmap —
+    Takes the zero-copy path over a ``memoryview`` of ``payload`` (no mmap —
     use :func:`load_store` for the mapped variant).
     """
-    version = _sniff_version(payload)
-    if version == _V4_VERSION:
-        view = memoryview(payload).toreadonly() if isinstance(payload, (bytes, bytearray)) else memoryview(payload)
-        return _load_store_v4(view, image=StoreImage(view, path=None))
-    buffer = io.BytesIO(payload)
-    buffer.seek(6)
-    return _load_store_v3(buffer)
-
-
-def _load_store_v3(buffer: BinaryIO):
-    """Rebuild a store from a v3 stream positioned just past the preamble."""
-    from repro.dictionary.literal_store import LiteralStore
-    from repro.dictionary.statistics import DictionaryStatistics
-    from repro.store.datatype_store import DatatypeTripleStore
-    from repro.store.rdftype_store import RDFTypeStore
-    from repro.store.succinct_edge import SuccinctEdge
-    from repro.store.triple_store import ObjectTripleStore
-
-    schema, concepts, properties, instances = _read_dictionary_sections(buffer)
-
-    type_count = _read_varint(buffer)
-    type_triples = []
-    for _ in range(type_count):
-        subject_id = _read_varint(buffer)
-        concept_id = _read_varint(buffer)
-        type_triples.append((subject_id, concept_id))
-
-    object_count = _read_varint(buffer)
-    object_triples = []
-    for _ in range(object_count):
-        property_id = _read_varint(buffer)
-        subject_id = _read_varint(buffer)
-        object_id = _read_varint(buffer)
-        object_triples.append((property_id, subject_id, object_id))
-
-    datatype_count = _read_varint(buffer)
-    datatype_triples = []
-    for _ in range(datatype_count):
-        property_id = _read_varint(buffer)
-        subject_id = _read_varint(buffer)
-        literal = _read_term(buffer)
-        if not isinstance(literal, Literal):
-            raise PersistenceError("datatype triple object is not a literal")
-        datatype_triples.append((property_id, subject_id, literal))
-
-    skipped = _read_varint(buffer)
-
-    store = SuccinctEdge(
-        schema=schema,
-        concepts=concepts,
-        properties=properties,
-        instances=instances,
-        # Triples were serialised in PSO order by iter_triples, so the sort
-        # pass can be skipped on reload.
-        object_store=ObjectTripleStore(object_triples, presorted=True),
-        datatype_store=DatatypeTripleStore(datatype_triples, LiteralStore(), presorted=True),
-        type_store=RDFTypeStore(type_triples),
-        statistics=DictionaryStatistics(concepts, properties, instances),
-        skipped_triples=skipped,
-    )
-    return store
-
-
-def save_store(store, path: str) -> int:
-    """Serialise ``store`` to ``path`` (v3); return the number of bytes written."""
-    payload = dump_store(store)
-    with open(path, "wb") as handle:
-        handle.write(payload)
-    return len(payload)
+    _check_preamble(payload)
+    view = memoryview(payload).toreadonly() if isinstance(payload, (bytes, bytearray)) else memoryview(payload)
+    return _load_store_v4(view, image=StoreImage(view, path=None))
 
 
 def load_store(path: str, mmap: bool = True):
-    """Load a persisted SuccinctEdge store, sniffing the format version.
+    """Load a v4 store image.
 
-    v3 files rebuild the SDS layouts from the encoded triples.  v4 images
-    are **memory-mapped** by default: the SDS structures alias read-only
-    ``memoryview`` slices of the mapping, so no per-triple decode happens
-    and pages fault in lazily as queries touch them.  Pass ``mmap=False``
-    to read a v4 image fully into memory instead (same zero-decode path
-    over a private in-memory buffer; useful when the file may be replaced
-    underneath a long-lived process).
+    The image is **memory-mapped** by default: the SDS structures alias
+    read-only ``memoryview`` slices of the mapping, so no per-triple decode
+    happens and pages fault in lazily as queries touch them.  Pass
+    ``mmap=False`` to read the image fully into memory instead (same
+    zero-decode path over a private in-memory buffer; useful when the file
+    may be replaced underneath a long-lived process).
 
     The loaded store carries the mapping handle as ``store.image`` (a
-    :class:`StoreImage`; ``None`` for v3 loads) — call ``image.validate()``
-    to detect a file modified behind an existing mapping.
+    :class:`StoreImage`) — call ``image.validate()`` to detect a file
+    modified behind an existing mapping.
     """
     with open(path, "rb") as handle:
         preamble = handle.read(6)
     try:
-        version = _sniff_version(preamble)
+        _check_preamble(preamble)
     except PersistenceError as error:
         raise PersistenceError(f"cannot load store image {path!r}: {error}") from None
-    if version == _VERSION:
-        with open(path, "rb") as handle:
-            payload = handle.read()
-        buffer = io.BytesIO(payload)
-        buffer.seek(6)
-        return _load_store_v3(buffer)
     if mmap:
         handle = open(path, "rb")
         try:
@@ -519,11 +388,6 @@ def load_store(path: str, mmap: bool = True):
     except Exception:
         image.close(force=True)
         raise
-
-
-def serialized_size_in_bytes(store) -> int:
-    """v3 on-disk size of the store (the measurement behind Figures 9 and 10)."""
-    return len(dump_store(store))
 
 
 # --------------------------------------------------------------------------- #
@@ -546,6 +410,17 @@ def _word_bytes(words) -> bytes:
     return copied.tobytes()
 
 
+def _bitvector_parts(bits: BitVector) -> tuple:
+    """The five word buffers of a bitvector, in image order."""
+    return (
+        bits._words,
+        bits._word_ranks,
+        bits._superblock_ranks,
+        bits._one_samples,
+        bits._zero_samples,
+    )
+
+
 class _ImageWriter:
     """Accumulates aligned sections plus the varint meta stream of a v4 image."""
 
@@ -562,13 +437,7 @@ class _ImageWriter:
 
     def write_bitvector(self, bits: BitVector) -> None:
         """One section holding words + rank blocks + select samples, plus meta."""
-        parts = (
-            bits._words,
-            bits._word_ranks,
-            bits._superblock_ranks,
-            bits._one_samples,
-            bits._zero_samples,
-        )
+        parts = _bitvector_parts(bits)
         section = self.add_section(b"".join(_word_bytes(part) for part in parts))
         meta = self.meta
         _write_varint(meta, section)
@@ -617,13 +486,7 @@ class _ImageWriter:
         word_offset = 0
         for node in records:
             bits = node.bits
-            parts = (
-                bits._words,
-                bits._word_ranks,
-                bits._superblock_ranks,
-                bits._one_samples,
-                bits._zero_samples,
-            )
+            parts = _bitvector_parts(bits)
             table.append(word_offset)
             table.append(len(bits))
             table.append(bits.count(1))
@@ -648,16 +511,21 @@ class _ImageWriter:
         _write_varint(meta, len(sequence))
         _write_varint(meta, sequence.width)
 
-    def write_pair_tree(self, pairs: List[Tuple[int, int]]) -> None:
-        """Sorted integer pairs interleaved into one word section."""
-        words = array("Q")
-        for a, b in pairs:
-            words.append(a)
-            words.append(b)
-        section = self.add_section(_word_bytes(words))
+    def write_pair_run(self, run: PairRun) -> None:
+        """The run's interleaved pair words as one section; pair count in meta."""
+        section = self.add_section(_word_bytes(run.words))
         meta = self.meta
         _write_varint(meta, section)
-        _write_varint(meta, len(pairs))
+        _write_varint(meta, len(run))
+
+    def write_layout(self, layout, write_objects) -> None:
+        """The four shared PSO structures around the layout's object layer."""
+        _write_varint(self.meta, len(layout))
+        self.write_wavelet_tree(layout.wt_p)
+        self.write_wavelet_tree(layout.wt_s)
+        write_objects()
+        self.write_bitvector(layout.bm_ps)
+        self.write_bitvector(layout.bm_so)
 
     def write_literals(self, literals) -> None:
         """Offset directory + record blob sections for the literal store."""
@@ -728,32 +596,19 @@ def dump_store_image(store) -> bytes:
     _write_varint(meta, store.skipped_triples)
     _write_statistics(meta, store.statistics)
 
-    # Object-property layout.
     object_store = store.object_store
-    _write_varint(meta, len(object_store))
-    writer.write_wavelet_tree(object_store.wt_p)
-    writer.write_wavelet_tree(object_store.wt_s)
-    writer.write_wavelet_tree(object_store.wt_o)
-    writer.write_bitvector(object_store.bm_ps)
-    writer.write_bitvector(object_store.bm_so)
-
-    # Datatype-property layout.
+    writer.write_layout(object_store, lambda: writer.write_wavelet_tree(object_store.wt_o))
     datatype_store = store.datatype_store
-    _write_varint(meta, len(datatype_store))
-    writer.write_wavelet_tree(datatype_store.wt_p)
-    writer.write_wavelet_tree(datatype_store.wt_s)
-    writer.write_int_sequence(datatype_store.object_pointers)
-    writer.write_bitvector(datatype_store.bm_ps)
-    writer.write_bitvector(datatype_store.bm_so)
+    writer.write_layout(
+        datatype_store, lambda: writer.write_int_sequence(datatype_store.object_pointers)
+    )
     writer.write_literals(datatype_store.literals)
 
     # rdf:type layout: both sorted pair orders, served by binary search.
     type_store = store.type_store
     _write_varint(meta, len(type_store))
-    so_pairs = [key for key, _ in type_store._so.items()]
-    os_pairs = [key for key, _ in type_store._os.items()]
-    writer.write_pair_tree(so_pairs)
-    writer.write_pair_tree(os_pairs)
+    writer.write_pair_run(type_store._so)
+    writer.write_pair_run(type_store._os)
 
     return writer.render()
 
@@ -778,17 +633,6 @@ def save_store_image(store, path: str, atomic: bool = False) -> int:
         with open(path, "wb") as handle:
             handle.write(payload)
     return len(payload)
-
-
-def upgrade_store_image(source_path: str, target_path: str) -> int:
-    """Rewrite a persisted store (any version) as a v4 image.
-
-    The one-off migration path for v3 files: load (rebuilding the layouts
-    one last time), then emit the zero-copy image so every later start is a
-    page-in instead of a re-encode.  Returns the bytes written.
-    """
-    store = load_store(source_path)
-    return save_store_image(store, target_path)
 
 
 def _write_statistics(meta: BinaryIO, statistics) -> None:
@@ -953,7 +797,6 @@ def _load_store_v4(view: memoryview, image: StoreImage):
     from repro.dictionary.literal_store import BufferLiteralStore
     from repro.dictionary.statistics import DictionaryStatistics
     from repro.store.datatype_store import DatatypeTripleStore
-    from repro.store.rdftype_store import RDFTypeStore
     from repro.store.succinct_edge import SuccinctEdge
     from repro.store.triple_store import ObjectTripleStore
 
@@ -1016,6 +859,11 @@ def _load_store_v4(view: memoryview, image: StoreImage):
         sections.append((offset, length))
 
     def section_bytes(index: int) -> memoryview:
+        if index >= section_count:
+            raise PersistenceError(
+                f"store image {where}: meta references section {index}, "
+                f"the TOC lists {section_count}"
+            )
         offset, length = sections[index]
         return view[offset : offset + length]
 
@@ -1078,9 +926,38 @@ def _load_store_v4(view: memoryview, image: StoreImage):
         section = _read_varint(meta)
         length = _read_varint(meta)
         width = _read_varint(meta)
-        return IntSequence.from_buffers(section_words(section), length, width)
+        if not 1 <= width <= 64:
+            raise PersistenceError(
+                f"store image {where}: int sequence {section} declares width {width}, "
+                "expected 1 to 64 bits"
+            )
+        words = section_words(section)
+        expected = (length * width + 63) // 64
+        if len(words) != expected:
+            raise PersistenceError(
+                f"store image {where}: int-sequence section {section} holds "
+                f"{len(words)} words, {length} values of {width} bits need {expected}"
+            )
+        return IntSequence.from_buffers(words, length, width)
 
-    def read_pair_tree() -> FrozenPairTree:
+    def read_literals() -> BufferLiteralStore:
+        count = _read_varint(meta)
+        offsets_section = _read_varint(meta)
+        offsets = section_words(offsets_section)
+        blob = section_bytes(_read_varint(meta))
+        if len(offsets) != count + 1:
+            raise PersistenceError(
+                f"store image {where}: literal offset section {offsets_section} holds "
+                f"{len(offsets)} words, {count} literals need {count + 1}"
+            )
+        if offsets[count] > blob.nbytes:
+            raise PersistenceError(
+                f"store image {where}: literal records end at byte {offsets[count]}, "
+                f"past the {blob.nbytes}-byte record blob"
+            )
+        return BufferLiteralStore(offsets, blob, count)
+
+    def read_pair_run() -> PairRun:
         section = _read_varint(meta)
         count = _read_varint(meta)
         words = section_words(section)
@@ -1089,39 +966,34 @@ def _load_store_v4(view: memoryview, image: StoreImage):
                 f"store image {where}: pair section {section} holds {len(words)} "
                 f"words, expected {2 * count}"
             )
-        return FrozenPairTree(words, count)
+        return PairRun(words, count)
 
-    object_count = _read_varint(meta)
-    object_store = ObjectTripleStore._from_components(
-        wt_p=read_wavelet_tree(),
-        wt_s=read_wavelet_tree(),
-        wt_o=read_wavelet_tree(),
-        bm_ps=read_bitvector(),
-        bm_so=read_bitvector(),
-        triple_count=object_count,
-    )
+    def read_layout(read_objects) -> dict:
+        """The four shared PSO structures around the layout's object layer."""
+        triple_count = _read_varint(meta)
+        wt_p = read_wavelet_tree()
+        wt_s = read_wavelet_tree()
+        objects = read_objects()
+        return dict(
+            triple_count=triple_count,
+            wt_p=wt_p,
+            wt_s=wt_s,
+            objects=objects,
+            bm_ps=read_bitvector(),
+            bm_so=read_bitvector(),
+        )
 
-    datatype_count = _read_varint(meta)
-    dt_wt_p = read_wavelet_tree()
-    dt_wt_s = read_wavelet_tree()
-    dt_pointers = read_int_sequence()
-    dt_bm_ps = read_bitvector()
-    dt_bm_so = read_bitvector()
-    literal_count = _read_varint(meta)
-    literal_offsets = section_words(_read_varint(meta))
-    literal_blob = section_bytes(_read_varint(meta))
-    datatype_store = DatatypeTripleStore._from_components(
-        wt_p=dt_wt_p,
-        wt_s=dt_wt_s,
-        object_pointers=dt_pointers,
-        bm_ps=dt_bm_ps,
-        bm_so=dt_bm_so,
-        literals=BufferLiteralStore(literal_offsets, literal_blob, literal_count),
-        triple_count=datatype_count,
-    )
+    object_store = ObjectTripleStore._from_components(**read_layout(read_wavelet_tree))
+    datatype_layout = read_layout(read_int_sequence)
+    datatype_store = DatatypeTripleStore._from_components(read_literals(), **datatype_layout)
 
     type_count = _read_varint(meta)
-    type_store = RDFTypeStore.from_frozen(read_pair_tree(), read_pair_tree(), type_count)
+    type_store = RDFTypeStore._from_components(read_pair_run(), read_pair_run())
+    if len(type_store) != type_count:
+        raise PersistenceError(
+            f"store image {where}: rdf:type section holds {len(type_store)} pairs, "
+            f"meta declares {type_count}"
+        )
 
     store = SuccinctEdge(
         schema=schema,

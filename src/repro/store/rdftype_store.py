@@ -1,82 +1,121 @@
 """RDFType store: the dedicated layout for ``rdf:type`` triples.
 
 ``rdf:type`` triples typically represent a large share of real-world RDF
-datasets, and the paper stores them apart from the SDS layout, in a red-black
-tree, "in order to maintain the search complexity to O(log n) while being
-fast when we insert rdf:type triples during database construction"
-(Section 4).
+datasets, and the paper stores them apart from the SDS layout (Section 4).
+The paper uses red-black trees so that lookups stay O(log n) while triples
+are inserted during construction.  Here the type index is built once from
+the encoded triples, so it is two sorted pair runs instead — the same
+O(log n) lookups by binary search, no per-node objects, and the exact layout
+a store image maps (``docs/architecture.md``, "Deviations from the paper"):
 
-Two trees provide the SO and OS access paths:
-
-* the OS tree is keyed by ``(concept_id, subject_id)`` — enumerating every
+* the OS run holds ``(concept_id, subject_id)`` pairs — enumerating every
   subject of a concept (or of a whole LiteMat concept interval) is one
-  ordered range scan;
-* the SO tree is keyed by ``(subject_id, concept_id)`` — enumerating the
-  types of a subject is likewise one range scan.
+  contiguous slice;
+* the SO run holds ``(subject_id, concept_id)`` pairs — enumerating the
+  types of a subject is likewise one slice.
 """
 
 from __future__ import annotations
 
+from array import array
+from itertools import chain
 from typing import Iterable, Iterator, List, Tuple
-
-from repro.sds.rbtree import RedBlackTree
 
 #: An encoded rdf:type triple ``(subject_id, concept_id)``.
 EncodedTypeTriple = Tuple[int, int]
 
 
-class RDFTypeStore:
-    """Red-black-tree store of ``rdf:type`` triples with SO and OS access paths."""
+class PairRun:
+    """Sorted, unique integer pairs packed into one flat 64-bit word buffer.
 
-    def __init__(self, triples: Iterable[EncodedTypeTriple] = ()) -> None:
-        self._so = RedBlackTree()
-        self._os = RedBlackTree()
-        # Bulk path: dedup once up front so each triple costs two tree
-        # insertions instead of two membership probes plus two insertions.
-        unique = sorted(set(triples))
-        for subject_id, concept_id in unique:
-            self._so.insert((subject_id, concept_id), None)
-            self._os.insert((concept_id, subject_id), None)
-        self._count = len(unique)
+    ``words[2 * i]`` / ``words[2 * i + 1]`` are the ``i``-th pair.  The
+    buffer is an ``array('Q')`` for built stores or a read-only
+    ``memoryview`` aliasing a mapped store image; either way lookups are
+    binary searches over the words, and nothing is decoded up front.
+    """
 
-    # ------------------------------------------------------------------ #
-    # construction
-    # ------------------------------------------------------------------ #
+    __slots__ = ("words", "_count")
+
+    def __init__(self, words, count: int) -> None:
+        self.words = words
+        self._count = count
 
     @classmethod
-    def from_frozen(cls, so_tree, os_tree, count: int) -> "RDFTypeStore":
-        """Assemble a store around pre-built (typically mapped) pair trees.
+    def from_pairs(cls, pairs: List[Tuple[int, int]]) -> "PairRun":
+        """Pack already-sorted unique ``(a, b)`` pairs into a fresh buffer."""
+        return cls(array("Q", chain.from_iterable(pairs)), len(pairs))
 
-        The persistence-v4 constructor: ``so_tree`` / ``os_tree`` are
-        :class:`~repro.sds.rbtree.FrozenPairTree` instances aliasing the
-        sorted pair sections of a store image, so no tree is rebuilt and no
-        pair is decoded.  The resulting store serves every read path; writes
-        against it raise (live writes ride the delta overlay instead).
-        """
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        words = iter(self.words)
+        return zip(words, words)
+
+    def _lower_bound(self, first: int, second: int = -1) -> int:
+        """Index of the first pair ``>= (first, second)``."""
+        words = self.words
+        lo, hi = 0, self._count
+        while lo < hi:
+            mid = (lo + hi) // 2
+            key = words[2 * mid]
+            if key < first or (key == first and words[2 * mid + 1] < second):
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    def __contains__(self, pair: Tuple[int, int]) -> bool:
+        first, second = pair
+        index = self._lower_bound(first, second)
+        return (
+            index < self._count
+            and self.words[2 * index] == first
+            and self.words[2 * index + 1] == second
+        )
+
+    def span(self, low: int, high: int) -> Tuple[int, int]:
+        """Index interval of the pairs whose first element lies in ``[low, high)``."""
+        return self._lower_bound(low), self._lower_bound(high)
+
+    def firsts(self, begin: int, end: int) -> List[int]:
+        """First elements of the pairs at indexes ``[begin, end)``."""
+        return self.words[2 * begin : 2 * end : 2].tolist()
+
+    def seconds(self, begin: int, end: int) -> List[int]:
+        """Second elements of the pairs at indexes ``[begin, end)``."""
+        return self.words[2 * begin + 1 : 2 * end : 2].tolist()
+
+    def size_in_bytes(self) -> int:
+        """Exact storage footprint of the packed word buffer."""
+        return self._count * 2 * 8
+
+
+class RDFTypeStore:
+    """Store of ``rdf:type`` triples with SO and OS access paths."""
+
+    def __init__(self, triples: Iterable[EncodedTypeTriple] = ()) -> None:
+        so = sorted(set(triples))
+        self._so = PairRun.from_pairs(so)
+        self._os = PairRun.from_pairs(sorted((concept, subject) for subject, concept in so))
+
+    @classmethod
+    def _from_components(cls, so_run: PairRun, os_run: PairRun) -> "RDFTypeStore":
+        """Assemble a store around pre-built (typically mapped) pair runs."""
         store = object.__new__(cls)
-        store._so = so_tree
-        store._os = os_tree
-        store._count = count
+        store._so = so_run
+        store._os = os_run
         return store
-
-    def insert(self, subject_id: int, concept_id: int) -> None:
-        """Insert one ``rdf:type`` statement (duplicates are ignored)."""
-        key_so = (subject_id, concept_id)
-        if key_so in self._so:
-            return
-        self._so.insert(key_so, None)
-        self._os.insert((concept_id, subject_id), None)
-        self._count += 1
 
     # ------------------------------------------------------------------ #
     # lookups
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._so)
 
     def __repr__(self) -> str:
-        return f"RDFTypeStore({self._count} rdf:type triples)"
+        return f"RDFTypeStore({len(self)} rdf:type triples)"
 
     def contains(self, subject_id: int, concept_id: int) -> bool:
         """Whether ``subject rdf:type concept`` is explicitly stored."""
@@ -84,31 +123,22 @@ class RDFTypeStore:
 
     def subjects_of(self, concept_id: int) -> List[int]:
         """Subjects explicitly typed with ``concept_id``, ascending."""
-        return [key[1] for key, _ in self._os.range_items((concept_id, -1), (concept_id + 1, -1))]
+        return self._os.seconds(*self._os.span(concept_id, concept_id + 1))
 
     def subjects_of_interval(self, concept_low: int, concept_high: int) -> List[int]:
         """Subjects typed with any concept in the LiteMat interval ``[low, high)``.
 
         This is how SuccinctEdge answers ``?x rdf:type C`` with reasoning: the
         interval covers ``C`` and every direct/indirect sub-concept, so one
-        ordered range scan of the OS tree returns the complete answer set.
+        contiguous slice of the OS run returns the complete answer set.
         The result is sorted and deduplicated (a subject can match several
         sub-concepts).
         """
-        seen = set()
-        results: List[int] = []
-        for (concept_id, subject_id), _ in self._os.range_items(
-            (concept_low, -1), (concept_high, -1)
-        ):
-            if subject_id not in seen:
-                seen.add(subject_id)
-                results.append(subject_id)
-        results.sort()
-        return results
+        return sorted(set(self._os.seconds(*self._os.span(concept_low, concept_high))))
 
     def concepts_of(self, subject_id: int) -> List[int]:
         """Concepts explicitly attached to ``subject_id``, ascending."""
-        return [key[1] for key, _ in self._so.range_items((subject_id, -1), (subject_id + 1, -1))]
+        return self._so.seconds(*self._so.span(subject_id, subject_id + 1))
 
     def pairs_in_interval(self, concept_low: int, concept_high: int) -> Iterator[EncodedTypeTriple]:
         """All ``(subject_id, concept_id)`` pairs whose concept falls in ``[low, high)``.
@@ -117,28 +147,26 @@ class RDFTypeStore:
         (no dedup), in OS order — the primitive the delta overlay needs to
         apply per-pair tombstones before deduplicating.
         """
-        for (concept_id, subject_id), _ in self._os.range_items(
-            (concept_low, -1), (concept_high, -1)
-        ):
-            yield subject_id, concept_id
+        begin, end = self._os.span(concept_low, concept_high)
+        return zip(self._os.seconds(begin, end), self._os.firsts(begin, end))
 
     def count_concept(self, concept_id: int) -> int:
         """Number of explicit ``rdf:type`` triples for ``concept_id``."""
-        return sum(1 for _ in self._os.range_items((concept_id, -1), (concept_id + 1, -1)))
+        return self.count_concept_interval(concept_id, concept_id + 1)
 
     def count_concept_interval(self, concept_low: int, concept_high: int) -> int:
         """Number of explicit typings whose concept falls in ``[low, high)``."""
-        return sum(1 for _ in self._os.range_items((concept_low, -1), (concept_high, -1)))
+        begin, end = self._os.span(concept_low, concept_high)
+        return end - begin
 
     def iter_triples(self) -> Iterator[EncodedTypeTriple]:
         """All ``(subject_id, concept_id)`` pairs in SO order."""
-        for (subject_id, concept_id), _ in self._so.items():
-            yield subject_id, concept_id
+        return iter(self._so)
 
     # ------------------------------------------------------------------ #
     # storage accounting
     # ------------------------------------------------------------------ #
 
     def size_in_bytes(self) -> int:
-        """Approximate storage footprint of both trees."""
+        """Storage footprint of both pair runs (16 B per pair per order)."""
         return self._so.size_in_bytes() + self._os.size_in_bytes()

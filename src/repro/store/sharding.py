@@ -42,11 +42,12 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Literal, Triple
-from repro.store.datatype_store import DatatypeTripleStore, EncodedDatatypeTriple
+from repro.store.builder import build_layouts
+from repro.store.datatype_store import EncodedDatatypeTriple
 from repro.store.delta import CompactionPolicy
-from repro.store.rdftype_store import EncodedTypeTriple, RDFTypeStore
+from repro.store.rdftype_store import EncodedTypeTriple
 from repro.store.succinct_edge import SuccinctEdge
-from repro.store.triple_store import EncodedTriple, ObjectTripleStore
+from repro.store.triple_store import EncodedTriple
 from repro.store.updatable import CompactionReport, UpdatableSuccinctEdge
 
 
@@ -149,7 +150,7 @@ class _ShardedLayoutView:
         sizes = ", ".join(str(len(part)) for part in self.parts)
         return f"{type(self).__name__}({len(self)} triples across [{sizes}])"
 
-    # property-level accessors (identical across the two PSO-style layouts) #
+    # property-level accessors #
 
     @property
     def properties(self) -> List[int]:
@@ -178,6 +179,31 @@ class _ShardedLayoutView:
     def size_in_bytes(self) -> int:
         return sum(part.size_in_bytes() for part in self.parts)
 
+    # scans: per-shard answers concatenated in shard order #
+
+    def subjects_for(self, property_id: int, obj) -> List[int]:
+        results: List[int] = []
+        for part in self.parts:
+            results.extend(part.subjects_for(property_id, obj))
+        return results
+
+    def pairs_for_property(self, property_id: int) -> Iterator[tuple]:
+        for part in self.parts:
+            yield from part.pairs_for_property(property_id)
+
+    def pairs_for_property_interval(
+        self, property_low: int, property_high: int
+    ) -> Iterator[tuple]:
+        # Property-major (then shard-minor) to mirror the monolithic order.
+        for property_id in self.properties_in_interval(property_low, property_high):
+            for subject_id, obj in self.pairs_for_property(property_id):
+                yield property_id, subject_id, obj
+
+    def iter_triples(self) -> Iterator[tuple]:
+        for property_id in self.properties:
+            for subject_id, obj in self.pairs_for_property(property_id):
+                yield property_id, subject_id, obj
+
 
 class ShardedObjectStore(_ShardedLayoutView):
     """Fan-out read view over the object-property layout of every shard.
@@ -193,31 +219,8 @@ class ShardedObjectStore(_ShardedLayoutView):
     def objects_for(self, subject_id: int, property_id: int) -> List[int]:
         return self._owner(subject_id).objects_for(subject_id, property_id)
 
-    def subjects_for(self, property_id: int, object_id: int) -> List[int]:
-        results: List[int] = []
-        for part in self.parts:
-            results.extend(part.subjects_for(property_id, object_id))
-        return results
-
     def contains(self, subject_id: int, property_id: int, object_id: int) -> bool:
         return self._owner(subject_id).contains(subject_id, property_id, object_id)
-
-    def pairs_for_property(self, property_id: int) -> Iterator[Tuple[int, int]]:
-        for part in self.parts:
-            yield from part.pairs_for_property(property_id)
-
-    def pairs_for_property_interval(
-        self, property_low: int, property_high: int
-    ) -> Iterator[EncodedTriple]:
-        # Property-major (then shard-minor) to mirror the monolithic order.
-        for property_id in self.properties_in_interval(property_low, property_high):
-            for subject_id, object_id in self.pairs_for_property(property_id):
-                yield property_id, subject_id, object_id
-
-    def iter_triples(self) -> Iterator[EncodedTriple]:
-        for property_id in self.properties:
-            for subject_id, object_id in self.pairs_for_property(property_id):
-                yield property_id, subject_id, object_id
 
 
 class ShardedDatatypeStore(_ShardedLayoutView):
@@ -231,28 +234,6 @@ class ShardedDatatypeStore(_ShardedLayoutView):
 
     def literals_for(self, subject_id: int, property_id: int) -> List[Literal]:
         return self._owner(subject_id).literals_for(subject_id, property_id)
-
-    def subjects_for(self, property_id: int, literal: Literal) -> List[int]:
-        results: List[int] = []
-        for part in self.parts:
-            results.extend(part.subjects_for(property_id, literal))
-        return results
-
-    def pairs_for_property(self, property_id: int) -> Iterator[Tuple[int, Literal]]:
-        for part in self.parts:
-            yield from part.pairs_for_property(property_id)
-
-    def pairs_for_property_interval(
-        self, property_low: int, property_high: int
-    ) -> Iterator[Tuple[int, int, Literal]]:
-        for property_id in self.properties_in_interval(property_low, property_high):
-            for subject_id, literal in self.pairs_for_property(property_id):
-                yield property_id, subject_id, literal
-
-    def iter_triples(self) -> Iterator[EncodedDatatypeTriple]:
-        for property_id in self.properties:
-            for subject_id, literal in self.pairs_for_property(property_id):
-                yield property_id, subject_id, literal
 
 
 class ShardedTypeStore:
@@ -443,14 +424,17 @@ class ShardedStore(SuccinctEdge):
 
         shard_stores: List[SuccinctEdge] = []
         for index in range(partitioner.shard_count):
+            object_store, datatype_store, type_store = build_layouts(
+                object_parts[index], datatype_parts[index], type_parts[index], presorted=True
+            )
             part = SuccinctEdge(
                 schema=store.schema,
                 concepts=store.concepts,
                 properties=store.properties,
                 instances=store.instances,
-                object_store=ObjectTripleStore(object_parts[index], presorted=True),
-                datatype_store=DatatypeTripleStore(datatype_parts[index], presorted=True),
-                type_store=RDFTypeStore(type_parts[index]),
+                object_store=object_store,
+                datatype_store=datatype_store,
+                type_store=type_store,
                 statistics=store.statistics,
                 skipped_triples=store.skipped_triples if index == 0 else 0,
             )
@@ -465,6 +449,13 @@ class ShardedStore(SuccinctEdge):
 
     #: Manifest filename inside a shard image directory.
     MANIFEST_NAME = "shards.json"
+
+    def save_image(self, path, atomic: bool = False) -> int:
+        """A sharded store is persisted as a directory of per-shard images."""
+        raise TypeError(
+            "a ShardedStore has no single-file image; use "
+            "save_image_directory(directory) to write one v4 image per shard"
+        )
 
     def save_image_directory(self, directory, atomic: bool = False) -> int:
         """Persist every shard as a v4 store image under ``directory``.

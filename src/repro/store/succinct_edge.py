@@ -77,18 +77,17 @@ class SuccinctEdge:
 
     #: When this store was loaded from a v4 image, the
     #: :class:`~repro.store.persistence.StoreImage` handle keeping the mapping
-    #: (or byte buffer) alive; ``None`` for built / v3-loaded stores.
+    #: (or byte buffer) alive; ``None`` for built stores.
     image = None
 
     @classmethod
     def load(cls, path, mmap: bool = True) -> "SuccinctEdge":
-        """Load a store from a saved file (v3 stream or v4 image).
+        """Load a store from a v4 store image written by :meth:`save_image`.
 
-        For v4 images with ``mmap=True`` (the default) the file is memory
-        mapped and the succinct layouts alias the mapping directly — startup
-        cost is independent of the triple count, and the handle stays
-        reachable as ``store.image``.  v3 streams are decoded and rebuilt in
-        memory regardless of ``mmap``.
+        With ``mmap=True`` (the default) the file is memory mapped and the
+        succinct layouts alias the mapping directly — startup cost is
+        independent of the triple count, and the handle stays reachable as
+        ``store.image``.
         """
         from repro.store.persistence import load_store
 

@@ -1,4 +1,4 @@
-"""Object-property triple store: the PSO wavelet-tree / bitmap layout.
+"""The PSO wavelet-tree / bitmap layout and the object-property triple store.
 
 This is the core single-index layout of Figure 5(b):
 
@@ -11,8 +11,14 @@ This is the core single-index layout of Figure 5(b):
   ascending inside each property run;
 * ``bm_so`` — one bit per triple, a ``1`` marking the first object of each
   ``(property, subject)`` pair (plus a trailing sentinel ``1``);
-* ``wt_o`` — the object layer: object identifiers grouped by ``(p, s)`` pair,
-  ascending inside each pair.
+* the object layer: one entry per triple, grouped by ``(p, s)`` pair.
+
+:class:`PSOLayout` holds everything built from the first four structures —
+the build loop, property navigation, counts and the batched scans.  The two
+stores differ only in their object layer: :class:`ObjectTripleStore` keeps
+object identifiers in a wavelet tree ``wt_o`` (ascending inside each pair),
+:class:`~repro.store.datatype_store.DatatypeTripleStore` keeps pointers into
+a literal store.
 
 Every triple-pattern evaluation is a sequence of ``select`` / ``rank`` /
 ``access`` / ``range_search`` operations on these five structures, i.e. the
@@ -36,21 +42,24 @@ from repro.sds.wavelet_tree import WaveletTree
 EncodedTriple = Tuple[int, int, int]
 
 
-class ObjectTripleStore:
-    """Immutable PSO store over integer-encoded object-property triples.
+class PSOLayout:
+    """Immutable PSO layout; subclasses supply the object layer.
 
-    ``presorted`` promises that ``triples`` are already deduplicated and in
-    PSO order (e.g. when rebuilding from a persisted store), skipping the
-    sort pass.
+    A subclass sets ``_objects_in_alphabet`` (whether object values share the
+    wavelet-tree alphabet with properties and subjects), implements
+    :meth:`_encode_objects` and, when the stored values are not the objects
+    themselves, overrides :meth:`_decode_objects`.
     """
 
-    def __init__(self, triples: Sequence[EncodedTriple], presorted: bool = False) -> None:
-        ordered = list(triples) if presorted else sorted(set(triples))
+    _objects_in_alphabet = True
+
+    def __init__(self, ordered: Sequence[tuple]) -> None:
+        """Lay out ``ordered`` triples, already in the subclass's sort order."""
         self._triple_count = len(ordered)
 
         property_layer: List[int] = []
         subject_layer: List[int] = []
-        object_layer: List[int] = []
+        object_layer: list = []
         ps_bits = BitVectorBuilder()
         so_bits = BitVectorBuilder()
 
@@ -77,11 +86,13 @@ class ObjectTripleStore:
         ps_bits.append(1)
         so_bits.append(1)
 
-        max_symbol = max(property_layer + subject_layer + object_layer, default=0)
-        alphabet = max_symbol + 1
+        symbols = property_layer + subject_layer
+        if self._objects_in_alphabet:
+            symbols += object_layer
+        alphabet = max(symbols, default=0) + 1
         self.wt_p = WaveletTree(property_layer, alphabet_size=alphabet)
         self.wt_s = WaveletTree(subject_layer, alphabet_size=alphabet)
-        self.wt_o = WaveletTree(object_layer, alphabet_size=alphabet)
+        self._objects = self._encode_objects(object_layer, alphabet)
         self.bm_ps: BitVector = ps_bits.build()
         self.bm_so: BitVector = so_bits.build()
         # The property layer is tiny (one entry per distinct property) but its
@@ -93,29 +104,36 @@ class ObjectTripleStore:
     @classmethod
     def _from_components(
         cls,
+        triple_count: int,
         wt_p: WaveletTree,
         wt_s: WaveletTree,
-        wt_o: WaveletTree,
+        objects,
         bm_ps: BitVector,
         bm_so: BitVector,
-        triple_count: int,
-    ) -> "ObjectTripleStore":
-        """Assemble a store around pre-built layout structures (persistence v4).
+    ) -> "PSOLayout":
+        """Assemble a layout around pre-built structures (a mapped store image).
 
-        The components typically alias a mapped store image; nothing is
-        re-encoded or validated here, so construction is O(1) in the triple
-        count.
+        Nothing is re-encoded or validated here, so construction is O(1) in
+        the triple count.
         """
         store = object.__new__(cls)
         store._triple_count = triple_count
         store.wt_p = wt_p
         store.wt_s = wt_s
-        store.wt_o = wt_o
+        store._objects = objects
         store.bm_ps = bm_ps
         store.bm_so = bm_so
         store._property_index_cache = {}
         store._subject_run_cache = {}
         return store
+
+    def _encode_objects(self, objects: list, alphabet: int):
+        """Build the object layer from the per-triple object values."""
+        raise NotImplementedError
+
+    def _decode_objects(self, begin: int, end: int) -> list:
+        """Objects at object-layer positions ``[begin, end)`` (batched)."""
+        return self._objects.access_range(begin, end)
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -125,7 +143,7 @@ class ObjectTripleStore:
         return self._triple_count
 
     def __repr__(self) -> str:
-        return f"ObjectTripleStore({self._triple_count} triples, {len(self.wt_p)} properties)"
+        return f"{type(self).__name__}({self._triple_count} triples, {len(self.wt_p)} properties)"
 
     @property
     def properties(self) -> List[int]:
@@ -176,11 +194,6 @@ class ObjectTripleStore:
         self._subject_run_cache[property_index] = (begin, end)
         return begin, end
 
-    def _object_run(self, subject_index: int) -> Tuple[int, int]:
-        """Object-layer interval ``[begin, end)`` of the subject at ``subject_index``."""
-        begin, end = self.bm_so.select_range(subject_index + 1, subject_index + 2, 1)
-        return begin, end
-
     def subject_run(self, property_id: int) -> Optional[Tuple[int, int]]:
         """Subject-layer interval ``[begin, end)`` of ``property_id``, or ``None``."""
         property_index = self._property_index(property_id)
@@ -197,18 +210,15 @@ class ObjectTripleStore:
         """
         return self.bm_so.select_range(subject_begin + 1, subject_end + 1, 1)
 
-    def subjects_in_interval(self, begin: int, end: int) -> List[int]:
-        """Subject identifiers at subject-layer positions ``[begin, end)`` (batched)."""
-        return self.wt_s.access_range(begin, end)
-
-    def objects_in_interval(self, begin: int, end: int) -> List[int]:
-        """Object identifiers at object-layer positions ``[begin, end)`` (batched)."""
-        return self.wt_o.access_range(begin, end)
-
-    def objects_for_run(self, subject_index: int) -> List[int]:
-        """Objects of the ``(property, subject)`` pair at ``subject_index`` (batched)."""
-        object_begin, object_end = self._object_run(subject_index)
-        return self.wt_o.access_range(object_begin, object_end)
+    def _object_span(self, property_id: int) -> Optional[Tuple[int, int, int, int]]:
+        """Subject run and object-layer interval of ``property_id``, or ``None``."""
+        run = self.subject_run(property_id)
+        if run is None:
+            return None
+        subject_begin, subject_end = run
+        object_begin = self.bm_so.select(subject_begin + 1, 1)
+        object_end = self.bm_so.select(subject_end + 1, 1)
+        return subject_begin, subject_end, object_begin, object_end
 
     def count_triples_with_property(self, property_id: int) -> int:
         """Algorithm 2: number of triples carrying ``property_id``.
@@ -216,98 +226,67 @@ class ObjectTripleStore:
         Computed purely from the bitmaps: the object run spanning the whole
         subject run of the property.
         """
-        property_index = self._property_index(property_id)
-        if property_index is None:
-            return 0
-        subject_begin, subject_end = self._subject_run(property_index)
-        object_begin = self.bm_so.select(subject_begin + 1, 1)
-        object_end = self.bm_so.select(subject_end + 1, 1)
-        return object_end - object_begin
+        span = self._object_span(property_id)
+        return 0 if span is None else span[3] - span[2]
 
     def count_subjects_with_property(self, property_id: int) -> int:
         """Number of distinct subjects attached to ``property_id`` (run length)."""
-        property_index = self._property_index(property_id)
-        if property_index is None:
-            return 0
-        subject_begin, subject_end = self._subject_run(property_index)
-        return subject_end - subject_begin
+        run = self.subject_run(property_id)
+        return 0 if run is None else run[1] - run[0]
 
     # ------------------------------------------------------------------ #
     # triple pattern evaluation
     # ------------------------------------------------------------------ #
 
-    def objects_for(self, subject_id: int, property_id: int) -> List[int]:
-        """Algorithm 3 core: objects of ``(subject, property, ?o)``, ascending.
+    def _objects_of(self, subject_id: int, property_id: int) -> list:
+        """Algorithm 3 core: objects of ``(subject, property, ?o)`` in stored order.
 
         One batched ``range_search`` finds every position of the subject, one
         batched select scan finds all object-run boundaries, and each run is
-        decoded with ``access_range``.
+        decoded with one batched object-layer read.
         """
-        property_index = self._property_index(property_id)
-        if property_index is None:
+        run = self.subject_run(property_id)
+        if run is None:
             return []
-        subject_begin, subject_end = self._subject_run(property_index)
-        positions = self.wt_s.range_search(subject_begin, subject_end, subject_id)
+        positions = self.wt_s.range_search(run[0], run[1], subject_id)
         if not positions:
             return []
         if len(positions) == 1:
-            return self.objects_for_run(positions[0])
+            position = positions[0]
+            return self._decode_objects(*self.bm_so.select_range(position + 1, position + 2, 1))
         boundaries = self.bm_so.select_many(
             [occurrence for position in positions for occurrence in (position + 1, position + 2)],
             1,
         )
-        results: List[int] = []
+        results: list = []
         for index in range(0, len(boundaries), 2):
-            results.extend(self.wt_o.access_range(boundaries[index], boundaries[index + 1]))
+            results.extend(self._decode_objects(boundaries[index], boundaries[index + 1]))
         return results
 
-    def subjects_for(self, property_id: int, object_id: int) -> List[int]:
-        """Algorithm 4 core: subjects of ``(?s, property, object)``, ascending."""
-        property_index = self._property_index(property_id)
-        if property_index is None:
-            return []
-        subject_begin, subject_end = self._subject_run(property_index)
-        object_begin = self.bm_so.select(subject_begin + 1, 1)
-        object_end = self.bm_so.select(subject_end + 1, 1)
-        positions = self.wt_o.range_search(object_begin, object_end, object_id)
-        if not positions:
-            return []
-        subject_indices = self.bm_so.rank_many(
-            [position + 1 for position in positions], 1
-        )
-        return [self.wt_s.access(subject_index - 1) for subject_index in subject_indices]
-
-    def pairs_for_property(self, property_id: int) -> Iterator[Tuple[int, int]]:
-        """All ``(subject, object)`` pairs of ``(?s, property, ?o)``, in PSO order.
+    def pairs_for_property(self, property_id: int) -> Iterator[tuple]:
+        """All ``(subject, object)`` pairs of ``(?s, property, ?o)``, in stored order.
 
         The whole property run is materialised with three batched kernel
         calls (subject layer, run boundaries, object layer) and then zipped.
         """
-        property_index = self._property_index(property_id)
-        if property_index is None:
-            return
-        yield from self._pairs_in_subject_run(*self._subject_run(property_index))
+        run = self.subject_run(property_id)
+        if run is not None:
+            yield from self._pairs_in_subject_run(*run)
 
-    def _pairs_in_subject_run(
-        self, subject_begin: int, subject_end: int
-    ) -> Iterator[Tuple[int, int]]:
+    def _pairs_in_subject_run(self, subject_begin: int, subject_end: int) -> Iterator[tuple]:
         if subject_begin >= subject_end:
             return
         subjects = self.wt_s.access_range(subject_begin, subject_end)
         boundaries = self.object_run_boundaries(subject_begin, subject_end)
-        objects = self.wt_o.access_range(boundaries[0], boundaries[-1])
+        objects = self._decode_objects(boundaries[0], boundaries[-1])
         base = boundaries[0]
         for offset, subject_id in enumerate(subjects):
             for object_index in range(boundaries[offset] - base, boundaries[offset + 1] - base):
                 yield subject_id, objects[object_index]
 
-    def contains(self, subject_id: int, property_id: int, object_id: int) -> bool:
-        """Whether the fully-bound triple is stored."""
-        return object_id in self.objects_for(subject_id, property_id)
-
     def pairs_for_property_interval(
         self, property_low: int, property_high: int
-    ) -> Iterator[Tuple[int, int, int]]:
+    ) -> Iterator[tuple]:
         """All ``(property, subject, object)`` triples whose property identifier
         falls in the LiteMat interval ``[property_low, property_high)``.
 
@@ -319,16 +298,14 @@ class ObjectTripleStore:
         for position, property_id in self.wt_p.range_search_symbols(
             0, len(self.wt_p), property_low, property_high
         ):
-            subject_begin, subject_end = self._subject_run(position)
-            for subject_id, object_id in self._pairs_in_subject_run(subject_begin, subject_end):
-                yield property_id, subject_id, object_id
+            for subject_id, obj in self._pairs_in_subject_run(*self._subject_run(position)):
+                yield property_id, subject_id, obj
 
-    def iter_triples(self) -> Iterator[EncodedTriple]:
-        """All stored triples in PSO order (one batched scan per property run)."""
+    def iter_triples(self) -> Iterator[tuple]:
+        """All stored triples in layout order (one batched scan per property run)."""
         for position, property_id in enumerate(self.wt_p.to_list()):
-            subject_begin, subject_end = self._subject_run(position)
-            for subject_id, object_id in self._pairs_in_subject_run(subject_begin, subject_end):
-                yield property_id, subject_id, object_id
+            for subject_id, obj in self._pairs_in_subject_run(*self._subject_run(position)):
+                yield property_id, subject_id, obj
 
     # ------------------------------------------------------------------ #
     # storage accounting
@@ -339,7 +316,46 @@ class ObjectTripleStore:
         return (
             self.wt_p.size_in_bytes()
             + self.wt_s.size_in_bytes()
-            + self.wt_o.size_in_bytes()
+            + self._objects.size_in_bytes()
             + self.bm_ps.size_in_bytes()
             + self.bm_so.size_in_bytes()
         )
+
+
+class ObjectTripleStore(PSOLayout):
+    """Immutable PSO store over integer-encoded object-property triples.
+
+    ``presorted`` promises that ``triples`` are already deduplicated and in
+    PSO order (e.g. when rebuilding from a compaction snapshot), skipping the
+    sort pass.
+    """
+
+    def __init__(self, triples: Sequence[EncodedTriple], presorted: bool = False) -> None:
+        super().__init__(list(triples) if presorted else sorted(set(triples)))
+
+    def _encode_objects(self, objects: List[int], alphabet: int) -> WaveletTree:
+        return WaveletTree(objects, alphabet_size=alphabet)
+
+    @property
+    def wt_o(self) -> WaveletTree:
+        """The object layer: object identifiers grouped by ``(p, s)`` pair."""
+        return self._objects
+
+    def objects_for(self, subject_id: int, property_id: int) -> List[int]:
+        """Algorithm 3 core: objects of ``(subject, property, ?o)``, ascending."""
+        return self._objects_of(subject_id, property_id)
+
+    def subjects_for(self, property_id: int, object_id: int) -> List[int]:
+        """Algorithm 4 core: subjects of ``(?s, property, object)``, ascending."""
+        span = self._object_span(property_id)
+        if span is None:
+            return []
+        positions = self._objects.range_search(span[2], span[3], object_id)
+        if not positions:
+            return []
+        subject_indices = self.bm_so.rank_many([position + 1 for position in positions], 1)
+        return [self.wt_s.access(subject_index - 1) for subject_index in subject_indices]
+
+    def contains(self, subject_id: int, property_id: int, object_id: int) -> bool:
+        """Whether the fully-bound triple is stored."""
+        return object_id in self._objects_of(subject_id, property_id)

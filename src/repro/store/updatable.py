@@ -35,12 +35,11 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.dictionary.literal_store import LiteralStore
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import RDF_TYPE
 from repro.rdf.terms import Literal, Triple, URI
-from repro.store.builder import _SCHEMA_PREDICATES
-from repro.store.datatype_store import DatatypeTripleStore, EncodedDatatypeTriple
+from repro.store.builder import _SCHEMA_PREDICATES, build_layouts
+from repro.store.datatype_store import EncodedDatatypeTriple
 from repro.store.delta import (
     CompactionPolicy,
     DeltaOverlay,
@@ -48,9 +47,9 @@ from repro.store.delta import (
     OverlayObjectStore,
     OverlayTypeStore,
 )
-from repro.store.rdftype_store import EncodedTypeTriple, RDFTypeStore
+from repro.store.rdftype_store import EncodedTypeTriple
 from repro.store.succinct_edge import SuccinctEdge
-from repro.store.triple_store import EncodedTriple, ObjectTripleStore
+from repro.store.triple_store import EncodedTriple
 
 
 @dataclass(frozen=True)
@@ -248,6 +247,20 @@ class UpdatableSuccinctEdge(SuccinctEdge):
                 if remap:
                     self._remap_base(image_path)
             return report
+
+    def save_image(self, path, atomic: bool = False) -> int:
+        """Write the visible state (base plus pending delta) as a v4 store image.
+
+        The image is built from the same merged snapshot compaction folds,
+        taken under the write lock; the live store itself is left as it is
+        (its delta stays pending).  Identifiers — overflow terms included —
+        are those of the live dictionaries, so ``SuccinctEdge.load`` of the
+        image answers every query exactly like this store.
+        """
+        from repro.store.persistence import save_store_image
+
+        with self._write_lock:
+            return save_store_image(self._build_base(self._snapshot()), path, atomic=atomic)
 
     def _remap_base(self, image_path) -> None:
         """Swap the just-written image in as the memory-mapped serving base.
@@ -653,16 +666,20 @@ class UpdatableSuccinctEdge(SuccinctEdge):
 
     def _build_base(self, snapshot: _Snapshot) -> SuccinctEdge:
         """Build fresh succinct layouts off a snapshot (no locks needed)."""
+        object_store, datatype_store, type_store = build_layouts(
+            snapshot.object_triples,
+            snapshot.datatype_triples,
+            snapshot.type_triples,
+            presorted=True,
+        )
         return SuccinctEdge(
             schema=self.schema,
             concepts=self.concepts,
             properties=self.properties,
             instances=self.instances,
-            object_store=ObjectTripleStore(snapshot.object_triples, presorted=True),
-            datatype_store=DatatypeTripleStore(
-                snapshot.datatype_triples, LiteralStore(), presorted=True
-            ),
-            type_store=RDFTypeStore(snapshot.type_triples),
+            object_store=object_store,
+            datatype_store=datatype_store,
+            type_store=type_store,
             statistics=self.statistics,
             skipped_triples=self.skipped_triples,
         )

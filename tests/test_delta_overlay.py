@@ -455,20 +455,21 @@ class TestRound3Regressions:
         assert str(EX.dora) in {str(row["s"]) for row in result}
 
     def test_overflow_terms_survive_persistence(self, store, tmp_path):
-        from repro.store.persistence import load_store, save_store
-
         store.insert(Triple(EX.alice, EX.likes, EX.carol))       # overflow property
         store.insert(Triple(EX.r2d2, RDF.type, EX.Robot))        # overflow concept
         store.compact()  # merges overflow; identifiers must still round-trip
         store.insert(Triple(EX.bob, EX.dislikes, EX.carol))      # pending overflow
-        path = str(tmp_path / "store.bin")
-        save_store(store, path)
-        loaded = load_store(path)
+        path = str(tmp_path / "store.sedg")
+        store.save_image(path)
+        assert store.delta_operation_count == 1  # saving does not compact
+        loaded = SuccinctEdge.load(path)
         left = sorted(tuple(map(str, t)) for t in store.match())
         right = sorted(tuple(map(str, t)) for t in loaded.match())
         assert left == right
         result = loaded.query("SELECT ?s WHERE { ?s a <http://example.org/Robot> }")
         assert [str(row["s"]) for row in result] == [str(EX.r2d2)]
+        result = loaded.query("SELECT ?o WHERE { ?s <http://example.org/dislikes> ?o }")
+        assert [str(row["o"]) for row in result] == [str(EX.carol)]
 
     def test_transmission_charged_per_instance_not_cumulative(self):
         from repro.edge.alerts import AnomalyRule

@@ -1,12 +1,14 @@
-"""Tests for SuccinctEdge store persistence (save / load round trips).
+"""Tests for SuccinctEdge store persistence (v4 store images).
 
-Covers both on-disk formats: the v3 varint stream (decoded and rebuilt at
-load) and the v4 page-aligned store image (memory-mapped, zero-copy), plus
-the v3-to-v4 upgrade path and the corruption error paths of each.
+Covers the in-memory bytes path (``dump_store_image`` /
+``load_store_from_bytes``), the file path (mapped and unmapped), a golden
+image that pins the byte format, the save path of live stores, and the
+corruption error paths of each.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import sys
 import zlib
@@ -15,35 +17,43 @@ import pytest
 
 from repro.store.persistence import (
     PersistenceError,
-    dump_store,
     dump_store_image,
     load_store,
     load_store_from_bytes,
-    save_store,
     save_store_image,
-    serialized_size_in_bytes,
-    upgrade_store_image,
 )
 from repro.store.succinct_edge import SuccinctEdge
 from tests.conftest import EX
 
+#: The toy fixture's image.  Any change to the byte format — or to how the
+#: builder lays the toy graph out — moves these; update them deliberately.
+_TOY_IMAGE_LENGTH = 9896
+_TOY_IMAGE_SHA256 = "69376ba36f362e089e28e3975ec15174664f04bb5368285e77167ffed50ddf15"
+
+#: TOC indexes in every image: the object layout writes 11 sections (three
+#: wavelet trees of three sections each, two bitvectors), then the datatype
+#: layout writes ``wt_p`` (11-13), ``wt_s`` (14-16), the pointer sequence,
+#: its two bitvectors and the literal offset directory + record blob.
+_POINTER_SECTION = 17
+_LITERAL_OFFSETS_SECTION = 20
+
 
 class TestRoundTrip:
     def test_bytes_round_trip_preserves_triples(self, toy_store, toy_data):
-        payload = dump_store(toy_store)
+        payload = dump_store_image(toy_store)
         restored = load_store_from_bytes(payload)
         assert restored.triple_count == toy_store.triple_count
         assert set(restored.match(None, None, None)) == set(toy_data)
 
     def test_file_round_trip(self, toy_store, tmp_path):
         path = tmp_path / "store.sedg"
-        written = save_store(toy_store, str(path))
+        written = toy_store.save_image(str(path))
         assert path.stat().st_size == written
-        restored = load_store(str(path))
+        restored = SuccinctEdge.load(str(path), mmap=False)
         assert restored.triple_count == toy_store.triple_count
 
     def test_queries_agree_after_reload(self, toy_store, toy_data):
-        restored = load_store_from_bytes(dump_store(toy_store))
+        restored = load_store_from_bytes(dump_store_image(toy_store))
         queries = [
             ("SELECT ?x WHERE { ?x a <http://example.org/Person> }", True),
             ("SELECT ?x ?d WHERE { ?x <http://example.org/memberOf> ?d }", True),
@@ -60,38 +70,53 @@ class TestRoundTrip:
             )
 
     def test_litemat_intervals_preserved(self, toy_store):
-        restored = load_store_from_bytes(dump_store(toy_store))
+        restored = load_store_from_bytes(dump_store_image(toy_store))
         for concept in (EX.Person, EX.Student, EX.Department):
             assert restored.concepts.interval(concept) == toy_store.concepts.interval(concept)
         for prop in (EX.memberOf, EX.worksFor, EX.headOf):
             assert restored.properties.interval(prop) == toy_store.properties.interval(prop)
 
     def test_statistics_preserved(self, toy_store):
-        restored = load_store_from_bytes(dump_store(toy_store))
+        restored = load_store_from_bytes(dump_store_image(toy_store))
         assert restored.statistics.concept_cardinality(EX.Person) == toy_store.statistics.concept_cardinality(EX.Person)
         assert restored.statistics.property_cardinality(EX.memberOf) == toy_store.statistics.property_cardinality(EX.memberOf)
         assert restored.statistics.instance_cardinality(EX.alice) == toy_store.statistics.instance_cardinality(EX.alice)
 
     def test_schema_preserved(self, toy_store):
-        restored = load_store_from_bytes(dump_store(toy_store))
+        restored = load_store_from_bytes(dump_store_image(toy_store))
         assert restored.schema.is_subconcept_of(EX.GraduateStudent, EX.Person)
         assert restored.schema.is_subproperty_of(EX.headOf, EX.memberOf)
 
     def test_engie_store_round_trip(self, engie_store, engie_graph):
-        restored = load_store_from_bytes(dump_store(engie_store))
+        restored = load_store_from_bytes(dump_store_image(engie_store))
         assert set(restored.match(None, None, None)) == set(engie_graph)
 
     def test_small_lubm_round_trip_counts(self, small_lubm_store):
-        restored = load_store_from_bytes(dump_store(small_lubm_store))
+        restored = load_store_from_bytes(dump_store_image(small_lubm_store))
         assert restored.lubm_style_summary() == small_lubm_store.lubm_style_summary()
 
 
 class TestSizeAccounting:
-    def test_serialized_size_matches_dump(self, toy_store):
-        assert serialized_size_in_bytes(toy_store) == len(dump_store(toy_store))
+    def test_serialized_size_matches_dump(self, toy_store, tmp_path):
+        path = tmp_path / "store.sedg"
+        assert save_store_image(toy_store, str(path)) == len(dump_store_image(toy_store))
 
     def test_serialized_size_grows_with_data(self, toy_store, engie_store):
-        assert serialized_size_in_bytes(engie_store) > serialized_size_in_bytes(toy_store)
+        assert len(dump_store_image(engie_store)) > len(dump_store_image(toy_store))
+
+
+class TestGoldenImage:
+    def test_toy_image_bytes_are_pinned(self, toy_store):
+        payload = dump_store_image(toy_store)
+        assert len(payload) == _TOY_IMAGE_LENGTH
+        assert hashlib.sha256(payload).hexdigest() == _TOY_IMAGE_SHA256
+
+    def test_loaded_image_serves_the_same_layouts(self, toy_store):
+        restored = load_store_from_bytes(dump_store_image(toy_store))
+        for name in ("object_store", "datatype_store", "type_store"):
+            assert list(getattr(restored, name).iter_triples()) == list(
+                getattr(toy_store, name).iter_triples()
+            )
 
 
 class TestErrorHandling:
@@ -100,12 +125,12 @@ class TestErrorHandling:
             load_store_from_bytes(b"NOPE" + b"\x00" * 16)
 
     def test_truncated_payload_rejected(self, toy_store):
-        payload = dump_store(toy_store)
+        payload = dump_store_image(toy_store)
         with pytest.raises(PersistenceError):
             load_store_from_bytes(payload[: len(payload) // 2])
 
     def test_wrong_version_rejected(self, toy_store):
-        payload = bytearray(dump_store(toy_store))
+        payload = bytearray(dump_store_image(toy_store))
         payload[4] = 99  # corrupt the version field
         with pytest.raises(PersistenceError):
             load_store_from_bytes(bytes(payload))
@@ -114,12 +139,12 @@ class TestErrorHandling:
         from repro.rdf.graph import Graph
 
         store = SuccinctEdge.from_graph(Graph())
-        restored = load_store_from_bytes(dump_store(store))
+        restored = load_store_from_bytes(dump_store_image(store))
         assert restored.triple_count == 0
 
 
 # --------------------------------------------------------------------------- #
-# v4 store images
+# store images on disk
 # --------------------------------------------------------------------------- #
 
 
@@ -130,9 +155,17 @@ def _rewrite_image_checksum(data: bytearray) -> None:
     struct.pack_into("<Q", data, 48, checksum)
 
 
+def _set_section_length(data: bytearray, index: int, length: int) -> None:
+    """Patch one TOC entry's length and re-sign the header."""
+    toc_offset = struct.unpack_from("<Q", data, 16)[0]
+    struct.pack_into("<Q", data, toc_offset + 16 * index + 8, length)
+    _rewrite_image_checksum(data)
+
+
 class TestV4RoundTrip:
     def test_image_bytes_round_trip(self, toy_store, toy_data):
-        restored = load_store_from_bytes(dump_store_image(toy_store))
+        # Any buffer works as a payload, not only ``bytes``.
+        restored = load_store_from_bytes(memoryview(bytearray(dump_store_image(toy_store))))
         assert restored.triple_count == toy_store.triple_count
         assert set(restored.match(None, None, None)) == set(toy_data)
 
@@ -163,18 +196,19 @@ class TestV4RoundTrip:
         restored = load_store(str(path))
         assert isinstance(restored.object_store.bm_ps._words, memoryview)
         assert isinstance(restored.datatype_store.object_pointers._words, memoryview)
+        assert isinstance(restored.type_store._os.words, memoryview)
 
     def test_version_sniffing_dispatch(self, toy_store, tmp_path):
-        # load_store reads either format transparently; the caller never
-        # declares which one is on disk.
+        # load_store reads the version from the preamble before touching
+        # anything else: earlier formats are refused by number.
         v3_path, v4_path = tmp_path / "v3.sedg", tmp_path / "v4.sedg"
-        save_store(toy_store, str(v3_path))
+        v3_path.write_bytes(b"SEDG" + struct.pack("<H", 3) + b"\x00" * 64)
         save_store_image(toy_store, str(v4_path))
-        from_v3 = load_store(str(v3_path))
-        from_v4 = load_store(str(v4_path))
-        assert from_v3.image is None
-        assert from_v4.image is not None
-        assert set(from_v3.match(None, None, None)) == set(from_v4.match(None, None, None))
+        with pytest.raises(PersistenceError, match="version 3"):
+            load_store(str(v3_path))
+        with pytest.raises(PersistenceError, match="version 3"):
+            load_store_from_bytes(v3_path.read_bytes())
+        assert load_store(str(v4_path)).image is not None
 
     def test_queries_agree_after_mapped_reload(self, toy_store, tmp_path):
         path = tmp_path / "store.sedg"
@@ -196,24 +230,15 @@ class TestV4RoundTrip:
             )
 
     def test_join_profiles_survive_v4(self, toy_store):
-        # v4 persists the cost-based planner's statistics (v3 predates them),
-        # so a mapped store plans — and therefore orders rows — identically
-        # to the builder output.
+        # The image persists the cost-based planner's statistics, so a
+        # mapped store plans — and therefore orders rows — identically to
+        # the builder output.
         restored = load_store_from_bytes(dump_store_image(toy_store))
         assert restored.statistics.has_profiles == toy_store.statistics.has_profiles
         assert (
             restored.statistics.profiled_property_ids()
             == toy_store.statistics.profiled_property_ids()
         )
-
-    def test_upgrade_v3_to_v4(self, toy_store, toy_data, tmp_path):
-        v3_path, v4_path = tmp_path / "old.sedg", tmp_path / "new.sedg"
-        save_store(toy_store, str(v3_path))
-        written = upgrade_store_image(str(v3_path), str(v4_path))
-        assert v4_path.stat().st_size == written
-        restored = load_store(str(v4_path))
-        assert restored.image is not None
-        assert set(restored.match(None, None, None)) == set(toy_data)
 
     def test_atomic_save_leaves_no_staging_file(self, toy_store, tmp_path):
         path = tmp_path / "store.sedg"
@@ -237,8 +262,10 @@ class TestV4RoundTrip:
         restored = load_store(str(path))
         assert restored.triple_count == 0
 
-    def test_engie_store_image_round_trip(self, engie_store, engie_graph):
-        restored = load_store_from_bytes(dump_store_image(engie_store))
+    def test_engie_store_image_round_trip(self, engie_store, engie_graph, tmp_path):
+        path = tmp_path / "engie.sedg"
+        save_store_image(engie_store, str(path))
+        restored = load_store(str(path))
         assert set(restored.match(None, None, None)) == set(engie_graph)
 
     def test_mapped_store_rejects_writes(self, toy_store, tmp_path):
@@ -252,6 +279,43 @@ class TestV4RoundTrip:
         # ...but the delta overlay gives it a write path like any other store.
         live = restored.updatable()
         assert live.insert(Triple(URI("http://x/s"), URI("http://x/p"), URI("http://x/o")))
+
+
+class TestLiveStoreImages:
+    # Live writes grow the dictionaries, so each test builds its own store
+    # instead of touching the session-wide ``toy_store``.
+
+    def test_updatable_store_saves_its_visible_state(self, toy_data, toy_ontology, tmp_path):
+        from repro.rdf.namespaces import RDF
+        from repro.rdf.terms import Literal, Triple
+
+        live = SuccinctEdge.from_graph(toy_data, ontology=toy_ontology).updatable()
+        live.insert(Triple(EX.zed, RDF.type, EX.Student))
+        live.insert(Triple(EX.zed, EX.memberOf, EX.dept1))
+        live.insert(Triple(EX.zed, EX.name, Literal("Zed")))
+        live.delete(Triple(EX.alice, EX.memberOf, EX.dept1))
+        pending = live.delta_operation_count
+        path = tmp_path / "live.sedg"
+        live.save_image(str(path), atomic=True)
+        assert live.delta_operation_count == pending  # the delta stays pending
+        restored = SuccinctEdge.load(str(path))
+        assert set(restored.match(None, None, None)) == set(live.match(None, None, None))
+        query = "SELECT ?x WHERE { ?x a <http://example.org/Person> }"
+        assert restored.query(query).to_set() == live.query(query).to_set()
+
+    def test_updatable_store_saves_after_compaction(self, toy_data, toy_ontology, tmp_path):
+        live = SuccinctEdge.from_graph(toy_data, ontology=toy_ontology).updatable()
+        live.compact()
+        path = tmp_path / "compacted.sedg"
+        live.save_image(str(path))
+        assert set(SuccinctEdge.load(str(path)).match(None, None, None)) == set(toy_data)
+
+    def test_sharded_store_points_to_image_directories(self, toy_store, tmp_path):
+        from repro.store.sharding import ShardedStore
+
+        sharded = ShardedStore.from_store(toy_store, shards=2)
+        with pytest.raises(TypeError, match="save_image_directory"):
+            sharded.save_image(str(tmp_path / "sharded.sedg"))
 
 
 class TestV4ErrorHandling:
@@ -279,10 +343,10 @@ class TestV4ErrorHandling:
             load_store(str(path))
 
     def test_unknown_version_rejected(self, image, tmp_path):
-        image[4] = 99  # version field, same offset as in the v3 stream
+        image[4] = 99  # version field, right after the magic
         path = tmp_path / "future.sedg"
         path.write_bytes(bytes(image))
-        with pytest.raises(PersistenceError, match="version"):
+        with pytest.raises(PersistenceError, match="version 99"):
             load_store(str(path))
 
     def test_checksum_mismatch_rejected(self, image, tmp_path):
@@ -314,6 +378,18 @@ class TestV4ErrorHandling:
         path.write_bytes(bytes(image))
         with pytest.raises(PersistenceError, match="outside the file"):
             load_store(str(path))
+
+    def test_short_pointer_section_rejected(self, image):
+        _set_section_length(image, _POINTER_SECTION, 0)
+        with pytest.raises(PersistenceError, match="int-sequence section"):
+            load_store_from_bytes(bytes(image))
+
+    def test_short_literal_offsets_rejected(self, image):
+        # Without the check this image loads and the first datatype query
+        # fails with a bare IndexError.
+        _set_section_length(image, _LITERAL_OFFSETS_SECTION, 8)
+        with pytest.raises(PersistenceError, match="literal offset section"):
+            load_store_from_bytes(bytes(image))
 
     def test_modification_underneath_detected(self, toy_store, tmp_path):
         # A writer rewriting the image in place (instead of atomically

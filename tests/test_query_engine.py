@@ -182,7 +182,7 @@ class TestPlanIntrospection:
         assert plan.method == "cost-dp"
         assert sorted(plan.order()) == [0, 1]
         # The cost-based planner starts with the name scan: the per-row type
-        # checks then run on the red-black-tree store, which issues no SDS
+        # checks then run on the pair-run type store, which issues no SDS
         # kernel calls (the heuristic planner would start with rdf:type).
         heuristic = QueryEngine(toy_store, planner="heuristic").plan(
             "SELECT ?x WHERE { ?x a <http://example.org/Person> . ?x <http://example.org/name> ?n }"
