@@ -8,16 +8,16 @@ processes** that memory-map the v4 store image (N workers share one page
 cache, so attaching is near-free and RAM stays O(1) in the worker count).
 What is particular to crossing a process boundary lives here:
 
-* **Attachment** (:class:`ProcessExecutor`'s attach-spec lifecycle): every
-  unit carries a small *attach spec* — the base image path (a monolithic
-  ``.sedg`` v4 image or a
-  :meth:`~repro.store.sharding.ShardedStore.save_image_directory` tree), a
-  *generation* (so a compact-and-swap rotation re-attaches workers) and the
-  path of a spilled **term-level delta log** of the writes applied since the
-  base image was taken.  Workers ``load_store(path, mmap=True)`` lazily,
-  cache the attachment, and replay only the log suffix they have not
-  applied yet — through the public ``insert``/``delete`` path, which
-  assigns identifiers exactly as the coordinator did, so the id-level
+* **Attachment**: workers are followers of :mod:`repro.store.shipping`.
+  Every unit carries a small *attach spec*: the shipment the executor's
+  :class:`~repro.store.shipping.Publisher` names (image or shard
+  directory, *generation* — a compact-and-swap rotation re-attaches
+  workers — and epochs) plus the executor's **worker log file** for that
+  generation.  The coordinator appends the write-log operations a spec
+  needs to that one append-only file before issuing the spec; a worker
+  opens the follower lazily, caches it, and replays the file onward from
+  its own offset through the follower's ``insert``/``delete``, which
+  assigns identifiers exactly as the coordinator did — so the id-level
   replies of the unit codec mean the same terms on both sides.
 * **The pool** (:class:`WorkerPool`): a self-healing
   :class:`~concurrent.futures.ProcessPoolExecutor`.  A worker crash, a
@@ -45,14 +45,13 @@ from __future__ import annotations
 
 import os
 import pickle
-import shutil
 import tempfile
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import multiprocessing
 
@@ -60,9 +59,8 @@ from repro.query.parallel import DEFAULT_BATCH_SIZE, ParallelExecutor, ParallelQ
 from repro.query.tp_eval import TriplePatternEvaluator
 from repro.query.units import decode_reply, decode_request, encode_reply, encode_request, execute_unit
 from repro.sds.kernels import kernel_counters, merge_kernel_counters, reset_kernel_counters
-from repro.store.sharding import ShardedStore
+from repro.store.shipping import Publisher, open_follower, prune, replay
 from repro.store.succinct_edge import SuccinctEdge
-from repro.store.updatable import UpdatableSuccinctEdge
 
 
 class WorkerPoolError(RuntimeError):
@@ -79,16 +77,15 @@ class WorkerPoolError(RuntimeError):
 
 
 class _WorkerState:
-    """One worker's cached attachment: mapped base plus live overlay."""
+    """One worker's cached follower and how far it has replayed."""
 
-    __slots__ = ("token", "base", "live", "applied_epoch", "applied_ops")
+    __slots__ = ("token", "store", "epoch", "offsets")
 
-    def __init__(self, token) -> None:
+    def __init__(self, token, store, epoch: int) -> None:
         self.token = token
-        self.base = None
-        self.live = None
-        self.applied_epoch = 0
-        self.applied_ops = 0
+        self.store = store
+        self.epoch = epoch
+        self.offsets: Dict[str, int] = {}
 
 
 _STATE: Optional[_WorkerState] = None
@@ -99,43 +96,8 @@ def _worker_initialize() -> None:
     reset_kernel_counters()
 
 
-def _load_base(spec):
-    from repro.store.persistence import load_store
-
-    if spec["kind"] == "shards":
-        return ShardedStore.load_image_directory(spec["path"], mmap=spec["mmap"])
-    return load_store(spec["path"], mmap=spec["mmap"])
-
-
-def _wrap_writable(base):
-    """An updatable overlay over the mapped base, for delta-log replay."""
-    if isinstance(base, ShardedStore):
-        wrapped = [UpdatableSuccinctEdge(shard) for shard in base.shards]
-        return ShardedStore(wrapped, base.partitioner)
-    return UpdatableSuccinctEdge(base)
-
-
-def _apply_delta(state: _WorkerState, spec) -> None:
-    with open(spec["delta_path"], "rb") as handle:
-        operations = pickle.load(handle)
-    if state.live is None or state.applied_ops > len(operations):
-        # The log can only grow within one generation; a shorter log means
-        # this worker is somehow ahead of the spec — rebuild defensively.
-        # (Replaying from scratch is safe: identifier assignment is
-        # idempotent, so already-grown dictionaries resolve identically.)
-        state.live = _wrap_writable(state.base)
-        state.applied_ops = 0
-    for operation, triple in operations[state.applied_ops :]:
-        if operation == "insert":
-            state.live.insert(triple)
-        else:
-            state.live.delete(triple)
-    state.applied_ops = len(operations)
-    state.applied_epoch = spec["data_epoch"]
-
-
 def _attach(spec) -> _WorkerState:
-    """The (cached) worker store described by ``spec``, synced forward.
+    """The (cached) follower described by ``spec``, synced forward.
 
     Attachment is lazy and per-task so a corrupt or truncated image raises
     a clean :class:`~repro.store.persistence.PersistenceError` through the
@@ -146,14 +108,29 @@ def _attach(spec) -> _WorkerState:
     """
     global _STATE
     state = _STATE
-    token = (spec["kind"], spec["path"], spec["generation"])
+    token = (spec["root"], tuple(spec["files"]), spec["generation"])
     if state is None or state.token != token:
-        state = _WorkerState(token)
-        state.base = _load_base(spec)
-        _STATE = state
-    if spec["delta_path"] is not None and spec["data_epoch"] > state.applied_epoch:
-        _apply_delta(state, spec)
+        store = open_follower(spec["kind"], spec["root"], spec["files"])
+        state = _STATE = _WorkerState(token, store, spec["base_epoch"])
+    if spec["epoch"] > state.epoch:
+        _read_log(state, spec["log"], spec["log_bytes"])
     return state
+
+
+def _read_log(state: _WorkerState, path: str, end: int) -> None:
+    """Replay the ``(first_epoch, operations)`` records of a worker log up to byte ``end``.
+
+    Executors sharing one pool each write their own file for a generation,
+    so a worker may meet operations it already replayed from another file;
+    it skips them by epoch.
+    """
+    with open(path, "rb") as handle:
+        handle.seek(state.offsets.get(path, 0))
+        while handle.tell() < end:
+            first, operations = pickle.load(handle)
+            replay(state.store, operations[state.epoch - first :])
+            state.epoch = max(state.epoch, first + len(operations))
+        state.offsets[path] = handle.tell()
 
 
 def _dispatch(spec, op, args, reasoning):
@@ -164,8 +141,7 @@ def _dispatch(spec, op, args, reasoning):
     if op == "sleep":  # fault-injection harness: a task of known duration
         time.sleep(args[0])
         return args[0]
-    state = _attach(spec)
-    store = state.live or state.base
+    store = _attach(spec).store
     reply = execute_unit(store, op, decode_request(op, args), reasoning)
     return encode_reply(op, reply, store.instances)
 
@@ -359,8 +335,8 @@ class ProcessExecutor(ParallelExecutor):
     Inherits every scatter decision; :meth:`_submit` ships a unit — wire
     encoded, stamped with the attach spec sampled once per scatter — to a
     :class:`WorkerPool`, and :meth:`_await` decodes the worker's reply.  The
-    attach-spec lifecycle (saving an image for stores without one, spilling
-    the delta log, :meth:`resync` after a rotation) is the rest of it.
+    attach spec — the publisher's shipment plus the worker log file the
+    coordinator appends to — is the rest of it.
     """
 
     def __init__(
@@ -388,122 +364,72 @@ class ProcessExecutor(ParallelExecutor):
         self.pool = pool if pool is not None else WorkerPool(
             max_workers=max_workers, mp_context=mp_context, task_timeout=task_timeout
         )
-        self._owns_workspace = workspace is None
-        if workspace is None:
-            workspace = tempfile.mkdtemp(prefix="succinctedge-mp-")
-        else:
-            os.makedirs(workspace, exist_ok=True)
-        self.workspace = workspace
+        self.publisher = Publisher(store, workspace)
         self._spec_lock = threading.Lock()
-        self._saved_images: Dict[int, str] = {}
-        self._delta_files: Dict[Tuple[int, int], str] = {}
+        # This executor's worker log files by generation, and how far the
+        # newest one has been written: operations applied, bytes.
+        self._logs: Dict[int, str] = {}
+        self._written = (None, 0, 0)
 
-    # -- attachment: base image + delta log shipping -------------------- #
+    # -- attachment: the published base plus this executor's worker log -- #
 
-    def _image_provider(self, base, generation) -> str:
-        """Save (once per generation) a v4 image for a store with none."""
-        path = self._saved_images.get(generation)
-        if path is None:
-            from repro.store.persistence import save_store_image
-
-            os.makedirs(self.workspace, exist_ok=True)
-            path = os.path.join(self.workspace, f"base-g{generation}.sedg")
-            save_store_image(base, path, atomic=True)
-            self._saved_images[generation] = path
-        return path
-
-    def _directory_provider(self) -> str:
-        os.makedirs(self.workspace, exist_ok=True)
-        return os.path.join(self.workspace, "shards-auto")
-
-    def _spill_delta(self, generation: int, epoch: int, operations) -> str:
-        """Write the delta log to one immutable file per (generation, epoch).
-
-        The log is append-only within a generation, so a later epoch's file
-        is a strict extension of an earlier one — workers replay only the
-        suffix past their applied count.
-        """
-        key = (generation, epoch)
-        path = self._delta_files.get(key)
-        if path is None:
-            os.makedirs(self.workspace, exist_ok=True)
-            path = os.path.join(self.workspace, f"delta-g{generation}-e{epoch}.pkl")
-            handle = tempfile.NamedTemporaryFile(dir=self.workspace, delete=False)
-            try:
-                pickle.dump(list(operations), handle)
-                handle.flush()
-            finally:
-                handle.close()
-            os.replace(handle.name, path)
-            self._delta_files[key] = path
-        return path
-
-    def _attach_spec(self) -> dict:
+    def _session(self) -> dict:
         """One consistent attach spec for the current store state.
 
-        Sampled under the store's write lock (via ``delta_shipment``), so
-        the (base generation, data epoch, op log) triple is atomic even
-        while writes race the query.
+        The operations the spec's epoch needs are appended to the
+        generation's worker log file before the spec names its length, so a
+        worker reading up to ``log_bytes`` only meets complete records.
         """
-        store = self.store
         with self._spec_lock:
-            if isinstance(store, ShardedStore):
-                kind = "shards"
-                path, generation, epoch, operations = store.delta_shipment(
-                    self._directory_provider
+            while True:
+                shipment = self.publisher.current()
+                generation, applied, size = self._written
+                if generation != shipment["generation"]:
+                    generation, applied, size = shipment["generation"], 0, 0
+                base_epoch = shipment["base_epoch"]
+                if shipment["epoch"] > base_epoch + applied:
+                    reply = self.publisher.slice(generation, applied, shipment["epoch"])
+                    if reply["resync"]:
+                        continue  # a rotation raced the sample: publish the new generation
+                    size = self._append(generation, base_epoch + applied, reply["operations"])
+                    applied = reply["applied"]
+                self._written = (generation, applied, size)
+                return dict(
+                    shipment,
+                    epoch=base_epoch + applied,
+                    log=self._logs.get(generation),
+                    log_bytes=size,
                 )
-            elif isinstance(store, UpdatableSuccinctEdge):
-                kind = "image"
-                path, generation, epoch, operations = store.delta_shipment(
-                    self._image_provider
-                )
-            else:
-                kind = "image"
-                generation, epoch, operations = 0, 0, ()
-                image = getattr(store, "image", None)
-                path = getattr(image, "path", None) if image is not None else None
-                if path is None:
-                    path = self._image_provider(store, 0)
-            delta_path = (
-                self._spill_delta(generation, epoch, operations) if operations else None
+
+    def _append(self, generation: int, first_epoch: int, operations) -> int:
+        """Append one record to the generation's worker log; returns the file's length."""
+        path = self._logs.get(generation)
+        if path is None:
+            handle, path = tempfile.mkstemp(
+                prefix=f"log-g{generation}-", suffix=".pkl", dir=self.publisher.workspace
             )
-        return {
-            "kind": kind,
-            "path": str(path),
-            "mmap": True,
-            "generation": generation,
-            "data_epoch": epoch,
-            "delta_path": delta_path,
-        }
-
-    def resync(self) -> None:
-        """Forget cached attachment artifacts (call after an epoch rotation).
-
-        Attach specs are re-sampled per dispatch anyway — the generation
-        bump makes workers re-attach on their next task — so this only
-        drops the coordinator-side file caches of superseded generations.
-        """
-        with self._spec_lock:
-            self._saved_images.clear()
-            self._delta_files.clear()
+            os.close(handle)
+            self._logs[generation] = path
+            prune(self._logs)
+        with open(path, "ab") as handle:
+            pickle.dump((first_epoch, operations), handle)
+            return handle.tell()
 
     # -- lifecycle ------------------------------------------------------ #
 
     def close(self) -> None:
-        """Release the pool (if owned) and the spill workspace."""
+        """Release the pool (if owned), the worker logs and an owned workspace."""
         super().close()  # the inherited (unused-by-default) thread pool
         if self._owns_pool:
             self.pool.close()
         with self._spec_lock:
-            self._saved_images.clear()
-            self._delta_files.clear()
-        if self._owns_workspace:
-            shutil.rmtree(self.workspace, ignore_errors=True)
+            for path in self._logs.values():
+                if os.path.exists(path):
+                    os.remove(path)
+            self._logs.clear()
+        self.publisher.close()
 
     # -- the transport: units cross the process boundary ---------------- #
-
-    def _session(self) -> dict:
-        return self._attach_spec()
 
     def _submit(self, spec, op: str, args):
         return op, self.pool.submit(spec, op, encode_request(op, args), self.reasoning)
@@ -563,7 +489,3 @@ class ProcessPoolQueryEngine(ParallelQueryEngine):
     def heal(self) -> None:
         """Restart the worker pool after a failure (the retry hook)."""
         self.evaluator.pool.restart()
-
-    def resync(self) -> None:
-        """Drop cached attachment artifacts (after compact-and-swap)."""
-        self.evaluator.resync()

@@ -630,7 +630,7 @@ class ParallelQueryEngine(QueryEngine):
         return generate()
 
     def close(self) -> None:
-        """Release the executor's transport (threads, workers, spill files)."""
+        """Release the executor's transport (threads, workers, worker log files)."""
         self.evaluator.close()
 
     def __enter__(self) -> "ParallelQueryEngine":

@@ -19,7 +19,7 @@ an updatable one, or a :class:`~repro.store.sharding.ShardedStore` with the
 shards.
 
 The distributed tier lives in :mod:`repro.serve.cluster`: read replicas
-bootstrap from a shipped store image and tail the primary's delta log
+bootstrap from a shipped store image and tail the primary's write log
 (:class:`~repro.serve.cluster.ReplicationSource` /
 :class:`~repro.serve.cluster.ClusterReplica`), and a scatter-gather
 coordinator (:class:`~repro.serve.cluster.ClusterQueryEngine`) fans

@@ -1,4 +1,4 @@
-"""Distributed serving: delta-log replication and the replica transport.
+"""Distributed serving: write-log replication and the replica transport.
 
 This module turns the single-node serving stack into a small cluster.  It
 adds no query logic of its own: the coordinator runs the one scatter path
@@ -7,16 +7,17 @@ work units of :mod:`repro.query.units` with the same ``execute_unit`` the
 thread and process transports use.  What is particular to the network:
 
 * **Replication** (:class:`ReplicationSource` / :class:`ClusterReplica`) —
-  a read replica bootstraps by downloading the primary's current v4 store
-  image (one ``.sedg`` file, or a
-  :meth:`~repro.store.sharding.ShardedStore.save_image_directory` tree) and
-  stays fresh by pulling the **term-level delta-log suffix** it has not
-  applied yet (``/replicate?generation=G&applied=N``, the HTTP face of
-  :meth:`~repro.store.updatable.UpdatableSuccinctEdge.replication_slice`).
-  Replaying the log through the replica's own ``insert``/``delete`` path
-  reproduces dictionary and overflow identifier assignment *exactly*, so
-  the identifiers in unit replies mean the same terms on the primary, on
-  every replica, and on the coordinator.
+  the HTTP face of :mod:`repro.store.shipping`.  :class:`ReplicationSource`
+  is the primary's :class:`~repro.store.shipping.Publisher` plus three
+  routes; a :class:`ClusterReplica` is a follower that bootstraps by
+  downloading the published v4 store image (one ``.sedg`` file, or a
+  :meth:`~repro.store.sharding.ShardedStore.save_image_directory` tree)
+  and stays fresh by pulling the **write-log suffix** it has not applied
+  yet (``/replicate?generation=G&applied=N``).  Replaying the log through
+  the replica's own ``insert``/``delete`` path reproduces dictionary and
+  overflow identifier assignment *exactly*, so the identifiers in unit
+  replies mean the same terms on the primary, on every replica, and on the
+  coordinator.
 * **Epoch-consistent reads** — a position in the replicated history is the
   pair ``(generation, epoch)``: the image generation (compaction epoch /
   image-directory generation; a bump means *re-bootstrap*) and the data
@@ -61,7 +62,7 @@ import urllib.parse
 import urllib.request
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.edge.device import NetworkPartitioned, SimulatedNetwork
 from repro.query.parallel import DEFAULT_BATCH_SIZE, ParallelExecutor, ParallelQueryEngine
@@ -76,9 +77,8 @@ from repro.query.units import (
     execute_unit,
 )
 from repro.rdf.terms import Triple
-from repro.store.sharding import ShardedStore
+from repro.store.shipping import Publisher, open_follower, prune, replay
 from repro.store.succinct_edge import SuccinctEdge
-from repro.store.updatable import UpdatableSuccinctEdge
 
 
 class ClusterError(RuntimeError):
@@ -172,14 +172,15 @@ class HttpReplicationClient:
     ) -> None:
         self._http = _JsonHttp(base_url, network=network, timeout_s=timeout_s)
 
+    def _document(self, path: str) -> dict:
+        status, document = self._http.json(path)
+        if status != 200:
+            raise ReplicaUnavailable(f"{path} answered {status}: {document.get('error')}")
+        return document
+
     def manifest(self) -> dict:
         """The primary's current image manifest (kind, generation, files)."""
-        status, document = self._http.json("/cluster/manifest")
-        if status != 200:
-            raise ReplicaUnavailable(
-                f"manifest request answered {status}: {document.get('error')}"
-            )
-        return document
+        return self._document("/cluster/manifest")
 
     def fetch_file(self, name: str) -> bytes:
         """One image file of the current manifest, as raw bytes."""
@@ -189,16 +190,11 @@ class HttpReplicationClient:
         return raw
 
     def slice(self, generation: int, applied: int, upto_epoch: Optional[int] = None) -> dict:
-        """The delta-log suffix past ``applied`` (wire-encoded operations)."""
+        """The write-log suffix past ``applied`` (wire-encoded operations)."""
         path = f"/replicate?generation={generation}&applied={applied}"
         if upto_epoch is not None:
             path += f"&upto={upto_epoch}"
-        status, document = self._http.json(path)
-        if status != 200:
-            raise ReplicaUnavailable(
-                f"replicate request answered {status}: {document.get('error')}"
-            )
-        return document
+        return self._document(path)
 
 
 class LocalReplicationClient:
@@ -222,147 +218,34 @@ class LocalReplicationClient:
         return self.source.file_bytes(name)
 
     def slice(self, generation: int, applied: int, upto_epoch: Optional[int] = None) -> dict:
-        """The wire-encoded delta-log suffix past ``applied``."""
+        """The wire-encoded write-log suffix past ``applied``."""
         return json.loads(json.dumps(self.source.slice(generation, applied, upto_epoch)))
 
 
 # --------------------------------------------------------------------------- #
-# the primary side: image + delta-log shipping
+# the primary side: the publisher's HTTP face
 # --------------------------------------------------------------------------- #
 
 
-class ReplicationSource:
-    """The primary's shipping desk: images to bootstrap from, logs to tail.
+class ReplicationSource(Publisher):
+    """The primary's :class:`~repro.store.shipping.Publisher`, served over HTTP.
 
-    Wraps the primary store (updatable, sharded or static) and serves the
-    replication protocol's three reads:
-
-    * :meth:`manifest` — the current base image: kind (``image`` /
-      ``shards``), generation, the epoch the image captures
-      (``base_epoch``), and the file names to download;
-    * :meth:`file_bytes` — one image file (name-validated against the
-      manifest, so the route cannot read outside the image tree);
-    * :meth:`slice` — the wire-encoded delta-log suffix, delegated to the
-      store's ``replication_slice`` (which owns the resync / epoch-cap
-      semantics).
-
-    Stores with no on-disk image yet get one saved lazily into
-    ``workspace`` (once per generation), under the store's write lock so
-    image and log stay consistent — the same provider pattern the process
-    backend uses.
+    :meth:`routes` attaches the replication protocol's three reads to the
+    primary's :class:`~repro.serve.server.QueryServer`: the current
+    manifest, one of its files (name-validated against the manifest, so the
+    route cannot read outside the image tree) and a log slice, whose
+    operations travel in the unit codec's term codes.
     """
 
-    def __init__(self, store: SuccinctEdge, workspace: Optional[str] = None) -> None:
-        import tempfile
-
-        self.store = store
-        self._owns_workspace = workspace is None
-        if workspace is None:
-            workspace = tempfile.mkdtemp(prefix="succinctedge-ship-")
-        else:
-            os.makedirs(workspace, exist_ok=True)
-        self.workspace = str(workspace)
-        self._lock = threading.Lock()
-        self._saved_images = {}
-        self._files_cache = {}
-
-    # -- image providers (called under the store's write lock) ---------- #
-
-    def _image_provider(self, base, generation: int) -> str:
-        path = self._saved_images.get(generation)
-        if path is None:
-            from repro.store.persistence import save_store_image
-
-            path = os.path.join(self.workspace, f"base-g{generation}.sedg")
-            save_store_image(base, path, atomic=True)
-            self._saved_images[generation] = path
-        return path
-
-    def _directory_provider(self) -> str:
-        return os.path.join(self.workspace, "shards-auto")
-
-    # -- shipment state -------------------------------------------------- #
-
-    def _shipment(self):
-        """(kind, root, files, generation, base_epoch, epoch), consistently."""
-        store = self.store
-        with self._lock:
-            if isinstance(store, ShardedStore):
-                kind = "shards"
-                path, generation, epoch, operations = store.delta_shipment(
-                    self._directory_provider
-                )
-                root = str(path)
-                files = self._shard_files(root, generation)
-            elif isinstance(store, UpdatableSuccinctEdge):
-                kind = "image"
-                path, generation, epoch, operations = store.delta_shipment(
-                    self._image_provider
-                )
-                root = os.path.dirname(os.path.abspath(str(path)))
-                files = [os.path.basename(str(path))]
-            else:
-                kind = "image"
-                generation, epoch, operations = 0, 0, ()
-                image = getattr(store, "image", None)
-                path = getattr(image, "path", None) if image is not None else None
-                if path is None:
-                    path = self._image_provider(store, 0)
-                root = os.path.dirname(os.path.abspath(str(path)))
-                files = [os.path.basename(str(path))]
-        return kind, root, list(files), generation, epoch - len(operations), epoch
-
-    def _shard_files(self, root: str, generation: int) -> List[str]:
-        key = (root, generation)
-        files = self._files_cache.get(key)
-        if files is None:
-            with open(os.path.join(root, ShardedStore.MANIFEST_NAME), "rb") as handle:
-                manifest = json.loads(handle.read().decode("utf-8"))
-            files = [ShardedStore.MANIFEST_NAME] + list(manifest.get("files") or [])
-            self._files_cache[key] = files
-        return list(files)
-
-    def position(self) -> Tuple[int, int]:
-        """The primary's current ``(generation, epoch)`` pin position.
-
-        Ensures an on-disk image exists for the current generation (a
-        coordinator must never pin a position replicas cannot bootstrap
-        to), then reports where the history stands.
-        """
-        _, _, _, generation, _, epoch = self._shipment()
-        return generation, epoch
-
-    def manifest(self) -> dict:
-        """The bootstrap document: what to download and where it lands."""
-        kind, _, files, generation, base_epoch, epoch = self._shipment()
-        return {
-            "kind": kind,
-            "generation": generation,
-            "base_epoch": base_epoch,
-            "epoch": epoch,
-            "files": files,
-        }
-
-    def file_bytes(self, name: str) -> bytes:
-        """One manifest file's bytes; unknown names raise :class:`KeyError`."""
-        _, root, files, _, _, _ = self._shipment()
-        if name not in files:
-            raise KeyError(name)
-        with open(os.path.join(root, name), "rb") as handle:
-            return handle.read()
-
     def slice(self, generation: int, applied: int, upto_epoch: Optional[int] = None) -> dict:
-        """The store's ``replication_slice``, with operations wire-encoded."""
-        reply = self.store.replication_slice(generation, applied, upto_epoch)
-        if not reply.get("resync"):
-            reply = dict(reply)
+        """:meth:`Publisher.slice <repro.store.shipping.Publisher.slice>`, wire-encoded."""
+        reply = super().slice(generation, applied, upto_epoch)
+        if not reply["resync"]:
             reply["operations"] = [
                 [operation, [encode_term(term) for term in triple]]
                 for operation, triple in reply["operations"]
             ]
         return reply
-
-    # -- HTTP face -------------------------------------------------------- #
 
     def routes(self) -> dict:
         """Extension routes for the primary's :class:`~repro.serve.server.QueryServer`."""
@@ -384,13 +267,6 @@ class ReplicationSource:
         applied = int((params.get("applied") or ["0"])[0])
         upto = params.get("upto")
         return (200, self.slice(generation, applied, int(upto[0]) if upto else None))
-
-    def close(self) -> None:
-        """Remove the owned workspace (saved images); idempotent."""
-        if self._owns_workspace:
-            import shutil
-
-            shutil.rmtree(self.workspace, ignore_errors=True)
 
 
 # --------------------------------------------------------------------------- #
@@ -440,14 +316,16 @@ class _ReadWriteLock:
 
 
 class ClusterReplica:
-    """One read replica: a bootstrapped image plus a tailed delta log.
+    """One read replica: a bootstrapped image plus a tailed write log.
 
     ``bootstrap()`` downloads the primary's manifest and image files into
-    ``workdir/g<generation>/``, memory-maps them, and wraps them writable
-    so the log can replay; ``sync(upto_epoch=E)`` pulls and replays the
-    missing suffix — capped at ``E``, so a replica serving an old-epoch
-    query is never dragged past the pin — and re-bootstraps when the
-    primary's generation moved (compaction / image rotation).
+    ``workdir/g<generation>/`` and opens them as a writable follower
+    (:func:`~repro.store.shipping.open_follower`), keeping the previous
+    generation's directory and deleting older ones; ``sync(upto_epoch=E)``
+    pulls and replays the missing suffix — capped at ``E``, so a replica
+    serving an old-epoch query is never dragged past the pin — and
+    re-bootstraps when the primary's generation moved (compaction / image
+    rotation).
 
     :meth:`handle_op` is the work-unit entry point: it syncs forward if the
     unit's position is ahead, answers :class:`EpochConflict` if the replica
@@ -459,12 +337,12 @@ class ClusterReplica:
         self.client = client
         self.workdir = str(workdir)
         self.store: Optional[SuccinctEdge] = None
-        self.kind: Optional[str] = None
         self.generation = -1
         self.base_epoch = 0
         self.applied = 0
         self.syncs = 0
         self.bootstraps = 0
+        self._roots: Dict[int, str] = {}
         self._lock = _ReadWriteLock()
 
     @property
@@ -492,18 +370,9 @@ class ClusterReplica:
                 with open(staged, "wb") as handle:
                     handle.write(self.client.fetch_file(name))
                 os.replace(staged, target)
-        if manifest["kind"] == "shards":
-            store: SuccinctEdge = ShardedStore.load_image_directory(
-                root, mmap=True, updatable=True
-            )
-        else:
-            from repro.store.persistence import load_store
-
-            store = UpdatableSuccinctEdge(
-                load_store(os.path.join(root, manifest["files"][0]), mmap=True)
-            )
-        self.store = store
-        self.kind = manifest["kind"]
+        self.store = open_follower(manifest["kind"], root, manifest["files"])
+        self._roots[generation] = root
+        prune(self._roots)
         self.generation = generation
         self.base_epoch = manifest["base_epoch"]
         self.applied = 0
@@ -524,12 +393,13 @@ class ClusterReplica:
                 if reply.get("resync"):
                     self.store = None  # stale generation: full re-bootstrap
                     continue
-                for operation, code in reply["operations"]:
-                    triple = Triple(*(decode_term(term) for term in code))
-                    if operation == "insert":
-                        self.store.insert(triple)
-                    else:
-                        self.store.delete(triple)
+                replay(
+                    self.store,
+                    [
+                        (operation, Triple(*(decode_term(term) for term in code)))
+                        for operation, code in reply["operations"]
+                    ],
+                )
                 self.applied = reply["applied"]
                 self.syncs += 1
                 if upto_epoch is None or self.epoch >= upto_epoch:

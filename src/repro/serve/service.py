@@ -196,8 +196,8 @@ class QueryService:
 
         Both reasoning modes share one :class:`~repro.query.multiproc.
         WorkerPool` (tasks carry their own attach spec, so one pool serves
-        any number of engines) and one workspace directory for spilled
-        images and delta files.  Called under ``_engine_lock``.
+        any number of engines) and one workspace directory for published
+        images and worker log files.  Called under ``_engine_lock``.
         """
         from repro.query.multiproc import ProcessPoolQueryEngine, WorkerPool
 
@@ -452,10 +452,10 @@ class QueryService:
         Acquires every worker slot (waiting for in-flight queries to finish
         and keeping new ones queued), runs
         ``store.compact(image_path=..., remap=True)`` so the live store
-        swaps onto the new on-disk image, then tells every engine to
-        re-ship attachment state so worker processes re-attach to the new
-        generation on their next task.  Queries admitted after the rotation
-        see the compacted store; none observe a half-swapped state.
+        swaps onto the new on-disk image; worker processes re-attach to the
+        new generation on their next task (every unit names its generation).
+        Queries admitted after the rotation see the compacted store; none
+        observe a half-swapped state.
 
         Raises :class:`QueryTimeout` if in-flight queries do not drain
         within ``timeout_s`` and :class:`ValueError` if the store cannot
@@ -477,14 +477,7 @@ class QueryService:
                             f"in-flight queries did not drain within {timeout_s:.3f}s"
                         )
                 acquired += 1
-            report = compact(image_path=str(image_path), remap=True)
-            with self._engine_lock:
-                engines = list(self._engines.values())
-            for engine in engines:
-                resync = getattr(engine, "resync", None)
-                if resync is not None:
-                    resync()
-            return report
+            return compact(image_path=str(image_path), remap=True)
         finally:
             for _ in range(acquired):
                 self._slots.release()

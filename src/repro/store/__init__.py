@@ -18,7 +18,9 @@ The store is split exactly along the paper's architecture (Figure 4):
   :class:`~repro.store.updatable.UpdatableSuccinctEdge` — the write path:
   a mutable delta overlay (sorted inserts + tombstones) merged into every
   read, folded into a fresh succinct base by compaction
-  (``docs/update_lifecycle.md``).
+  (``docs/update_lifecycle.md``);
+* :mod:`~repro.store.shipping` — shipping a live store (base image plus
+  write log) to worker processes and replicas.
 """
 
 from repro.store.builder import StoreBuilder

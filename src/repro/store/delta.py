@@ -16,7 +16,10 @@ sorted triple run.  Live updates therefore follow the LSM pattern
 * a :class:`CompactionPolicy` decides when the delta is large enough to be
   folded into a fresh succinct base through the ``presorted``
   :class:`~repro.store.builder.StoreBuilder` path (the merged iterators are
-  already in index order, so compaction skips the sort pass entirely).
+  already in index order, so compaction skips the sort pass entirely);
+* a :class:`WriteLog` keeps the same writes at the term level, in order,
+  since the current base — background compaction replays its suffix, and
+  :mod:`repro.store.shipping` ships it to worker processes and replicas.
 
 Invariants maintained by :class:`~repro.store.updatable.UpdatableSuccinctEdge`
 (the only writer):
@@ -36,7 +39,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.rdf.terms import Literal
+from repro.rdf.terms import Literal, Triple
 from repro.store.datatype_store import DatatypeTripleStore
 from repro.store.rdftype_store import EncodedTypeTriple, RDFTypeStore
 from repro.store.triple_store import ObjectTripleStore
@@ -402,6 +405,79 @@ class DeltaOverlay:
             f"DeltaOverlay({self.insert_count} inserts, "
             f"{self.tombstone_count} tombstones)"
         )
+
+
+# --------------------------------------------------------------------------- #
+# the write log
+# --------------------------------------------------------------------------- #
+
+
+class WriteLog:
+    """The term-level writes applied since a store's current base, in order.
+
+    Each live store keeps one and appends every changed write under its
+    write lock, which is also :attr:`lock`.  ``generation`` numbers the
+    bases: :meth:`restart` installs a new one and empties the log.  A log
+    restarted with no base epoch has no base a follower could stand on and
+    records nothing.  Replayed through another store's ``insert``/``delete``
+    on an image of the base, the log reproduces identifier assignment
+    exactly (:mod:`repro.store.shipping`).
+    """
+
+    def __init__(self, lock, base_epoch: Optional[int] = 0) -> None:
+        self.lock = lock
+        self.generation = 0
+        self.base_epoch = base_epoch
+        self.operations: List[Tuple[str, Triple]] = []
+
+    def __len__(self) -> int:
+        return len(self.operations)
+
+    @property
+    def epoch(self) -> int:
+        """The data epoch of the base plus every logged write."""
+        return self.base_epoch + len(self.operations)
+
+    def append(self, operation: str, triple: Triple) -> None:
+        """Record one changed ``insert``/``delete`` (called under :attr:`lock`)."""
+        if self.base_epoch is not None:
+            self.operations.append((operation, triple))
+
+    def restart(self, base_epoch: Optional[int], operations=()) -> None:
+        """Start the next generation on a base at ``base_epoch``; ``operations`` came after it."""
+        self.generation += 1
+        self.base_epoch = base_epoch
+        self.operations = list(operations)
+
+    def slice(self, generation: int, applied: int, upto_epoch: Optional[int] = None) -> dict:
+        """The log suffix a follower at ``(generation, applied)`` is missing.
+
+        ``resync: True`` (with the current ``generation``) when the
+        follower's generation is stale, the log has no base, or ``applied``
+        exceeds the log: the follower must bootstrap again.  Otherwise
+        ``operations`` holds ``log[applied:end]`` as ``(op, triple)`` pairs,
+        ``applied`` the follower's count after replay and ``epoch`` the data
+        epoch it lands on.  ``upto_epoch`` caps ``end``: a follower synced
+        for a query pinned at epoch E never moves past E, so later writes
+        cannot leak into the query's rows; one already past the cap gets an
+        empty slice and is never moved back.
+        """
+        with self.lock:
+            operations = self.operations
+            if generation != self.generation or self.base_epoch is None or applied > len(operations):
+                return {"resync": True, "generation": self.generation}
+            end = len(operations)
+            if upto_epoch is not None:
+                end = min(end, max(0, upto_epoch - self.base_epoch))
+            start = max(0, applied)
+            end = max(start, end)
+            return {
+                "resync": False,
+                "generation": generation,
+                "applied": end,
+                "epoch": self.base_epoch + end,
+                "operations": operations[start:end],
+            }
 
 
 # --------------------------------------------------------------------------- #

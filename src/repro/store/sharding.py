@@ -25,7 +25,14 @@ heap merge, and results stay **byte-identical** to a monolithic store:
   receive fresh, larger identifiers, which by construction belong to the
   last shard's open interval);
 * epoch accounting aggregates across shards, so the serving layer's result
-  cache (``repro.serve``) invalidates on any shard's write.
+  cache (``repro.serve``) invalidates on any shard's write;
+* the facade keeps the store's one :class:`~repro.store.delta.WriteLog`
+  (:attr:`ShardedStore.log`) of routed writes, whose base is the current
+  shard image directory (:meth:`ShardedStore.save_image_directory`):
+  :mod:`repro.store.shipping` ships directory plus log to worker processes
+  and replicas.  A shard compaction replaces part of that base, so it
+  restarts the log with no directory; while no directory exists nothing is
+  logged, and the next directory save starts the next generation.
 
 The differential bar (``tests/test_sharding_differential.py``): all 26 paper
 queries + A1-A6 byte-identical to the monolithic store, including with a
@@ -44,7 +51,7 @@ from repro.rdf.graph import Graph
 from repro.rdf.terms import Literal, Triple
 from repro.store.builder import build_layouts
 from repro.store.datatype_store import EncodedDatatypeTriple
-from repro.store.delta import CompactionPolicy
+from repro.store.delta import CompactionPolicy, WriteLog
 from repro.store.rdftype_store import EncodedTypeTriple
 from repro.store.succinct_edge import SuccinctEdge
 from repro.store.triple_store import EncodedTriple
@@ -337,15 +344,13 @@ class ShardedStore(SuccinctEdge):
         # dictionaries (their add()/add_overflow() are check-then-act on one
         # _next_id) — the facade restores the single-writer guarantee the
         # monolithic store's write lock provided.  Per-shard locks still
-        # protect each shard's compaction swap.
-        self._write_lock = threading.Lock()
-        # Facade-level term-level write log plus on-disk image bookkeeping,
-        # the sharded analogue of UpdatableSuccinctEdge._delta_log: the
-        # process execution backend ships (directory, generation, log) to
-        # its workers so live writes stay visible over mapped shard images.
-        self._delta_log: List[Tuple[str, Triple]] = []
-        self._image_directory: Optional[str] = None
-        self._image_generation = 0
+        # protect each shard's compaction swap.  Reentrant so a publisher
+        # holding it can save an image directory.
+        self._write_lock = threading.RLock()
+        self.log = WriteLog(self._write_lock, base_epoch=None)
+        #: The shard image directory the log's writes replay onto, if any.
+        self.image_directory: Optional[str] = None
+        self._log_compactions = 0
         super().__init__(
             schema=first.schema,
             concepts=first.concepts,
@@ -467,53 +472,46 @@ class ShardedStore(SuccinctEdge):
         state.  Each shard image carries its own copy of the shared
         dictionaries (images are self-contained by design); the loader
         rebinds shards to one copy, so the duplication costs disk, not RAM.
+        The directory becomes the base of the next write-log generation.
 
         Returns the total bytes written across manifest and images.
         """
-        with self._write_lock:
-            return self._save_image_directory_locked(directory, atomic)
-
-    def _save_image_directory_locked(self, directory, atomic: bool) -> int:
         from repro.store.persistence import save_store_image
 
-        os.makedirs(directory, exist_ok=True)
-        total = 0
-        files: List[str] = []
-        for index, shard in enumerate(self.shards):
-            target = shard
-            if isinstance(shard, UpdatableSuccinctEdge):
-                if shard.delta_operation_count:
-                    shard.compact()
-                target = shard.base
-            name = f"shard-{index:04d}.sedg"
-            total += save_store_image(target, os.path.join(directory, name), atomic=atomic)
-            files.append(name)
-        manifest = {
-            "format": "succinctedge-shard-images",
-            "version": 1,
-            "shards": self.shard_count,
-            "boundaries": self.partitioner.boundaries,
-            "files": files,
-        }
-        payload = json.dumps(manifest, indent=2).encode("utf-8")
-        manifest_path = os.path.join(directory, self.MANIFEST_NAME)
-        if atomic:
-            staged = manifest_path + ".tmp"
-            with open(staged, "wb") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(staged, manifest_path)
-        else:
-            with open(manifest_path, "wb") as handle:
-                handle.write(payload)
-        # The images capture the full visible state (pending deltas were
-        # compacted above), so the write log restarts here and worker
-        # attachments key on the new generation.
-        self._image_directory = str(directory)
-        self._image_generation += 1
-        self._delta_log = []
-        return total + len(payload)
+        with self._write_lock:
+            os.makedirs(directory, exist_ok=True)
+            total = 0
+            files: List[str] = []
+            for index, shard in enumerate(self.shards):
+                target = shard
+                if isinstance(shard, UpdatableSuccinctEdge):
+                    if shard.delta_operation_count:
+                        shard.compact()
+                    target = shard.base
+                name = f"shard-{index:04d}.sedg"
+                total += save_store_image(target, os.path.join(directory, name), atomic=atomic)
+                files.append(name)
+            manifest = {
+                "format": "succinctedge-shard-images",
+                "version": 1,
+                "shards": self.shard_count,
+                "boundaries": self.partitioner.boundaries,
+                "files": files,
+            }
+            payload = json.dumps(manifest, indent=2).encode("utf-8")
+            manifest_path = os.path.join(directory, self.MANIFEST_NAME)
+            if atomic:
+                staged = manifest_path + ".tmp"
+                with open(staged, "wb") as handle:
+                    handle.write(payload)
+                    handle.flush()
+                    os.fsync(handle.fileno())
+                os.replace(staged, manifest_path)
+            else:
+                with open(manifest_path, "wb") as handle:
+                    handle.write(payload)
+            self._restart_log(str(directory))
+            return total + len(payload)
 
     @classmethod
     def load_image_directory(
@@ -585,7 +583,7 @@ class ShardedStore(SuccinctEdge):
                 UpdatableSuccinctEdge(shard, policy=policy) for shard in shards
             ]
         store = cls(shards, partitioner)
-        store._image_directory = str(directory)
+        store._restart_log(str(directory))
         return store
 
     # ------------------------------------------------------------------ #
@@ -679,7 +677,7 @@ class ShardedStore(SuccinctEdge):
         with self._write_lock:
             changed = self._route(triple).insert(triple)
             if changed:
-                self._delta_log.append(("insert", triple))
+                self._log("insert", triple)
             return changed
 
     def delete(self, triple: Triple) -> bool:
@@ -690,8 +688,25 @@ class ShardedStore(SuccinctEdge):
                 return False
             changed = self.shards[self.partitioner.shard_of(subject_id)].delete(triple)
             if changed:
-                self._delta_log.append(("delete", triple))
+                self._log("delete", triple)
             return changed
+
+    def _log(self, operation: str, triple: Triple) -> None:
+        """Append one routed write (under the facade lock).
+
+        A shard compaction since the log's restart replaced part of the
+        directory's base: the log restarts with no directory instead of
+        growing without bound.
+        """
+        if self.log.base_epoch is not None and self.compaction_epoch != self._log_compactions:
+            self._restart_log(None)
+        self.log.append(operation, triple)
+
+    def _restart_log(self, directory: Optional[str]) -> None:
+        """Start the next log generation on ``directory`` (``None``: no base, log nothing)."""
+        self.image_directory = directory
+        self._log_compactions = self.compaction_epoch
+        self.log.restart(None if directory is None else self.data_epoch)
 
     def insert_graph(self, graph: Graph) -> int:
         """Insert every triple of ``graph``; return how many were new."""
@@ -726,74 +741,6 @@ class ShardedStore(SuccinctEdge):
             ):
                 triggered += 1
         return triggered
-
-    def delta_shipment(self, directory_provider=None):
-        """A consistent ``(image directory, generation, data epoch, ops)`` tuple.
-
-        The sharded analogue of
-        :meth:`~repro.store.updatable.UpdatableSuccinctEdge.delta_shipment`:
-        worker processes map the per-shard images of the directory and
-        replay the facade-level write log through their own routing insert /
-        delete path, reproducing identifier assignment exactly.  When no
-        image directory has been written yet, ``directory_provider()`` names
-        one and :meth:`save_image_directory` runs right here under the write
-        lock (note this compacts shards with pending deltas — their visible
-        state is unchanged, identifiers are stable); without a provider this
-        raises :class:`ValueError`.
-        """
-        with self._write_lock:
-            if self._image_directory is None:
-                if directory_provider is None:
-                    raise ValueError(
-                        "the sharded store has no on-disk image directory; pass "
-                        "directory_provider (or call save_image_directory first)"
-                    )
-                self._save_image_directory_locked(directory_provider(), atomic=True)
-            return (
-                self._image_directory,
-                self._image_generation,
-                self.data_epoch,
-                tuple(self._delta_log),
-            )
-
-    def replication_slice(self, generation: int, applied: int, upto_epoch=None) -> dict:
-        """The facade write-log suffix a replica is missing (sharded analogue).
-
-        Same contract as
-        :meth:`~repro.store.updatable.UpdatableSuccinctEdge.replication_slice`,
-        against the facade-level log and the image-directory generation: a
-        replica bootstraps from a :meth:`save_image_directory` tree and
-        replays the routed facade writes.  Saving a new image directory
-        clears the log and bumps the generation (the shards' visible state
-        is unchanged — pending deltas are compacted into the images), so a
-        stale generation means *re-bootstrap*, exactly like a monolithic
-        compaction.  The facade's ``data_epoch`` (the sum of per-shard
-        epochs) advances by one per logged write and is untouched by the
-        generation bump, so ``data_epoch - len(log)`` is again the constant
-        epoch of the shipped images.
-        """
-        with self._write_lock:
-            log = self._delta_log
-            if generation != self._image_generation or applied > len(log):
-                return {
-                    "resync": True,
-                    "generation": self._image_generation,
-                    "epoch": self.data_epoch,
-                }
-            base_epoch = self.data_epoch - len(log)
-            end = len(log)
-            if upto_epoch is not None:
-                end = min(end, max(0, upto_epoch - base_epoch))
-            start = max(0, applied)
-            if start > end:
-                end = start
-            return {
-                "resync": False,
-                "generation": generation,
-                "applied": end,
-                "epoch": base_epoch + end,
-                "operations": list(log[start:end]),
-            }
 
     def snapshot_info(self) -> dict:
         """Aggregated accounting plus the per-shard breakdown."""

@@ -20,12 +20,19 @@ streaming pipeline, the optimizer statistics) works unchanged while
   ``presorted`` construction path — the overlay's merged iterators are
   already in PSO / PS / SO order, so compaction skips the sort pass;
   :meth:`compact_in_background` does the expensive SDS construction on a
-  worker thread and replays the writes that arrived meanwhile.
+  worker thread and replays the writes that arrived meanwhile;
+* every changed write is also appended to the store's one
+  :class:`~repro.store.delta.WriteLog` (:attr:`log`), the term-level
+  writes since the current base.  Background compaction replays the suffix
+  logged after its snapshot; :mod:`repro.store.shipping` ships the log to
+  worker processes and replicas.  Compaction restarts it: a new base is a
+  new generation.
 
 Snapshot-epoch accounting: ``data_epoch`` counts applied write operations,
-``compaction_epoch`` counts compactions, and :meth:`snapshot_info` reports
-both next to the base/delta sizes.  See ``docs/update_lifecycle.md`` for the
-full lifecycle, ordering guarantees and concurrency caveats.
+``compaction_epoch`` counts compactions (it is the log's generation), and
+:meth:`snapshot_info` reports both next to the base/delta sizes.  See
+``docs/update_lifecycle.md`` for the full lifecycle, ordering guarantees and
+concurrency caveats.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from repro.store.delta import (
     OverlayDatatypeStore,
     OverlayObjectStore,
     OverlayTypeStore,
+    WriteLog,
 )
 from repro.store.rdftype_store import EncodedTypeTriple
 from repro.store.succinct_edge import SuccinctEdge
@@ -122,16 +130,9 @@ class UpdatableSuccinctEdge(SuccinctEdge):
             skipped_triples=base.skipped_triples,
         )
         self.data_epoch = 0
-        self.compaction_epoch = 0
         self.last_compaction: Optional[CompactionReport] = None
         self._write_lock = threading.RLock()
-        self._log_ops = False
-        self._oplog: List[Tuple[str, Triple]] = []
-        # Term-level log of every applied write since the current base was
-        # installed (cleared at compaction).  The process execution backend
-        # ships it read-only next to the base image so worker processes can
-        # replay live writes over their mapped copy; see delta_shipment().
-        self._delta_log: List[Tuple[str, Triple]] = []
+        self.log = WriteLog(self._write_lock)
         self._compaction_thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------ #
@@ -179,9 +180,7 @@ class UpdatableSuccinctEdge(SuccinctEdge):
             changed = self._apply_insert(triple, record_stats=True)
             if changed:
                 self.data_epoch += 1
-                self._delta_log.append(("insert", triple))
-                if self._log_ops:
-                    self._oplog.append(("insert", triple))
+                self.log.append("insert", triple)
             return changed
 
     def delete(self, triple: Triple) -> bool:
@@ -194,9 +193,7 @@ class UpdatableSuccinctEdge(SuccinctEdge):
             changed = self._apply_delete(triple, record_stats=True)
             if changed:
                 self.data_epoch += 1
-                self._delta_log.append(("delete", triple))
-                if self._log_ops:
-                    self._oplog.append(("delete", triple))
+                self.log.append("delete", triple)
             return changed
 
     def insert_graph(self, graph: Graph) -> int:
@@ -299,21 +296,20 @@ class UpdatableSuccinctEdge(SuccinctEdge):
 
         The snapshot is taken under the write lock, the expensive SDS
         construction runs off-lock while reads and writes proceed against
-        the old overlay, and writes that arrive during the build are
+        the old overlay, and the writes logged after the snapshot are
         replayed onto the fresh delta at swap time.  ``join()`` the returned
         thread to wait for the swap.
 
         At most one compaction runs at a time: while one is in flight, this
         returns its thread instead of starting another (two overlapping
-        swaps would clobber each other's replay log and lose writes).
+        swaps would each replay only their own suffix and lose writes).
         """
         with self._write_lock:
             if self._compaction_thread is not None and self._compaction_thread.is_alive():
                 return self._compaction_thread
             started = time.perf_counter()
             snapshot = self._snapshot()
-            self._oplog = []
-            self._log_ops = True
+            generation, mark = self.log.generation, len(self.log)
 
             def job() -> None:
                 try:
@@ -322,26 +318,23 @@ class UpdatableSuccinctEdge(SuccinctEdge):
                         new_base, policy=self.policy, ontology=self._ontology
                     )
                     with self._write_lock:
+                        if self.log.generation != generation:
+                            return  # a foreground compact() already folded the snapshot
                         # Replay the writes that raced the build into the
                         # staged delta *before* anything becomes visible, so
                         # unlocked readers never observe a window where an
                         # acknowledged write is missing.  Statistics were
                         # already recorded when each operation was first
                         # applied; the replay only re-populates the delta.
-                        for operation, triple in self._oplog:
+                        for operation, triple in self.log.operations[mark:]:
                             if operation == "insert":
                                 staging._apply_insert(triple, record_stats=False)
                             else:
                                 staging._apply_delete(triple, record_stats=False)
+                            staging.log.append(operation, triple)
                         self._install(new_base, snapshot, started, staged=staging)
-                        # The racing writes live in the staged delta, not the
-                        # new base — they are exactly what a worker replaying
-                        # against the new base still needs.
-                        self._delta_log = list(self._oplog)
                 finally:
                     with self._write_lock:
-                        self._log_ops = False
-                        self._oplog = []
                         self._compaction_thread = None
 
             thread = threading.Thread(target=job, name="succinctedge-compaction", daemon=True)
@@ -401,6 +394,11 @@ class UpdatableSuccinctEdge(SuccinctEdge):
     # ------------------------------------------------------------------ #
 
     @property
+    def compaction_epoch(self) -> int:  # type: ignore[override]
+        """Compactions so far: each one restarts the write log."""
+        return self.log.generation
+
+    @property
     def snapshot_epoch(self) -> Tuple[int, int]:
         """``(compaction_epoch, data_epoch)`` — lexicographically monotonic."""
         return self.compaction_epoch, self.data_epoch
@@ -424,88 +422,6 @@ class UpdatableSuccinctEdge(SuccinctEdge):
     def delta(self) -> DeltaOverlay:
         """The current delta overlay."""
         return self._delta
-
-    def delta_shipment(self, image_provider=None):
-        """A consistent ``(base image path, generation, data epoch, ops)`` tuple.
-
-        The process execution backend ships this to its worker pool: a
-        worker memory-maps the base image and replays the term-level
-        operation log through its own ``insert``/``delete`` path.  Replay
-        reproduces the coordinator's state *exactly* — dictionary and
-        overflow identifiers are assigned sequentially and idempotently, so
-        running the same changed-operation sequence over the same base
-        yields identical identifiers, and with them identical id-level rows.
-
-        The generation is the compaction epoch: compaction installs a new
-        base (and clears the log), so a generation bump tells workers to
-        re-attach.  When the current base has no on-disk image — it was
-        heap-built, or the last compaction did not persist one —
-        ``image_provider(base, generation)`` is called (still under the
-        write lock, so the saved image matches the returned log) to save
-        one; without a provider this raises :class:`ValueError`.
-        """
-        with self._write_lock:
-            image = getattr(self._base, "image", None)
-            path = getattr(image, "path", None) if image is not None else None
-            if path is None:
-                if image_provider is None:
-                    raise ValueError(
-                        "the store base has no on-disk image; pass image_provider "
-                        "to save one (or compact(image_path=..., remap=True) first)"
-                    )
-                path = image_provider(self._base, self.compaction_epoch)
-            return str(path), self.compaction_epoch, self.data_epoch, tuple(self._delta_log)
-
-    def replication_slice(self, generation: int, applied: int, upto_epoch=None) -> dict:
-        """The delta-log suffix a replica at ``(generation, applied)`` is missing.
-
-        The replication protocol's pull primitive (see
-        :mod:`repro.serve.cluster`): a replica that bootstrapped from this
-        store's generation-``G`` base image and has replayed ``applied``
-        operations of the current log asks for the rest.  Returns a dict:
-
-        * ``resync: True`` when the replica's generation is stale (a
-          compaction installed a new base and cleared the log) or its
-          applied count exceeds the log — the replica must re-bootstrap
-          from a fresh image; ``generation``/``epoch`` report the current
-          position so the replica can tell how far behind it was;
-        * otherwise ``operations`` holds ``log[applied:end]`` (term-level
-          ``(op, triple)`` pairs — replaying them through the replica's own
-          ``insert``/``delete`` reproduces identifier assignment exactly),
-          ``applied`` the replica's op count after replay and ``epoch`` the
-          data epoch it lands on.
-
-        ``upto_epoch`` caps the slice: a coordinator pinning a query at
-        snapshot epoch ``E`` syncs its replicas to *exactly* ``E``, never
-        past it, so concurrently shipped writes cannot leak into an older
-        query's rows.  Within one generation the log only grows and
-        ``data_epoch - len(log)`` is the constant epoch of the base image,
-        so the cap is a plain index computation.
-        """
-        with self._write_lock:
-            log = self._delta_log
-            if generation != self.compaction_epoch or applied > len(log):
-                return {
-                    "resync": True,
-                    "generation": self.compaction_epoch,
-                    "epoch": self.data_epoch,
-                }
-            base_epoch = self.data_epoch - len(log)
-            end = len(log)
-            if upto_epoch is not None:
-                end = min(end, max(0, upto_epoch - base_epoch))
-            start = max(0, applied)
-            if start > end:
-                # The replica is already past the cap: nothing to send, and
-                # never regress it (the epoch conflict surfaces replica-side).
-                end = start
-            return {
-                "resync": False,
-                "generation": generation,
-                "applied": end,
-                "epoch": base_epoch + end,
-                "operations": list(log[start:end]),
-            }
 
     def snapshot_info(self) -> dict:
         """One consistent accounting snapshot (sizes, epochs, overflow)."""
@@ -693,12 +609,14 @@ class UpdatableSuccinctEdge(SuccinctEdge):
     ) -> CompactionReport:
         """Swap in the rebuilt base and its delta (under the write lock).
 
-        ``staged`` carries a pre-populated delta (background compaction
-        replays racing writes into it before the swap); without it a fresh,
-        empty delta is installed.  Every published attribute is a complete,
-        internally consistent object before assignment, and old and new
-        views hold the same visible triples, so readers that race the swap
-        see correct data whichever objects they grabbed.
+        ``staged`` carries a pre-populated delta and, in its log, the writes
+        that delta holds (background compaction replays racing writes into
+        it before the swap); without it a fresh, empty delta is installed.
+        The write log restarts on the new base with the staged log's writes
+        — the ones the new base does not hold.  Every published attribute
+        is a complete, internally consistent object before assignment, and
+        old and new views hold the same visible triples, so readers that
+        race the swap see correct data whichever objects they grabbed.
         """
         if staged is None:
             staged = UpdatableSuccinctEdge(new_base, policy=self.policy, ontology=self._ontology)
@@ -708,8 +626,8 @@ class UpdatableSuccinctEdge(SuccinctEdge):
         self.datatype_store = staged.datatype_store
         self.type_store = staged.type_store
         overflow_merged = self.concepts.merge_overflow() + self.properties.merge_overflow()
-        self._delta_log = []
-        self.compaction_epoch += 1
+        carried = staged.log.operations
+        self.log.restart(self.data_epoch - len(carried), carried)
         report = CompactionReport(
             epoch=self.compaction_epoch,
             object_triples=len(snapshot.object_triples),

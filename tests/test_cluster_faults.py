@@ -23,6 +23,7 @@ servers outright.
 
 from __future__ import annotations
 
+import os
 import time
 from types import SimpleNamespace
 
@@ -293,4 +294,46 @@ def test_deadline_respected_under_slow_replica(small_lubm, tmp_path):
         server.stop()
         primary.service.close()
         primary.stop()
+        source.close()
+
+
+# --------------------------------------------------------------------------- #
+# shipping artifacts stay bounded
+# --------------------------------------------------------------------------- #
+
+
+def _follow_rotations(toy_data, toy_ontology, tmp_path, rotations=5):
+    """A primary compacted ``rotations`` times, a replica re-bootstrapping each time."""
+    from repro.serve.cluster import LocalReplicationClient
+    from repro.store.updatable import UpdatableSuccinctEdge
+
+    primary = UpdatableSuccinctEdge.from_graph(toy_data, ontology=toy_ontology)
+    source = ReplicationSource(primary, workspace=str(tmp_path / "ship"))
+    replica = ClusterReplica(
+        LocalReplicationClient(source), str(tmp_path / "replica")
+    ).bootstrap()
+    EX = Namespace("http://example.org/cluster-rotation/")
+    for index in range(rotations):
+        assert primary.insert(Triple(EX[f"s{index}"], EX["links"], EX[f"o{index}"]))
+        primary.compact()
+        replica.sync()
+    assert (replica.generation, replica.epoch) == source.position()
+    assert replica.bootstraps == rotations + 1
+    return source, replica
+
+
+def test_publisher_keeps_two_generations(toy_data, toy_ontology, tmp_path):
+    source, _ = _follow_rotations(toy_data, toy_ontology, tmp_path)
+    try:
+        assert sorted(os.listdir(tmp_path / "ship")) == ["base-g4.sedg", "base-g5.sedg"]
+    finally:
+        source.close()
+
+
+def test_replica_keeps_two_generations(toy_data, toy_ontology, tmp_path):
+    source, replica = _follow_rotations(toy_data, toy_ontology, tmp_path)
+    try:
+        assert sorted(os.listdir(tmp_path / "replica")) == ["g000004", "g000005"]
+        assert replica.store.triple_count == source.store.triple_count
+    finally:
         source.close()

@@ -236,7 +236,7 @@ def replication_script(draw):
 
     ``("insert"|"delete", triple)`` mutate the primary (deleting an absent
     triple is a no-op, which is itself worth covering), ``("sync", None)``
-    ships the log suffix to the replica mid-stream, and the rare
+    ships the log suffix to the followers mid-stream and checks them, and the rare
     ``("compact", None)`` rotates the primary's generation so the replica
     must detect the stale image and re-bootstrap.
     """
@@ -270,27 +270,55 @@ def replication_script(draw):
     return ops
 
 
-@settings(max_examples=15, deadline=None, derandomize=True)
-@given(dataset=random_dataset(), script=replication_script())
-def test_differential_replication_convergence(dataset, script):
-    """After any write/ship/query interleaving the replica equals the primary.
+def _worker_scan_multiset(pool, spec, primary):
+    """A worker follower's ``?x p ?y`` scans, as raw id-level replies.
 
-    A replica driven through :class:`~repro.serve.cluster.LocalReplicationClient`
-    (the same wire documents as HTTP, minus the socket) bootstraps from the
-    primary's image and replays whatever log suffix each mid-stream sync
-    finds.  Once converged it must sit at the primary's exact position and
-    hold the **same triple multiset** — across inserts, deletes, no-op
-    deletes, mid-stream syncs and even generation-rotating compactions.
+    Each scan is one ``eval_many`` unit run by a pool worker attached through
+    ``spec``; the reply is compared *before* decoding, so a worker that
+    assigned a different identifier to any individual cannot hide behind the
+    coordinator's dictionary.  Returns ``(worker, primary)`` multisets.
     """
+    from repro.query.units import encode_reply, encode_request, execute_unit
+    from repro.sparql.bindings import Binding
+
+    x, y = Variable("x"), Variable("y")
+    worker, expected = Counter(), Counter()
+    for predicate in _PROPERTIES + _DATA_PROPERTIES + [RDF.type]:
+        args = (TriplePattern(x, predicate, y), [Binding()])
+        reply = pool.result(pool.submit(spec, "eval_many", encode_request("eval_many", args), False))
+        worker.update(reply)
+        inline = execute_unit(primary, "eval_many", args, False)
+        expected.update(encode_reply("eval_many", inline, primary.instances))
+    return worker, expected
+
+
+def _check_followers(primary, source, replica, executor, pool):
+    """Both followers stand at the primary's position with its triples and ids."""
+    generation, epoch = source.position()
+    replica.sync(upto_epoch=epoch)
+    assert (replica.generation, replica.epoch) == (generation, epoch)
+    assert _store_scan_multiset(replica.store) == _store_scan_multiset(primary)
+    assert [replica.store.instances.try_locate(term) for term in _INDIVIDUALS] == [
+        primary.instances.try_locate(term) for term in _INDIVIDUALS
+    ]
+    spec = executor._session()
+    assert (spec["generation"], spec["epoch"]) == (generation, epoch)
+    worker, expected = _worker_scan_multiset(pool, spec, primary)
+    assert worker == expected
+
+
+def _replicate_and_check(pool, primary, script):
+    """Run ``script`` on ``primary`` with a replica and a pool worker following."""
     import shutil
     import tempfile
 
+    from repro.query.multiproc import ProcessPoolQueryEngine
     from repro.serve.cluster import ClusterReplica, LocalReplicationClient, ReplicationSource
-    from repro.store.updatable import UpdatableSuccinctEdge
 
-    ontology, data = dataset
-    primary = UpdatableSuccinctEdge.from_graph(data, ontology=ontology)
     workspace = tempfile.mkdtemp(prefix="fuzz-repl-")
+    engine = ProcessPoolQueryEngine(
+        primary, reasoning=False, pool=pool, workspace=workspace + "/worker"
+    )
     try:
         source = ReplicationSource(primary, workspace=workspace + "/ship")
         replica = ClusterReplica(
@@ -304,14 +332,48 @@ def test_differential_replication_convergence(dataset, script):
             elif kind == "compact":
                 primary.compact()
             else:
-                replica.sync()
-        generation, epoch = source.position()
-        replica.sync(upto_epoch=epoch)
-        assert (replica.generation, replica.epoch) == (generation, epoch)
-        assert _store_scan_multiset(replica.store) == _store_scan_multiset(primary)
+                _check_followers(primary, source, replica, engine.evaluator, pool)
+        _check_followers(primary, source, replica, engine.evaluator, pool)
         source.close()
     finally:
+        engine.close()
         shutil.rmtree(workspace, ignore_errors=True)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(dataset=random_dataset(), script=replication_script())
+def test_differential_replication_convergence(worker_pool, dataset, script):
+    """After any write/ship/query interleaving both followers equal the primary.
+
+    A monolithic live primary and its two kinds of follower: a replica
+    driven through :class:`~repro.serve.cluster.LocalReplicationClient` (the
+    same wire documents as HTTP, minus the socket) and a pool worker
+    attached through a process executor's spec.  Each check syncs both to
+    the primary's current position; they must stand exactly there, hold the
+    **same triple multiset** and assign the same instance ids — across
+    inserts, deletes, no-op deletes, mid-stream checks and even
+    generation-rotating compactions.
+    """
+    from repro.store.updatable import UpdatableSuccinctEdge
+
+    ontology, data = dataset
+    primary = UpdatableSuccinctEdge.from_graph(data, ontology=ontology)
+    _replicate_and_check(worker_pool, primary, script)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(dataset=random_dataset(), script=replication_script())
+def test_differential_replication_convergence_sharded(worker_pool, dataset, script):
+    """The same with a 2-shard live store as the primary.
+
+    Its log's base is a shard image directory; shard compactions restart
+    it, and followers re-bootstrap from the next directory.
+    """
+    from repro.store.sharding import ShardedStore
+
+    ontology, data = dataset
+    primary = ShardedStore.from_graph(data, ontology=ontology, shards=2, updatable=True)
+    _replicate_and_check(worker_pool, primary, script)
 
 
 # --------------------------------------------------------------------------- #

@@ -82,7 +82,7 @@ def test_forked_worker_via_pool_reports_zero_counters(small_lubm_store, tmp_path
         small_lubm_store, max_workers=1, workspace=str(tmp_path / "spill")
     )
     try:
-        spec = engine.evaluator._attach_spec()
+        spec = engine.evaluator._session()
         snapshot = engine.pool.result(engine.pool.submit(spec, "counters", ()))
         assert sum(snapshot.values()) == 0, f"worker booted with counts: {snapshot}"
     finally:

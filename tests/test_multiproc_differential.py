@@ -246,7 +246,6 @@ def test_process_rotation_under_load(
         assert not errors, errors[0]
         assert report.epoch == 1
         assert store.image is not None and str(store.image.path).endswith("rotated.sedg")
-        process.resync()
         # The post-rotation matrix: every paper query over the rotated image.
         for identifier in ALL_QUERY_IDS:
             query = catalog[identifier]

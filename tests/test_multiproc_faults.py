@@ -13,6 +13,9 @@ mistakes.  The contract under fire is strict:
 * after any of the above the pool **self-heals**: dead workers are
   replaced and the very next query runs normally.
 
+Shipping artifacts (images, worker logs) stay bounded too, under long runs
+of live writes and compactions.
+
 ``SIGKILL`` is the injection vehicle because it is the worst case — no
 atexit handlers, no exception propagation, just a vanished process.
 """
@@ -27,8 +30,11 @@ import pytest
 
 from repro.query.engine import QueryEngine
 from repro.query.multiproc import ProcessPoolQueryEngine, WorkerPoolError
+from repro.rdf.terms import Triple, URI
+from repro.store.delta import CompactionPolicy
 from repro.store.persistence import PersistenceError, save_store_image
 from repro.store.sharding import ShardedStore
+from repro.store.updatable import UpdatableSuccinctEdge
 
 PROBE = """
 SELECT ?x ?n WHERE {
@@ -148,7 +154,7 @@ def test_pool_restart_is_deterministic_during_sleep(small_lubm_store, tmp_path):
     try:
         pool = engine.pool
         pool.prime()
-        spec = engine.evaluator._attach_spec()
+        spec = engine.evaluator._session()
         future = pool.submit(spec, "sleep", (30.0,))
         time.sleep(0.2)  # let the worker start sleeping
         _kill(pool.worker_pids())
@@ -185,9 +191,9 @@ def _corrupt_engine(path, store, tmp_path):
     engine = ProcessPoolQueryEngine(
         store, max_workers=2, workspace=str(tmp_path / "spill")
     )
-    # Point the attach machinery at the damaged image: seed the saved-image
-    # cache so the engine ships the bad path instead of re-saving.
-    engine.evaluator._saved_images[0] = str(path)
+    # Point the attach machinery at the damaged image: seed the publisher's
+    # saved-image record so the engine ships the bad path instead of saving.
+    engine.evaluator.publisher._saved[0] = str(path)
     return engine
 
 
@@ -198,8 +204,8 @@ def test_truncated_image_fails_clean_and_pool_survives(small_lubm_store, tmp_pat
     path.write_bytes(data[: len(data) // 2])
     engine = _corrupt_engine(path, small_lubm_store, tmp_path)
     try:
-        spec = engine.evaluator._attach_spec()
-        assert spec["path"] == str(path)
+        spec = engine.evaluator._session()
+        assert os.path.join(spec["root"], *spec["files"]) == str(path)
         # "ping" deliberately skips attachment; a scan op forces the worker
         # to open (and checksum) the image.
         future = engine.pool.submit(spec, "type_concept", (0, None))
@@ -207,7 +213,7 @@ def test_truncated_image_fails_clean_and_pool_survives(small_lubm_store, tmp_pat
             engine.pool.result(future)
         # The worker survived (the exception travelled back instead of
         # killing it) and the pool serves the intact store right after.
-        engine.evaluator._saved_images.clear()
+        engine.evaluator.publisher._saved.clear()
         assert sorted(engine.execute(PROBE).to_tuples()) == _expected(small_lubm_store)
         assert engine.pool.info()["restarts"] == 0
     finally:
@@ -224,11 +230,11 @@ def test_crc_corrupt_image_fails_clean(small_lubm_store, tmp_path):
     path.write_bytes(bytes(data))
     engine = _corrupt_engine(path, small_lubm_store, tmp_path)
     try:
-        spec = engine.evaluator._attach_spec()
+        spec = engine.evaluator._session()
         future = engine.pool.submit(spec, "type_concept", (0, None))
         with pytest.raises(PersistenceError):
             engine.pool.result(future)
-        engine.evaluator._saved_images.clear()
+        engine.evaluator.publisher._saved.clear()
         assert sorted(engine.execute(PROBE).to_tuples()) == _expected(small_lubm_store)
     finally:
         engine.close()
@@ -249,7 +255,7 @@ def test_task_timeout_cannot_hang(small_lubm_store, tmp_path):
         workspace=str(tmp_path / "spill"),
     )
     try:
-        spec = engine.evaluator._attach_spec()
+        spec = engine.evaluator._session()
         started = time.monotonic()
         future = engine.pool.submit(spec, "sleep", (60.0,))
         with pytest.raises(WorkerPoolError):
@@ -279,3 +285,84 @@ def test_service_level_retry_on_worker_death(small_lubm_store):
         assert stats["pool"]["alive_workers"] == 2
     finally:
         service.close()
+
+
+# --------------------------------------------------------------------------- #
+# shipping artifacts stay bounded
+# --------------------------------------------------------------------------- #
+
+LINK = "http://example.org/shipping/link"
+LINK_SCAN = f"SELECT ?s ?o WHERE {{ ?s <{LINK}> ?o }}"
+
+
+def _link(index: int) -> Triple:
+    return Triple(
+        URI(f"http://example.org/shipping/s{index}"),
+        URI(LINK),
+        URI(f"http://example.org/shipping/o{index}"),
+    )
+
+
+def test_workspace_keeps_two_generations(toy_data, toy_ontology, tmp_path):
+    # 30 × (insert, query) with a compaction every 10: the workspace holds the
+    # current and previous generation's image and worker log, nothing older —
+    # and no per-epoch copy of the log at all.
+    store = UpdatableSuccinctEdge.from_graph(toy_data, ontology=toy_ontology)
+    workspace = tmp_path / "spill"
+    engine = ProcessPoolQueryEngine(store, max_workers=2, workspace=str(workspace))
+    try:
+        for index in range(30):
+            assert store.insert(_link(index))
+            assert len(engine.execute(LINK_SCAN).to_tuples()) == index + 1
+            assert len(os.listdir(workspace)) <= 4, sorted(os.listdir(workspace))
+            if index % 10 == 9:
+                store.compact()
+        assert store.compaction_epoch == 3
+        assert len(engine.execute(LINK_SCAN).to_tuples()) == 30
+        names = sorted(os.listdir(workspace))
+        assert [name for name in names if name.endswith(".sedg")] == ["base-g2.sedg", "base-g3.sedg"]
+    finally:
+        engine.close()
+
+
+@pytest.mark.slow
+def test_soak_live_two_shard_store(small_lubm, small_lubm_store, tmp_path):
+    """2 000 writes with policy compactions under the process back end.
+
+    The facade's write log and the engine's workspace stay bounded by the
+    compaction cadence, and every probe stays byte-identical to the
+    sequential engine over the same live store.
+    """
+    policy = CompactionPolicy(max_delta_operations=200, min_delta_operations=200)
+    store = ShardedStore.from_store(
+        small_lubm_store, shards=2, updatable=True, ontology=small_lubm.ontology, policy=policy
+    )
+    workspace = tmp_path / "spill"
+    engines = {
+        flag: ProcessPoolQueryEngine(store, reasoning=flag, max_workers=2, workspace=str(workspace))
+        for flag in (False, True)
+    }
+    deadline = time.monotonic() + 540.0
+    try:
+        for index in range(2000):
+            assert store.insert(_link(index))
+            if index % 5 == 4:
+                assert store.delete(_link(index - 2))
+            store.maybe_compact()
+            assert len(store.log) <= 2 * policy.max_delta_operations
+            if index % 100 == 99:
+                assert time.monotonic() < deadline, "soak exceeded its deadline"
+                for sparql, flag in ((LINK_SCAN, False), (PROBE, True)):
+                    expected = QueryEngine(store, reasoning=flag).execute(sparql)
+                    actual = engines[flag].execute(sparql)
+                    assert (actual.variables, actual.to_tuples()) == (
+                        expected.variables,
+                        expected.to_tuples(),
+                    )
+                # Two engines, each: two generations of worker logs; plus two
+                # shard directories shared through the store.
+                assert len(os.listdir(workspace)) <= 6, sorted(os.listdir(workspace))
+        assert store.compaction_epoch >= 5
+    finally:
+        for engine in engines.values():
+            engine.close()

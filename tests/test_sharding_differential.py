@@ -12,6 +12,8 @@ the aggregated epoch accounting and the per-shard compaction fan-out.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.rdf.graph import Graph
@@ -297,3 +299,31 @@ def test_maybe_compact_counts_triggered_shards(small_lubm, small_lubm_store):
     store.insert(Triple(URI("http://x.org/new-subj"), URI("http://x.org/p"), Literal(1)))
     assert store.maybe_compact() == 1  # only the written shard triggered
     assert store.compaction_epoch == 1
+
+
+@pytest.mark.parametrize("published", [False, True], ids=["no-directory", "published"])
+def test_write_log_stays_bounded(small_lubm, small_lubm_store, tmp_path, published):
+    # 2 000 writes with a compaction every 250: each shard compaction replaces
+    # part of the log's base, so the log restarts instead of growing one entry
+    # per write forever — and with no image directory it records nothing.
+    from repro.store.shipping import Publisher
+
+    store = ShardedStore.from_store(
+        small_lubm_store, shards=2, updatable=True, ontology=small_lubm.ontology
+    )
+    publisher = Publisher(store, workspace=str(tmp_path)) if published else None
+    predicate = URI("http://serving.succinct-edge.example/bounded")
+    longest = 0
+    for index in range(2000):
+        if publisher is not None and index % 50 == 0:
+            publisher.position()  # a follower asking: re-publishes after each compaction
+        assert store.insert(
+            Triple(URI(f"http://serving.succinct-edge.example/s{index}"), predicate, Literal(index))
+        )
+        longest = max(longest, len(store.log))
+        if index % 250 == 249:
+            assert store.compact()
+    assert longest <= (250 if published else 0)
+    if published:
+        assert store.log.generation > 8  # restarted at every compaction and every save
+        assert os.path.basename(store.image_directory) == f"shards-g{store.log.generation}"
