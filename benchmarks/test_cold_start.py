@@ -1,14 +1,14 @@
-"""Cold start — instant startup from a memory-mapped v4 store image.
+"""Cold start — instant startup from a memory-mapped store image.
 
 The acceptance benchmark of persistence (``docs/persistence.md``): an edge
 node restarting with a warm store on disk should *not* pay a per-triple
 build pass.  Without an image the node rebuilds the store from its graph
 (``SuccinctEdge.from_graph``: dictionaries, LiteMat encoding, every succinct
-structure); mapping a v4 image hands the kernels ``memoryview`` slices of
+structure); mapping an image hands the kernels ``memoryview`` slices of
 the page cache, so the load cost is bounded by header + TOC + dictionary
 parsing and is independent of the triple count.
 
-Measured here, per LUBM dataset at the active scale: rebuild time, v4
+Measured here, per LUBM dataset at the active scale: rebuild time,
 mapped load time, the resulting speedup, and a first-query probe over the
 mapped store to show the page-cache path serves immediately.  The mapped
 store's query results are additionally asserted byte-identical to the
@@ -51,21 +51,21 @@ def test_cold_start(benchmark, context, results_dir, tmp_path):
     )
     if not datasets:
         datasets = ["full"]
-    rows = {"rebuild (from_graph)": [], "v4 load (mmap)": [], "speedup": [], "first query": []}
+    rows = {"rebuild (from_graph)": [], "mapped load (mmap)": [], "speedup": [], "first query": []}
     largest_speedup = None
     probe = "SELECT ?x WHERE { ?x a <http://swat.cse.lehigh.edu/onto/univ-bench.owl#Professor> }"
 
     for name in datasets:
         graph = context.datasets.get(name, context.full_graph)
         built = SuccinctEdge.from_graph(graph, ontology=context.lubm.ontology)
-        v4_path = tmp_path / f"{name}.v4.sedg"
-        save_store_image(built, str(v4_path), atomic=True)
+        image_path = tmp_path / f"{name}.sedg"
+        save_store_image(built, str(image_path), atomic=True)
 
         rebuild_ms = _best_of(
             lambda: SuccinctEdge.from_graph(graph, ontology=context.lubm.ontology)
         )
-        v4_ms = _best_of(lambda: load_store(str(v4_path), mmap=True))
-        mapped = load_store(str(v4_path), mmap=True)
+        load_ms = _best_of(lambda: load_store(str(image_path), mmap=True))
+        mapped = load_store(str(image_path), mmap=True)
         first_query_ms = _best_of(lambda: mapped.query(probe), repeats=1)
 
         # Byte-identical serving off the mapping (the differential suite
@@ -74,15 +74,15 @@ def test_cold_start(benchmark, context, results_dir, tmp_path):
         assert left.variables == right.variables
         assert left.to_tuples() == right.to_tuples()
 
-        speedup = rebuild_ms / v4_ms if v4_ms else float("inf")
+        speedup = rebuild_ms / load_ms if load_ms else float("inf")
         rows["rebuild (from_graph)"].append(rebuild_ms)
-        rows["v4 load (mmap)"].append(v4_ms)
+        rows["mapped load (mmap)"].append(load_ms)
         rows["speedup"].append(f"{speedup:.1f}x")
         rows["first query"].append(first_query_ms)
         largest_speedup = speedup  # datasets are size-ordered; keep the last
 
     table = format_table(
-        "Cold start: store start time, rebuild from graph vs v4 mapped image",
+        "Cold start: store start time, rebuild from graph vs mapped image",
         datasets,
         rows,
         unit="ms, best of 3",
@@ -91,12 +91,12 @@ def test_cold_start(benchmark, context, results_dir, tmp_path):
 
     floor = _SPEEDUP_FLOOR[bench_scale()]
     assert largest_speedup is not None and largest_speedup >= floor, (
-        f"v4 mapped load is only {largest_speedup:.1f}x faster than a rebuild "
+        f"mapped load is only {largest_speedup:.1f}x faster than a rebuild "
         f"from the graph on {datasets[-1]} (floor at {bench_scale()} scale: {floor}x)"
     )
 
     # The benchmarked operation: one mapped cold start on the largest image.
-    largest_image = tmp_path / f"{datasets[-1]}.v4.sedg"
+    largest_image = tmp_path / f"{datasets[-1]}.sedg"
     benchmark.pedantic(
         lambda: load_store(str(largest_image), mmap=True), rounds=3, iterations=1
     )

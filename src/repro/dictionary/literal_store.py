@@ -10,9 +10,35 @@ positional pointers into it.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.rdf.terms import Literal
+
+#: A literal's ``(datatype, language)`` pair, the unit of the kind table.
+LiteralKind = Tuple[Optional[str], Optional[str]]
+
+
+def _varint(value: int) -> bytes:
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        out.append(byte | 0x80 if value else byte)
+        if not value:
+            return bytes(out)
+
+
+def _read_varint(buffer, cursor: int) -> Tuple[int, int]:
+    """``(value, cursor past it)`` of the varint at ``buffer[cursor]``."""
+    value = 0
+    shift = 0
+    while True:
+        byte = buffer[cursor]
+        cursor += 1
+        value |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return value, cursor
+        shift += 7
 
 
 class LiteralStore:
@@ -59,63 +85,55 @@ class LiteralStore:
 class BufferLiteralStore:
     """Read-only literal store decoding lazily out of a mapped record blob.
 
-    The persistence-v4 counterpart of :class:`LiteralStore`: literal records
-    live UTF-8-encoded in one contiguous blob (typically a ``memoryview``
-    aliasing a mapped store image) with a flat 64-bit offset directory, and a
-    literal is only decoded — once, then cached — when a query actually
-    touches its position.  Loading a store therefore costs nothing per
-    literal; serving pays exactly for what it reads.
+    The store-image counterpart of :class:`LiteralStore`: literal records
+    live in one contiguous blob (typically a ``memoryview`` aliasing a
+    mapped store image) with a flat 64-bit offset directory, and a literal
+    is only decoded — once, then cached — when a query actually touches its
+    position.  Loading a store therefore costs nothing per literal; serving
+    pays exactly for what it reads.
+
+    A record is the varint-length-prefixed UTF-8 lexical form followed by a
+    varint index into ``kinds``, the image's table of distinct
+    ``(datatype, language)`` pairs: a datatype IRI is stored once per image,
+    not once per literal.
 
     The store is append-free by design: live writes ride the delta overlay,
     and compaction rebuilds a fresh mutable :class:`LiteralStore`.
     """
 
-    def __init__(self, offsets, blob, count: int) -> None:
+    def __init__(self, offsets, blob, count: int, kinds: Sequence[LiteralKind]) -> None:
         # ``offsets`` holds ``count + 1`` word entries: record ``i`` spans
         # ``blob[offsets[i]:offsets[i + 1]]``.
         self._offsets = offsets
         self._blob = blob
         self._count = count
+        self._kinds = list(kinds)
         self._cache: dict = {}
 
     @staticmethod
-    def encode_record(literal: Literal) -> bytes:
-        """One literal as a self-contained record (varint-length-prefixed UTF-8)."""
-        out = bytearray()
-        for text in (literal.lexical, literal.datatype or "", literal.language or ""):
-            payload = text.encode("utf-8")
-            length = len(payload)
-            while True:
-                byte = length & 0x7F
-                length >>= 7
-                out.append(byte | 0x80 if length else byte)
-                if not length:
-                    break
-            out += payload
-        return bytes(out)
+    def encode_record(literal: Literal, kind: int) -> bytes:
+        """One literal as a record: its lexical form plus its datatype-table index."""
+        payload = literal.lexical.encode("utf-8")
+        return _varint(len(payload)) + payload + _varint(kind)
 
     def _decode(self, start: int, end: int) -> Literal:
         blob = self._blob
-        fields = []
-        cursor = start
-        for _ in range(3):
-            length = 0
-            shift = 0
-            while True:
-                byte = blob[cursor]
-                cursor += 1
-                length |= (byte & 0x7F) << shift
-                if not byte & 0x80:
-                    break
-                shift += 7
-            fields.append(bytes(blob[cursor : cursor + length]).decode("utf-8"))
-            cursor += length
+        length, cursor = _read_varint(blob, start)
+        lexical = bytes(blob[cursor : cursor + length]).decode("utf-8")
+        kind, cursor = _read_varint(blob, cursor + length)
         if cursor > end:
             raise IndexError(f"literal record overruns its slot [{start}, {end})")
-        lexical, datatype, language = fields
+        if kind >= len(self._kinds):
+            from repro.store.persistence import PersistenceError
+
+            raise PersistenceError(
+                f"literal record at byte {start} names datatype index {kind}, "
+                f"past the {len(self._kinds)}-entry datatype table"
+            )
+        datatype, language = self._kinds[kind]
         if language:
             return Literal(lexical, language=language)
-        return Literal(lexical, datatype=datatype or None)
+        return Literal(lexical, datatype=datatype)
 
     def get(self, position: int) -> Literal:
         """Literal stored at ``position`` (decoded on first access)."""

@@ -4,7 +4,7 @@ The GIL keeps threads from buying compute scaling on stock CPython; this
 module runs the work units of :mod:`repro.query.units` — the same units the
 thread back end runs in-process, emitted by the same scatter path of
 :class:`~repro.query.parallel.ParallelExecutor` — on a pool of **worker
-processes** that memory-map the v4 store image (N workers share one page
+processes** that memory-map the store image (N workers share one page
 cache, so attaching is near-free and RAM stays O(1) in the worker count).
 What is particular to crossing a process boundary lives here:
 

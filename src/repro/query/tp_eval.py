@@ -243,7 +243,7 @@ class TriplePatternEvaluator:
 
         Without reasoning this is the single identifier of the predicate.
         With reasoning it is every *stored* property whose identifier falls in
-        the predicate's LiteMat interval — obtained with one wavelet-tree
+        the predicate's LiteMat interval — obtained with one wavelet-matrix
         symbol-range probe per layout, the paper's interval optimization.
         ``properties_in_interval`` is a store-level method so that the same
         pattern evaluation works over both a pure succinct base and the

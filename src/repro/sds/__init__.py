@@ -7,9 +7,10 @@ that preserves the operations the paper needs:
 * :class:`~repro.sds.bitvector.BitVector` — a compressed-friendly bit sequence
   with O(1) ``rank`` and near-O(1) ``select`` through two-level rank
   directories and sampled select hints.
-* :class:`~repro.sds.wavelet_tree.WaveletTree` — a balanced binary wavelet
-  tree over an integer alphabet supporting ``access``, ``rank``, ``select``
-  and the paper's ``range_search`` primitive in O(log sigma).
+* :class:`~repro.sds.wavelet_matrix.WaveletMatrix` — the flat form of the
+  paper's wavelet tree (one level bitvector per bit of the alphabet)
+  supporting ``access``, ``rank``, ``select`` and the paper's
+  ``range_search`` primitive in O(log sigma).
 * :class:`~repro.sds.int_sequence.IntSequence` — a fixed-width packed integer
   array used for flat layers (e.g. the datatype-property literal pointers).
 
@@ -24,13 +25,13 @@ from repro.sds.kernels import (
     reset_kernel_counters,
     total_kernel_calls,
 )
-from repro.sds.wavelet_tree import WaveletTree
+from repro.sds.wavelet_matrix import WaveletMatrix
 
 __all__ = [
     "BitVector",
     "BitVectorBuilder",
     "IntSequence",
-    "WaveletTree",
+    "WaveletMatrix",
     "kernel_counters",
     "reset_kernel_counters",
     "total_kernel_calls",

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.sds.kernels import (
     KERNEL_COUNTS,
@@ -249,7 +249,7 @@ class BitVector:
     ) -> "BitVector":
         """Assemble a vector around pre-built word buffers without any rebuild.
 
-        This is the persistence-v4 zero-copy constructor: every argument is a
+        This is the store-image zero-copy constructor: every argument is a
         64-bit word buffer (``array('Q')`` or a read-only ``memoryview``
         aliasing a mapped store image, see
         :func:`repro.sds.kernels.words_view`) holding exactly what
@@ -276,7 +276,7 @@ class BitVector:
         zeros_running = 0
         # The first stride needs no sample (the search window starts at word
         # 0 anyway), so vectors shorter than one stride carry no select
-        # directory at all — important for the many small wavelet-tree node
+        # directory at all — important for the many short
         # bitmaps.
         next_one_target = _SELECT_SAMPLE + 1
         next_zero_target = _SELECT_SAMPLE + 1
@@ -377,17 +377,6 @@ class BitVector:
             return self._ones
         partial = self._words[word_index] & ((1 << offset) - 1) if offset else 0
         return self._word_ranks[word_index] + _popcount(partial)
-
-    def _access_rank1(self, index: int) -> Tuple[int, int]:
-        """Fused kernel: ``(access(index), rank1(index))`` with one word read.
-
-        The wavelet-tree descent needs both values at every level; fusing
-        them halves the bitmap reads on the hottest path.
-        """
-        word_index, offset = divmod(index, _WORD_BITS)
-        word = self._words[word_index]
-        partial = word & ((1 << offset) - 1) if offset else 0
-        return (word >> offset) & 1, self._word_ranks[word_index] + _popcount(partial)
 
     def rank_many(self, indices: Iterable[int], bit: int = 1) -> List[int]:
         """Batched :meth:`rank` over many indices in one kernel call."""

@@ -159,7 +159,7 @@ class IntSequence:
     def from_buffers(cls, words, length: int, width: int) -> "IntSequence":
         """Assemble a sequence around a pre-packed word buffer without copying.
 
-        The persistence-v4 zero-copy constructor: ``words`` is a 64-bit word
+        The store-image zero-copy constructor: ``words`` is a 64-bit word
         buffer (``array('Q')`` or a read-only ``memoryview`` aliasing a
         mapped store image) holding exactly the packed payload the regular
         constructor would have produced for ``length`` values of ``width``

@@ -33,7 +33,7 @@ WORD_MASK = (1 << WORD_BITS) - 1
 
 #: Buffer types the word-level kernels accept interchangeably: the mutable
 #: ``array('Q')`` produced by the builders, or a read-only ``memoryview``
-#: aliasing a mapped store image (persistence v4).  Both support indexing,
+#: aliasing a mapped store image.  Both support indexing,
 #: ``len``, iteration and ``tobytes`` — everything the kernels use.
 WordBuffer = Union["array", memoryview]
 
@@ -63,10 +63,9 @@ POPCOUNT16 = bytes(bin(value).count("1") for value in range(1 << 16))
 _HAS_BIT_COUNT = hasattr(int, "bit_count")
 
 if _HAS_BIT_COUNT:
-
-    def popcount(word: int) -> int:
-        """Number of set bits in a 64-bit word (native ``int.bit_count``)."""
-        return word.bit_count()  # type: ignore[attr-defined]
+    #: Number of set bits in a 64-bit word: the native ``int.bit_count``
+    #: itself, so the hot rank loops pay no Python-level call for it.
+    popcount = int.bit_count  # type: ignore[attr-defined]
 
 else:
 

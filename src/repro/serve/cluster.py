@@ -10,7 +10,7 @@ thread and process transports use.  What is particular to the network:
   the HTTP face of :mod:`repro.store.shipping`.  :class:`ReplicationSource`
   is the primary's :class:`~repro.store.shipping.Publisher` plus three
   routes; a :class:`ClusterReplica` is a follower that bootstraps by
-  downloading the published v4 store image (one ``.sedg`` file, or a
+  downloading the published store image (one ``.sedg`` file, or a
   :meth:`~repro.store.sharding.ShardedStore.save_image_directory` tree)
   and stays fresh by pulling the **write-log suffix** it has not applied
   yet (``/replicate?generation=G&applied=N``).  Replaying the log through

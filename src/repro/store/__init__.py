@@ -3,7 +3,7 @@
 The store is split exactly along the paper's architecture (Figure 4):
 
 * :class:`~repro.store.triple_store.ObjectTripleStore` — object-property
-  triples in a single PSO index made of wavelet trees linked by bitmaps
+  triples in a single PSO index made of wavelet matrices linked by bitmaps
   (:class:`~repro.store.triple_store.PSOLayout`);
 * :class:`~repro.store.datatype_store.DatatypeTripleStore` — the same layout
   for datatype-property triples, whose objects live in a flat literal store;
@@ -13,7 +13,7 @@ The store is split exactly along the paper's architecture (Figure 4):
   triple partitioning and SDS construction (:func:`~repro.store.builder.build_layouts`);
 * :class:`~repro.store.succinct_edge.SuccinctEdge` — the user-facing facade
   (load a graph, run SPARQL queries with or without reasoning);
-* :mod:`~repro.store.persistence` — v4 store images, memory-mapped at load;
+* :mod:`~repro.store.persistence` — store images, memory-mapped at load;
 * :mod:`~repro.store.delta` /
   :class:`~repro.store.updatable.UpdatableSuccinctEdge` — the write path:
   a mutable delta overlay (sorted inserts + tombstones) merged into every

@@ -1,4 +1,4 @@
-"""Persistence of a SuccinctEdge store as an mmap-backed v4 store image.
+"""Persistence of a SuccinctEdge store as an mmap-backed store image.
 
 The paper's storage evaluation (Section 7.3.2) "persisted all the data
 structures existing in SuccinctEdge to disk in order to make a fair
@@ -7,14 +7,15 @@ central server broadcast pre-encoded dictionaries to the edge devices.  This
 module provides:
 
 * :func:`save_store_image` / :func:`dump_store_image` — write a complete
-  :class:`~repro.store.succinct_edge.SuccinctEdge` instance as a v4 image;
+  :class:`~repro.store.succinct_edge.SuccinctEdge` instance as an image;
 * :func:`load_store` / :func:`load_store_from_bytes` — map (or read) an
   image back.
 
 The image (see ``docs/persistence.md`` for the full layout) holds bitvector
-words, rank blocks, select directories, wavelet-tree node bitmaps, packed
-int-sequences and the sorted rdf:type pair runs verbatim as aligned
-sections behind a fixed header plus a table of contents.
+words, rank blocks, select directories (including every wavelet-matrix
+level), packed int-sequences, the literal records and the sorted rdf:type
+pair runs verbatim as aligned sections behind a fixed header plus a table of
+contents.
 :func:`load_store` maps the file and hands read-only ``memoryview`` slices
 straight to the SDS kernels — **no per-triple decode happens**, so
 cold-start cost is independent of the triple count.  Only the small decoded
@@ -37,20 +38,21 @@ from repro.rdf.terms import BlankNode, Literal, Term, URI
 from repro.sds.bitvector import BitVector
 from repro.sds.int_sequence import IntSequence
 from repro.sds.kernels import words_view
-from repro.sds.wavelet_tree import WaveletTree
+from repro.sds.wavelet_matrix import WaveletMatrix
 from repro.store.rdftype_store import PairRun, RDFTypeStore
 
 _MAGIC = b"SEDG"
 # The version is a little-endian u16 at byte offset 4, right after the magic.
-# Version 4 is the mmap-backed zero-copy store image; earlier versions (the
-# varint streams that rebuilt every layout at load) are no longer read.
-_V4_VERSION = 4
-_V4_PAGE = 4096
-#: Fixed 64-byte v4 header: magic, version, flags, page size, section count,
+# Version 5 stores wavelet matrices and table-indexed literal datatypes;
+# earlier versions (v4's pointer wavelet trees, v3's varint streams) are no
+# longer read.
+_VERSION = 5
+_PAGE = 4096
+#: Fixed 64-byte header: magic, version, flags, page size, section count,
 #: TOC offset, meta offset, meta length, file length, checksum (CRC-32 of
 #: TOC + meta, zero-extended to u64), reserved.
-_V4_HEADER = struct.Struct("<4sHHIIQQQQQQ")
-_V4_TOC_ENTRY = struct.Struct("<QQ")
+_HEADER = struct.Struct("<4sHHIIQQQQQQ")
+_TOC_ENTRY = struct.Struct("<QQ")
 
 _TERM_URI = 0
 _TERM_BNODE = 1
@@ -331,26 +333,26 @@ def _check_preamble(payload) -> None:
     if bytes(payload[:4]) != _MAGIC:
         raise PersistenceError("not a persisted SuccinctEdge store (bad magic)")
     (version,) = struct.unpack("<H", bytes(payload[4:6]))
-    if version != _V4_VERSION:
+    if version != _VERSION:
         raise PersistenceError(
-            f"unsupported format version {version}: only version {_V4_VERSION} "
+            f"unsupported format version {version}: only version {_VERSION} "
             "store images load; re-create the store and save it with save_store_image()"
         )
 
 
 def load_store_from_bytes(payload: bytes):
-    """Assemble a SuccinctEdge store over an in-memory v4 image.
+    """Assemble a SuccinctEdge store over an in-memory store image.
 
     Takes the zero-copy path over a ``memoryview`` of ``payload`` (no mmap —
     use :func:`load_store` for the mapped variant).
     """
     _check_preamble(payload)
     view = memoryview(payload).toreadonly() if isinstance(payload, (bytes, bytearray)) else memoryview(payload)
-    return _load_store_v4(view, image=StoreImage(view, path=None))
+    return _load_image(view, image=StoreImage(view, path=None))
 
 
 def load_store(path: str, mmap: bool = True):
-    """Load a v4 store image.
+    """Load a store image.
 
     The image is **memory-mapped** by default: the SDS structures alias
     read-only ``memoryview`` slices of the mapping, so no per-triple decode
@@ -384,14 +386,14 @@ def load_store(path: str, mmap: bool = True):
         view = memoryview(payload).toreadonly()
         image = StoreImage(view, path=path)
     try:
-        return _load_store_v4(view, image=image)
+        return _load_image(view, image=image)
     except Exception:
         image.close(force=True)
         raise
 
 
 # --------------------------------------------------------------------------- #
-# v4: the mmap-backed zero-copy store image
+# the mmap-backed zero-copy store image
 # --------------------------------------------------------------------------- #
 
 
@@ -422,7 +424,7 @@ def _bitvector_parts(bits: BitVector) -> tuple:
 
 
 class _ImageWriter:
-    """Accumulates aligned sections plus the varint meta stream of a v4 image."""
+    """Accumulates aligned sections plus the varint meta stream of an image."""
 
     def __init__(self) -> None:
         self.sections: List[bytes] = []
@@ -446,62 +448,15 @@ class _ImageWriter:
         for part in parts:
             _write_varint(meta, len(part))
 
-    def write_wavelet_tree(self, tree: WaveletTree) -> None:
-        """Three sections per tree: symbol counts, node table, node words.
-
-        Every data-bearing internal node contributes one fixed-width record
-        to the table (bitmap directory + child references) and its bitmap
-        words to one shared heap — the layout
-        :meth:`~repro.sds.wavelet_tree.WaveletTree.from_node_table`
-        materialises nodes from lazily, so loading never walks the tree.
-        """
-        from repro.sds.wavelet_tree import NO_NODE_REF
-
+    def write_wavelet_matrix(self, matrix: WaveletMatrix) -> None:
+        """Length, sigma and level count in meta, then one bitvector per level."""
         meta = self.meta
-        _write_varint(meta, len(tree))
-        _write_varint(meta, tree.alphabet_size)
-        counts = tree._symbol_counts
-        count_words = array("Q")
-        for symbol in sorted(counts):
-            count_words.append(symbol)
-            count_words.append(counts[symbol])
-        counts_section = self.add_section(_word_bytes(count_words))
-
-        # Preorder over the data-bearing spine; empty subtrees and leaves
-        # get no record (the reader rebuilds them from the symbol interval).
-        records: List[object] = []
-        index_of: Dict[int, int] = {}
-
-        def collect(node) -> None:
-            if node.is_leaf or node.bits is None:
-                return
-            index_of[id(node)] = len(records)
-            records.append(node)
-            collect(node.left)
-            collect(node.right)
-
-        collect(tree._root)
-        table = array("Q")
-        chunks: List[bytes] = []
-        word_offset = 0
-        for node in records:
-            bits = node.bits
-            parts = _bitvector_parts(bits)
-            table.append(word_offset)
-            table.append(len(bits))
-            table.append(bits.count(1))
-            for part in parts:
-                table.append(len(part))
-                chunks.append(_word_bytes(part))
-                word_offset += len(part)
-            table.append(index_of.get(id(node.left), NO_NODE_REF))
-            table.append(index_of.get(id(node.right), NO_NODE_REF))
-        table_section = self.add_section(_word_bytes(table))
-        words_section = self.add_section(b"".join(chunks))
-        _write_varint(meta, counts_section)
-        _write_varint(meta, table_section)
-        _write_varint(meta, words_section)
-        _write_varint(meta, len(records))
+        levels = matrix.levels
+        _write_varint(meta, len(matrix))
+        _write_varint(meta, matrix.alphabet_size)
+        _write_varint(meta, len(levels))
+        for bits in levels:
+            self.write_bitvector(bits)
 
     def write_int_sequence(self, sequence: IntSequence) -> None:
         """Packed words as one section; length and width in meta."""
@@ -521,20 +476,23 @@ class _ImageWriter:
     def write_layout(self, layout, write_objects) -> None:
         """The four shared PSO structures around the layout's object layer."""
         _write_varint(self.meta, len(layout))
-        self.write_wavelet_tree(layout.wt_p)
-        self.write_wavelet_tree(layout.wt_s)
+        self.write_wavelet_matrix(layout.wt_p)
+        self.write_wavelet_matrix(layout.wt_s)
         write_objects()
         self.write_bitvector(layout.bm_ps)
         self.write_bitvector(layout.bm_so)
 
     def write_literals(self, literals) -> None:
-        """Offset directory + record blob sections for the literal store."""
-        from repro.dictionary.literal_store import BufferLiteralStore
+        """Offset directory + record blob sections, datatype table in meta."""
+        from repro.dictionary.literal_store import BufferLiteralStore, LiteralKind
 
         blob = bytearray()
         offsets = array("Q", [0])
+        kinds: Dict[LiteralKind, int] = {}
         for position in range(len(literals)):
-            blob += BufferLiteralStore.encode_record(literals.get(position))
+            literal = literals.get(position)
+            kind = kinds.setdefault((literal.datatype, literal.language), len(kinds))
+            blob += BufferLiteralStore.encode_record(literal, kind)
             offsets.append(len(blob))
         offsets_section = self.add_section(_word_bytes(offsets))
         blob_section = self.add_section(bytes(blob))
@@ -542,15 +500,19 @@ class _ImageWriter:
         _write_varint(meta, len(literals))
         _write_varint(meta, offsets_section)
         _write_varint(meta, blob_section)
+        _write_varint(meta, len(kinds))
+        for datatype, language in kinds:
+            _write_text(meta, datatype or "")
+            _write_text(meta, language or "")
 
     # -- final assembly -------------------------------------------------- #
 
     def render(self) -> bytes:
         """Lay out header + TOC + meta + page-aligned section heap."""
         meta_bytes = self.meta.getvalue()
-        toc_offset = _V4_HEADER.size
-        meta_offset = toc_offset + _V4_TOC_ENTRY.size * len(self.sections)
-        heap_start = _align_up(meta_offset + len(meta_bytes), _V4_PAGE)
+        toc_offset = _HEADER.size
+        meta_offset = toc_offset + _TOC_ENTRY.size * len(self.sections)
+        heap_start = _align_up(meta_offset + len(meta_bytes), _PAGE)
 
         offsets: List[int] = []
         cursor = heap_start
@@ -560,15 +522,15 @@ class _ImageWriter:
         file_length = cursor
 
         toc = b"".join(
-            _V4_TOC_ENTRY.pack(offset, len(payload))
+            _TOC_ENTRY.pack(offset, len(payload))
             for offset, payload in zip(offsets, self.sections)
         )
         checksum = zlib.crc32(toc + meta_bytes) & 0xFFFFFFFF
-        header = _V4_HEADER.pack(
+        header = _HEADER.pack(
             _MAGIC,
-            _V4_VERSION,
+            _VERSION,
             0,
-            _V4_PAGE,
+            _PAGE,
             len(self.sections),
             toc_offset,
             meta_offset,
@@ -587,7 +549,7 @@ class _ImageWriter:
 
 
 def dump_store_image(store) -> bytes:
-    """Serialise a SuccinctEdge store as a v4 zero-copy image."""
+    """Serialise a SuccinctEdge store as a zero-copy store image."""
     writer = _ImageWriter()
     meta = writer.meta
 
@@ -597,7 +559,7 @@ def dump_store_image(store) -> bytes:
     _write_statistics(meta, store.statistics)
 
     object_store = store.object_store
-    writer.write_layout(object_store, lambda: writer.write_wavelet_tree(object_store.wt_o))
+    writer.write_layout(object_store, lambda: writer.write_wavelet_matrix(object_store.wt_o))
     datatype_store = store.datatype_store
     writer.write_layout(
         datatype_store, lambda: writer.write_int_sequence(datatype_store.object_pointers)
@@ -614,7 +576,7 @@ def dump_store_image(store) -> bytes:
 
 
 def save_store_image(store, path: str, atomic: bool = False) -> int:
-    """Write ``store`` as a v4 image at ``path``; return the bytes written.
+    """Write ``store`` as an image at ``path``; return the bytes written.
 
     With ``atomic=True`` the image is staged as ``<path>.tmp`` and moved into
     place with :func:`os.replace`, so readers only ever observe either the
@@ -707,7 +669,7 @@ def _read_statistics(meta: BinaryIO, statistics) -> None:
 
 
 class StoreImage:
-    """Handle on the buffer backing a loaded v4 store.
+    """Handle on the buffer backing a loaded store image.
 
     Holds the ``mmap`` (or in-memory buffer) that every zero-copy SDS
     structure of the store aliases, plus enough of the header to re-verify
@@ -753,7 +715,7 @@ class StoreImage:
                 "reload the store — writers must replace images atomically, not rewrite them"
             )
         (version,) = struct.unpack("<H", bytes(view[4:6]))
-        if version != _V4_VERSION:
+        if version != _VERSION:
             raise PersistenceError(
                 f"store image {where} was modified underneath the mapping "
                 f"(version changed to {version}); reload the store"
@@ -792,8 +754,8 @@ class StoreImage:
             self._handle = None
 
 
-def _load_store_v4(view: memoryview, image: StoreImage):
-    """Assemble a SuccinctEdge store over a v4 image buffer, zero-copy."""
+def _load_image(view: memoryview, image: StoreImage):
+    """Assemble a SuccinctEdge store over an image buffer, zero-copy."""
     from repro.dictionary.literal_store import BufferLiteralStore
     from repro.dictionary.statistics import DictionaryStatistics
     from repro.store.datatype_store import DatatypeTripleStore
@@ -801,10 +763,10 @@ def _load_store_v4(view: memoryview, image: StoreImage):
     from repro.store.triple_store import ObjectTripleStore
 
     where = image.path or "<memory>"
-    if view.nbytes < _V4_HEADER.size:
+    if view.nbytes < _HEADER.size:
         raise PersistenceError(
             f"store image {where} is truncated: {view.nbytes} bytes is smaller "
-            f"than the {_V4_HEADER.size}-byte header"
+            f"than the {_HEADER.size}-byte header"
         )
     (
         magic,
@@ -818,8 +780,8 @@ def _load_store_v4(view: memoryview, image: StoreImage):
         file_length,
         checksum,
         _reserved,
-    ) = _V4_HEADER.unpack(bytes(view[: _V4_HEADER.size]))
-    if magic != _MAGIC or version != _V4_VERSION:
+    ) = _HEADER.unpack(bytes(view[: _HEADER.size]))
+    if magic != _MAGIC or version != _VERSION:
         raise PersistenceError(f"store image {where} has a corrupt header")
     if page_size == 0 or page_size % 8:
         raise PersistenceError(f"store image {where} declares invalid page size {page_size}")
@@ -828,9 +790,9 @@ def _load_store_v4(view: memoryview, image: StoreImage):
             f"store image {where} is truncated or over-long: header declares "
             f"{file_length} bytes, file has {view.nbytes}"
         )
-    toc_end = toc_offset + _V4_TOC_ENTRY.size * section_count
+    toc_end = toc_offset + _TOC_ENTRY.size * section_count
     meta_end = meta_offset + meta_length
-    if toc_offset != _V4_HEADER.size or meta_offset != toc_end or meta_end > file_length:
+    if toc_offset != _HEADER.size or meta_offset != toc_end or meta_end > file_length:
         raise PersistenceError(f"store image {where} has an inconsistent TOC/meta layout")
     if zlib.crc32(bytes(view[toc_offset:meta_end])) & 0xFFFFFFFF != checksum:
         raise PersistenceError(
@@ -841,9 +803,9 @@ def _load_store_v4(view: memoryview, image: StoreImage):
 
     sections: List[Tuple[int, int]] = []
     for index in range(section_count):
-        entry_at = toc_offset + index * _V4_TOC_ENTRY.size
-        offset, length = _V4_TOC_ENTRY.unpack(
-            bytes(view[entry_at : entry_at + _V4_TOC_ENTRY.size])
+        entry_at = toc_offset + index * _TOC_ENTRY.size
+        offset, length = _TOC_ENTRY.unpack(
+            bytes(view[entry_at : entry_at + _TOC_ENTRY.size])
         )
         if offset % 8:
             raise PersistenceError(
@@ -895,32 +857,24 @@ def _load_store_v4(view: memoryview, image: StoreImage):
             cursor += count
         return BitVector.from_buffers(parts[0], length, ones, parts[1], parts[2], parts[3], parts[4])
 
-    def read_wavelet_tree() -> WaveletTree:
-        from repro.sds.wavelet_tree import NODE_RECORD_WORDS
-
+    def read_wavelet_matrix() -> WaveletMatrix:
         length = _read_varint(meta)
         sigma = _read_varint(meta)
-        counts_section = _read_varint(meta)
-        table_section = _read_varint(meta)
-        words_section = _read_varint(meta)
-        node_count = _read_varint(meta)
-        count_words = section_words(counts_section)
-        if len(count_words) % 2:
+        level_count = _read_varint(meta)
+        expected = (max(1, sigma) - 1).bit_length()
+        if level_count != expected:
             raise PersistenceError(
-                f"store image {where}: wavelet-tree symbol-count section "
-                f"{counts_section} holds an odd number of words"
+                f"store image {where}: wavelet matrix over sigma={sigma} declares "
+                f"{level_count} levels, expected {expected}"
             )
-        pairs = iter(count_words)
-        symbol_counts = dict(zip(pairs, pairs))
-        table = section_words(table_section)
-        if len(table) != node_count * NODE_RECORD_WORDS:
-            raise PersistenceError(
-                f"store image {where}: wavelet-tree node table {table_section} "
-                f"holds {len(table)} words, expected {node_count * NODE_RECORD_WORDS}"
-            )
-        return WaveletTree.from_node_table(
-            length, sigma, symbol_counts, table, section_words(words_section)
-        )
+        levels = [read_bitvector() for _ in range(level_count)]
+        for depth, bits in enumerate(levels):
+            if len(bits) != length:
+                raise PersistenceError(
+                    f"store image {where}: wavelet-matrix level {depth} holds "
+                    f"{len(bits)} bits, the matrix has {length} symbols"
+                )
+        return WaveletMatrix.from_levels(length, sigma, levels)
 
     def read_int_sequence() -> IntSequence:
         section = _read_varint(meta)
@@ -945,6 +899,10 @@ def _load_store_v4(view: memoryview, image: StoreImage):
         offsets_section = _read_varint(meta)
         offsets = section_words(offsets_section)
         blob = section_bytes(_read_varint(meta))
+        kinds = [
+            (_read_text(meta) or None, _read_text(meta) or None)
+            for _ in range(_read_varint(meta))
+        ]
         if len(offsets) != count + 1:
             raise PersistenceError(
                 f"store image {where}: literal offset section {offsets_section} holds "
@@ -955,7 +913,7 @@ def _load_store_v4(view: memoryview, image: StoreImage):
                 f"store image {where}: literal records end at byte {offsets[count]}, "
                 f"past the {blob.nbytes}-byte record blob"
             )
-        return BufferLiteralStore(offsets, blob, count)
+        return BufferLiteralStore(offsets, blob, count, kinds)
 
     def read_pair_run() -> PairRun:
         section = _read_varint(meta)
@@ -971,8 +929,8 @@ def _load_store_v4(view: memoryview, image: StoreImage):
     def read_layout(read_objects) -> dict:
         """The four shared PSO structures around the layout's object layer."""
         triple_count = _read_varint(meta)
-        wt_p = read_wavelet_tree()
-        wt_s = read_wavelet_tree()
+        wt_p = read_wavelet_matrix()
+        wt_s = read_wavelet_matrix()
         objects = read_objects()
         return dict(
             triple_count=triple_count,
@@ -983,7 +941,7 @@ def _load_store_v4(view: memoryview, image: StoreImage):
             bm_so=read_bitvector(),
         )
 
-    object_store = ObjectTripleStore._from_components(**read_layout(read_wavelet_tree))
+    object_store = ObjectTripleStore._from_components(**read_layout(read_wavelet_matrix))
     datatype_layout = read_layout(read_int_sequence)
     datatype_store = DatatypeTripleStore._from_components(read_literals(), **datatype_layout)
 

@@ -449,7 +449,7 @@ class ShardedStore(SuccinctEdge):
         return cls(shard_stores, partitioner)
 
     # ------------------------------------------------------------------ #
-    # persistence (per-shard v4 image directories, see docs/persistence.md)
+    # persistence (per-shard image directories, see docs/persistence.md)
     # ------------------------------------------------------------------ #
 
     #: Manifest filename inside a shard image directory.
@@ -459,15 +459,15 @@ class ShardedStore(SuccinctEdge):
         """A sharded store is persisted as a directory of per-shard images."""
         raise TypeError(
             "a ShardedStore has no single-file image; use "
-            "save_image_directory(directory) to write one v4 image per shard"
+            "save_image_directory(directory) to write one image per shard"
         )
 
     def save_image_directory(self, directory, atomic: bool = False) -> int:
-        """Persist every shard as a v4 store image under ``directory``.
+        """Persist every shard as a store image under ``directory``.
 
         Layout: a ``shards.json`` manifest (shard count, partition
         boundaries, per-shard file names) next to one ``shard-NNNN.sedg``
-        v4 image per shard.  Updatable shards with a pending delta are
+        image per shard.  Updatable shards with a pending delta are
         compacted first so each image captures the shard's full visible
         state.  Each shard image carries its own copy of the shared
         dictionaries (images are self-contained by design); the loader

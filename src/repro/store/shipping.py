@@ -1,7 +1,7 @@
 """Shipping a live store to followers: one publisher, one follower.
 
 A follower — a worker process of :mod:`repro.query.multiproc` or a cluster
-replica of :mod:`repro.serve.cluster` — stands on a **base image** (one v4
+replica of :mod:`repro.serve.cluster` — stands on a **base image** (one
 ``.sedg`` file, or a
 :meth:`~repro.store.sharding.ShardedStore.save_image_directory` tree) plus
 the primary's :class:`~repro.store.delta.WriteLog` replayed on top.  Its

@@ -75,14 +75,14 @@ class SuccinctEdge:
     # persistence (store images, see docs/persistence.md)
     # ------------------------------------------------------------------ #
 
-    #: When this store was loaded from a v4 image, the
+    #: When this store was loaded from an image, the
     #: :class:`~repro.store.persistence.StoreImage` handle keeping the mapping
     #: (or byte buffer) alive; ``None`` for built stores.
     image = None
 
     @classmethod
     def load(cls, path, mmap: bool = True) -> "SuccinctEdge":
-        """Load a store from a v4 store image written by :meth:`save_image`.
+        """Load a store from a store image written by :meth:`save_image`.
 
         With ``mmap=True`` (the default) the file is memory mapped and the
         succinct layouts alias the mapping directly — startup cost is
@@ -94,7 +94,7 @@ class SuccinctEdge:
         return load_store(path, mmap=mmap)
 
     def save_image(self, path, atomic: bool = False) -> int:
-        """Write this store as a v4 store image at ``path``; returns the size.
+        """Write this store as a store image at ``path``; returns the size.
 
         With ``atomic=True`` the image is staged in a temporary sibling file,
         fsynced, and moved into place with ``os.replace`` so a concurrent

@@ -1,4 +1,4 @@
-"""The PSO wavelet-tree / bitmap layout and the object-property triple store.
+"""The PSO wavelet-matrix / bitmap layout and the object-property triple store.
 
 This is the core single-index layout of Figure 5(b):
 
@@ -16,7 +16,7 @@ This is the core single-index layout of Figure 5(b):
 :class:`PSOLayout` holds everything built from the first four structures —
 the build loop, property navigation, counts and the batched scans.  The two
 stores differ only in their object layer: :class:`ObjectTripleStore` keeps
-object identifiers in a wavelet tree ``wt_o`` (ascending inside each pair),
+object identifiers in a wavelet matrix ``wt_o`` (ascending inside each pair),
 :class:`~repro.store.datatype_store.DatatypeTripleStore` keeps pointers into
 a literal store.
 
@@ -26,7 +26,7 @@ store is *decompression-free* (paper contribution ii).
 
 The evaluation entry points are **range-materialising**: a pattern is
 answered with one batched kernel call per layout (``select_range`` over the
-bitmaps, ``access_range`` / batched ``range_search`` over the wavelet trees)
+bitmaps, ``access_range`` / batched ``range_search`` over the wavelet matrices)
 instead of O(results) individual rank/select round-trips, which is what keeps
 the scan benchmarks fast in pure Python.
 """
@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.sds.bitvector import BitVector, BitVectorBuilder
-from repro.sds.wavelet_tree import WaveletTree
+from repro.sds.wavelet_matrix import WaveletMatrix
 
 #: An encoded object-property triple ``(property_id, subject_id, object_id)``.
 EncodedTriple = Tuple[int, int, int]
@@ -46,7 +46,7 @@ class PSOLayout:
     """Immutable PSO layout; subclasses supply the object layer.
 
     A subclass sets ``_objects_in_alphabet`` (whether object values share the
-    wavelet-tree alphabet with properties and subjects), implements
+    wavelet-matrix alphabet with properties and subjects), implements
     :meth:`_encode_objects` and, when the stored values are not the objects
     themselves, overrides :meth:`_decode_objects`.
     """
@@ -90,23 +90,25 @@ class PSOLayout:
         if self._objects_in_alphabet:
             symbols += object_layer
         alphabet = max(symbols, default=0) + 1
-        self.wt_p = WaveletTree(property_layer, alphabet_size=alphabet)
-        self.wt_s = WaveletTree(subject_layer, alphabet_size=alphabet)
+        self.wt_p = WaveletMatrix(property_layer, alphabet_size=alphabet)
+        self.wt_s = WaveletMatrix(subject_layer, alphabet_size=alphabet)
         self._objects = self._encode_objects(object_layer, alphabet)
         self.bm_ps: BitVector = ps_bits.build()
         self.bm_so: BitVector = so_bits.build()
         # The property layer is tiny (one entry per distinct property) but its
-        # navigation is probed once per bind-propagation binding; the layouts
-        # are immutable, so both lookups are memoised.
+        # navigation is probed once per bind-propagation binding and its
+        # LiteMat intervals once per reasoning pattern; the layouts are
+        # immutable, so all three lookups are memoised.
         self._property_index_cache: dict = {}
+        self._property_interval_cache: dict = {}
         self._subject_run_cache: dict = {}
 
     @classmethod
     def _from_components(
         cls,
         triple_count: int,
-        wt_p: WaveletTree,
-        wt_s: WaveletTree,
+        wt_p: WaveletMatrix,
+        wt_s: WaveletMatrix,
         objects,
         bm_ps: BitVector,
         bm_so: BitVector,
@@ -124,6 +126,7 @@ class PSOLayout:
         store.bm_ps = bm_ps
         store.bm_so = bm_so
         store._property_index_cache = {}
+        store._property_interval_cache = {}
         store._subject_run_cache = {}
         return store
 
@@ -152,19 +155,26 @@ class PSOLayout:
 
     def has_property(self, property_id: int) -> bool:
         """Whether the store holds at least one triple with ``property_id``."""
-        return self.wt_p.count(property_id) > 0
+        return self._property_index(property_id) is not None
 
     def properties_in_interval(self, low: int, high: int) -> List[int]:
         """Stored property identifiers in ``[low, high)``, ascending.
 
-        One wavelet-tree symbol-range probe over the property layer — the
+        One wavelet-matrix symbol-range probe over the property layer — the
         reasoning access path of Section 5.2 (a LiteMat interval is answered
         by probing only the *stored* properties it covers).
         """
-        return [
-            symbol
-            for _position, symbol in self.wt_p.range_search_symbols(0, len(self.wt_p), low, high)
-        ]
+        return [symbol for _position, symbol in self._property_interval(low, high)]
+
+    def _property_interval(self, low: int, high: int) -> List[Tuple[int, int]]:
+        """``(property-layer position, property id)`` pairs in ``[low, high)`` (memoised)."""
+        try:
+            return self._property_interval_cache[low, high]
+        except KeyError:
+            pass
+        found = self.wt_p.range_search_symbols(0, len(self.wt_p), low, high)
+        self._property_interval_cache[low, high] = found
+        return found
 
     # ------------------------------------------------------------------ #
     # navigation primitives (paper Algorithms 2-4)
@@ -295,9 +305,7 @@ class PSOLayout:
         *stored* property inside the interval, and each property run is
         materialised with the batched pair scan.
         """
-        for position, property_id in self.wt_p.range_search_symbols(
-            0, len(self.wt_p), property_low, property_high
-        ):
+        for position, property_id in self._property_interval(property_low, property_high):
             for subject_id, obj in self._pairs_in_subject_run(*self._subject_run(position)):
                 yield property_id, subject_id, obj
 
@@ -333,11 +341,11 @@ class ObjectTripleStore(PSOLayout):
     def __init__(self, triples: Sequence[EncodedTriple], presorted: bool = False) -> None:
         super().__init__(list(triples) if presorted else sorted(set(triples)))
 
-    def _encode_objects(self, objects: List[int], alphabet: int) -> WaveletTree:
-        return WaveletTree(objects, alphabet_size=alphabet)
+    def _encode_objects(self, objects: List[int], alphabet: int) -> WaveletMatrix:
+        return WaveletMatrix(objects, alphabet_size=alphabet)
 
     @property
-    def wt_o(self) -> WaveletTree:
+    def wt_o(self) -> WaveletMatrix:
         """The object layer: object identifiers grouped by ``(p, s)`` pair."""
         return self._objects
 

@@ -217,7 +217,7 @@ class UpdatableSuccinctEdge(SuccinctEdge):
         compaction — query results before and after are identical.
 
         With ``image_path`` the freshly compacted base is additionally
-        persisted as a v4 store image, written atomically (staged sibling
+        persisted as a store image, written atomically (staged sibling
         file + ``os.replace``) so a concurrent loader never sees a torn
         image; the image captures exactly the new compaction epoch's
         snapshot.  With ``remap=True`` the written image is immediately
@@ -246,7 +246,7 @@ class UpdatableSuccinctEdge(SuccinctEdge):
             return report
 
     def save_image(self, path, atomic: bool = False) -> int:
-        """Write the visible state (base plus pending delta) as a v4 store image.
+        """Write the visible state (base plus pending delta) as a store image.
 
         The image is built from the same merged snapshot compaction folds,
         taken under the write lock; the live store itself is left as it is

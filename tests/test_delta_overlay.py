@@ -182,6 +182,22 @@ class TestOverflowDictionaries:
         assert store.properties.interval(EX.likes) == (identifier, identifier + 1)
 
 
+class TestPropertyIntervalMemo:
+    def test_overlay_finds_a_sub_property_inserted_after_the_base_probe(self):
+        # The base layout memoises its LiteMat interval probes; the overlay
+        # must still add sub-properties that only the delta holds.
+        graph = Graph()
+        graph.add(Triple(EX.alice, EX.memberOf, EX.dept1))
+        ontology = Graph()
+        ontology.add(Triple(EX.worksFor, RDFS.subPropertyOf, EX.memberOf))
+        live = SuccinctEdge.from_graph(graph, ontology=ontology).updatable()
+        query = "SELECT ?x WHERE { ?x <http://example.org/memberOf> ?d }"
+        assert {str(row["x"]) for row in live.query(query)} == {str(EX.alice)}
+        assert live.base.object_store._property_interval_cache  # probed and cached
+        live.insert(Triple(EX.zed, EX.worksFor, EX.dept1))
+        assert {str(row["x"]) for row in live.query(query)} == {str(EX.alice), str(EX.zed)}
+
+
 class TestCompaction:
     def test_compact_folds_delta_and_preserves_results(self, store):
         store.insert(Triple(EX.carol, EX.knows, EX.alice))

@@ -1,9 +1,10 @@
-"""Tests for SuccinctEdge store persistence (v4 store images).
+"""Tests for SuccinctEdge store persistence (v5 store images).
 
 Covers the in-memory bytes path (``dump_store_image`` /
 ``load_store_from_bytes``), the file path (mapped and unmapped), a golden
-image that pins the byte format, the save path of live stores, and the
-corruption error paths of each.
+image that pins the byte format, a byte budget, the save path of live
+stores, and the corruption error paths of each.  (The ``TestV4*`` classes
+keep the names they had when the mapped image format was introduced.)
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ import zlib
 
 import pytest
 
+from repro.rdf.terms import XSD_STRING, Literal, Triple
+from repro.sds.bitvector import BitVector
+from repro.sds.wavelet_matrix import WaveletMatrix
 from repro.store.persistence import (
     PersistenceError,
     dump_store_image,
@@ -27,15 +31,22 @@ from tests.conftest import EX
 
 #: The toy fixture's image.  Any change to the byte format — or to how the
 #: builder lays the toy graph out — moves these; update them deliberately.
-_TOY_IMAGE_LENGTH = 9896
-_TOY_IMAGE_SHA256 = "69376ba36f362e089e28e3975ec15174664f04bb5368285e77167ffed50ddf15"
+_TOY_IMAGE_LENGTH = 5240
+_TOY_IMAGE_SHA256 = "4ed417a5a9bbf6076838dd73afd97fb22d7e4550e28dd08375ea163c8e7390e5"
 
-#: TOC indexes in every image: the object layout writes 11 sections (three
-#: wavelet trees of three sections each, two bitvectors), then the datatype
-#: layout writes ``wt_p`` (11-13), ``wt_s`` (14-16), the pointer sequence,
-#: its two bitvectors and the literal offset directory + record blob.
-_POINTER_SECTION = 17
-_LITERAL_OFFSETS_SECTION = 20
+#: TOC indexes in the toy image.  Every wavelet matrix writes one bitvector
+#: section per level, and the toy alphabets need six levels: the object
+#: layout writes 20 sections (three matrices of six levels, two bitvectors),
+#: then the datatype layout writes ``wt_p`` (20-25), ``wt_s`` (26-31), the
+#: pointer sequence, its two bitvectors and the literal offset directory +
+#: record blob.
+_POINTER_SECTION = 32
+_LITERAL_OFFSETS_SECTION = 35
+_LITERAL_BLOB_SECTION = 36
+
+#: Image bytes per triple of ``small_lubm_store`` (31.27 when pinned), with
+#: 2 % slack: a change that grows the image past it must say why.
+_SMALL_LUBM_BYTES_PER_TRIPLE = 31.27 * 1.02
 
 
 class TestRoundTrip:
@@ -104,6 +115,10 @@ class TestSizeAccounting:
     def test_serialized_size_grows_with_data(self, toy_store, engie_store):
         assert len(dump_store_image(engie_store)) > len(dump_store_image(toy_store))
 
+    def test_small_lubm_image_stays_within_its_byte_budget(self, small_lubm_store):
+        payload = dump_store_image(small_lubm_store)
+        assert len(payload) / small_lubm_store.triple_count <= _SMALL_LUBM_BYTES_PER_TRIPLE
+
 
 class TestGoldenImage:
     def test_toy_image_bytes_are_pinned(self, toy_store):
@@ -149,10 +164,16 @@ class TestErrorHandling:
 
 
 def _rewrite_image_checksum(data: bytearray) -> None:
-    """Recompute the header checksum after patching a v4 image in a test."""
+    """Recompute the header checksum after patching an image in a test."""
     toc_offset, meta_offset, meta_length = struct.unpack_from("<QQQ", data, 16)
     checksum = zlib.crc32(bytes(data[toc_offset : meta_offset + meta_length])) & 0xFFFFFFFF
     struct.pack_into("<Q", data, 48, checksum)
+
+
+def _section_span(data: bytearray, index: int) -> tuple:
+    """``(offset, length)`` of one TOC entry."""
+    toc_offset = struct.unpack_from("<Q", data, 16)[0]
+    return struct.unpack_from("<QQ", data, toc_offset + 16 * index)
 
 
 def _set_section_length(data: bytearray, index: int, length: int) -> None:
@@ -201,14 +222,47 @@ class TestV4RoundTrip:
     def test_version_sniffing_dispatch(self, toy_store, tmp_path):
         # load_store reads the version from the preamble before touching
         # anything else: earlier formats are refused by number.
-        v3_path, v4_path = tmp_path / "v3.sedg", tmp_path / "v4.sedg"
+        v3_path, current_path = tmp_path / "v3.sedg", tmp_path / "current.sedg"
         v3_path.write_bytes(b"SEDG" + struct.pack("<H", 3) + b"\x00" * 64)
-        save_store_image(toy_store, str(v4_path))
+        save_store_image(toy_store, str(current_path))
         with pytest.raises(PersistenceError, match="version 3"):
             load_store(str(v3_path))
         with pytest.raises(PersistenceError, match="version 3"):
             load_store_from_bytes(v3_path.read_bytes())
-        assert load_store(str(v4_path)).image is not None
+        assert load_store(str(current_path)).image is not None
+
+    def test_v4_preamble_rejected(self, toy_store, tmp_path):
+        # v4's pointer wavelet trees are not read any more: re-save instead.
+        image = bytearray(dump_store_image(toy_store))
+        image[4:6] = struct.pack("<H", 4)
+        path = tmp_path / "v4.sedg"
+        path.write_bytes(bytes(image))
+        with pytest.raises(PersistenceError, match="version 4"):
+            load_store(str(path))
+        with pytest.raises(PersistenceError, match="version 4"):
+            load_store_from_bytes(bytes(image))
+
+    def test_literal_kinds_round_trip(self):
+        from repro.rdf.graph import Graph
+
+        graph = Graph()
+        literals = [
+            Literal("plain"),
+            Literal(42),
+            Literal("2021-03-23", datatype="http://www.w3.org/2001/XMLSchema#date"),
+            Literal("bonjour", language="fr"),
+            Literal("hello", language="en"),
+            Literal("also plain"),
+        ]
+        for index, literal in enumerate(literals):
+            graph.add(Triple(EX[f"s{index}"], EX.name, literal))
+        store = SuccinctEdge.from_graph(graph)
+        payload = dump_store_image(store)
+        # The datatype IRI is written once, in the table, not per record.
+        assert payload.count(XSD_STRING.encode()) == 1
+        restored = load_store_from_bytes(payload)
+        assert set(restored.match(None, None, None)) == set(graph)
+        assert sorted(map(repr, restored.datatype_store.literals)) == sorted(map(repr, literals))
 
     def test_queries_agree_after_mapped_reload(self, toy_store, tmp_path):
         path = tmp_path / "store.sedg"
@@ -383,6 +437,33 @@ class TestV4ErrorHandling:
         _set_section_length(image, _POINTER_SECTION, 0)
         with pytest.raises(PersistenceError, match="int-sequence section"):
             load_store_from_bytes(bytes(image))
+
+    def test_short_matrix_level_rejected(self, toy_store, monkeypatch):
+        wt_s = toy_store.object_store.wt_s
+        levels = wt_s.levels
+        short = BitVector(levels[0].to_list()[:-1])
+        forged = WaveletMatrix.from_levels(len(wt_s), wt_s.alphabet_size, [short] + levels[1:])
+        monkeypatch.setattr(toy_store.object_store, "wt_s", forged)
+        with pytest.raises(PersistenceError, match="level 0 holds"):
+            load_store_from_bytes(dump_store_image(toy_store))
+
+    def test_matrix_level_count_must_match_sigma(self, toy_store, monkeypatch):
+        wt_o = toy_store.object_store.wt_o
+        forged = WaveletMatrix.from_levels(len(wt_o), wt_o.alphabet_size, wt_o.levels[1:])
+        monkeypatch.setattr(toy_store.object_store, "_objects", forged)
+        with pytest.raises(PersistenceError, match="levels, expected"):
+            load_store_from_bytes(dump_store_image(toy_store))
+
+    def test_datatype_index_past_the_table_rejected(self, image):
+        # The first record's last byte is its datatype-table index; the
+        # record blob is not checksummed, so the patch needs no re-signing.
+        offsets_at = _section_span(image, _LITERAL_OFFSETS_SECTION)[0]
+        first_record_end = struct.unpack_from("<Q", image, offsets_at + 8)[0]
+        blob_at = _section_span(image, _LITERAL_BLOB_SECTION)[0]
+        image[blob_at + first_record_end - 1] = 0x7F
+        restored = load_store_from_bytes(bytes(image))
+        with pytest.raises(PersistenceError, match="datatype table"):
+            restored.datatype_store.literals.get(0)
 
     def test_short_literal_offsets_rejected(self, image):
         # Without the check this image loads and the first datatype query

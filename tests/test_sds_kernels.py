@@ -2,7 +2,7 @@
 
 The vectorized hot path (sampled select directory, ``rank_many`` /
 ``select_many`` / ``select_range`` / ``scan_ones`` on bitvectors, batched
-``access_range`` / ``range_search`` on wavelet trees, word-level builder
+``access_range`` / ``range_search`` on wavelet matrices, word-level builder
 ingestion) must agree bit-for-bit with the naive single-call definitions.
 Every test here checks a batched kernel against its brute-force reference.
 """
@@ -23,7 +23,7 @@ from repro.sds.kernels import (
     set_offsets,
     total_kernel_calls,
 )
-from repro.sds.wavelet_tree import WaveletTree
+from repro.sds.wavelet_matrix import WaveletMatrix
 
 bit_lists = st.lists(st.integers(min_value=0, max_value=1), max_size=700)
 
@@ -74,6 +74,23 @@ class TestSampledSelect:
         assert bv.select(2400, 1) == 3099
         assert bv.select(1, 0) == 1500
         assert bv.select(700, 0) == 2199
+
+    def test_select_across_sample_strides_of_mixed_density(self):
+        # Several select-sample strides per bit value, with dense, sparse,
+        # run-shaped and random stretches: the in-window search must land on
+        # the right word whatever the local density.
+        import random
+
+        rng = random.Random(5)
+        bits = []
+        for density in (0.5, 0.02, 0.98, 0.5, 1.0, 0.0, 0.3, 0.5):
+            bits += [1 if rng.random() < density else 0 for _ in range(12_000)]
+        bv = BitVector(bits)
+        for bit in (0, 1):
+            positions = [i for i, b in enumerate(bits) if b == bit]
+            for occurrence in sorted(set(rng.sample(range(1, len(positions) + 1), 400)) | {1, len(positions)}):
+                assert bv.select(occurrence, bit) == positions[occurrence - 1]
+            assert bv.select_many(range(1, len(positions) + 1, 97), bit) == positions[::97]
 
     def test_select0_at_word_boundaries(self):
         # Zeros sitting exactly on 64-bit word edges.
@@ -238,7 +255,9 @@ class TestIntSequenceBatch:
         assert seq.access_range(0, len(values)) == values
 
 
-wt_specs = st.integers(min_value=1, max_value=24).flatmap(
+# Alphabets of every size up to 40: powers of two, the sizes just around
+# them (a last level that is only partly used) and sigma = 1 (no levels).
+wt_specs = st.integers(min_value=1, max_value=40).flatmap(
     lambda sigma: st.tuples(
         st.just(sigma),
         st.lists(st.integers(min_value=0, max_value=sigma - 1), max_size=300),
@@ -247,11 +266,13 @@ wt_specs = st.integers(min_value=1, max_value=24).flatmap(
 
 
 class TestWaveletTreeBatch:
+    """Batched wavelet-matrix kernels against slicing and brute force."""
+
     @settings(max_examples=50, deadline=None)
     @given(spec=wt_specs, data=st.data())
     def test_access_range_matches_slicing(self, spec, data):
         sigma, values = spec
-        wt = WaveletTree(values, alphabet_size=sigma)
+        wt = WaveletMatrix(values, alphabet_size=sigma)
         begin = data.draw(st.integers(min_value=0, max_value=len(values)))
         end = data.draw(st.integers(min_value=begin, max_value=len(values)))
         assert wt.access_range(begin, end) == values[begin:end]
@@ -260,7 +281,7 @@ class TestWaveletTreeBatch:
     @given(spec=wt_specs, data=st.data())
     def test_range_search_matches_brute_force(self, spec, data):
         sigma, values = spec
-        wt = WaveletTree(values, alphabet_size=sigma)
+        wt = WaveletMatrix(values, alphabet_size=sigma)
         begin = data.draw(st.integers(min_value=0, max_value=len(values)))
         end = data.draw(st.integers(min_value=begin, max_value=len(values)))
         symbol = data.draw(st.integers(min_value=0, max_value=sigma - 1))
@@ -270,44 +291,15 @@ class TestWaveletTreeBatch:
 
     @settings(max_examples=50, deadline=None)
     @given(spec=wt_specs, data=st.data())
-    def test_rank_many_matches_repeated_rank(self, spec, data):
-        sigma, values = spec
-        wt = WaveletTree(values, alphabet_size=sigma)
-        indices = data.draw(
-            st.lists(st.integers(min_value=0, max_value=len(values)), max_size=25)
-        )
-        symbol = data.draw(st.integers(min_value=0, max_value=sigma - 1))
-        assert wt.rank_many(indices, symbol) == [
-            wt.rank(i, symbol) for i in indices
-        ]
-
-    @settings(max_examples=50, deadline=None)
-    @given(spec=wt_specs, data=st.data())
     def test_range_search_symbols_matches_brute_force(self, spec, data):
         sigma, values = spec
-        wt = WaveletTree(values, alphabet_size=sigma)
+        wt = WaveletMatrix(values, alphabet_size=sigma)
         begin = data.draw(st.integers(min_value=0, max_value=len(values)))
         end = data.draw(st.integers(min_value=begin, max_value=len(values)))
         lo = data.draw(st.integers(min_value=0, max_value=sigma))
         hi = data.draw(st.integers(min_value=0, max_value=sigma))
         assert wt.range_search_symbols(begin, end, lo, hi) == [
             (i, values[i]) for i in range(begin, end) if lo <= values[i] < hi
-        ]
-
-    @settings(max_examples=40, deadline=None)
-    @given(spec=wt_specs, data=st.data())
-    def test_select_range_matches_repeated_select(self, spec, data):
-        sigma, values = spec
-        wt = WaveletTree(values, alphabet_size=sigma)
-        symbol = data.draw(st.integers(min_value=0, max_value=sigma - 1))
-        total = wt.count(symbol)
-        if total == 0:
-            assert wt.select_range(1, 0, symbol) == []
-            return
-        first = data.draw(st.integers(min_value=1, max_value=total))
-        last = data.draw(st.integers(min_value=first, max_value=total))
-        assert wt.select_range(first, last, symbol) == [
-            wt.select(j, symbol) for j in range(first, last + 1)
         ]
 
 
