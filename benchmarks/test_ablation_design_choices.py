@@ -5,7 +5,6 @@ paper's design decisions:
 
 * LiteMat interval reasoning vs UNION-of-subqueries rewriting on the same
   engine-independent workload (reasoning queries R1/R3/R5);
-* merge join vs bind-propagation join on star-shaped BGPs;
 * the dedicated RDFType store vs answering ``rdf:type`` patterns as if they
   were regular object properties (approximated by the multi-index baseline).
 """
@@ -17,7 +16,6 @@ from repro.bench.harness import record_table
 from repro.bench.harness import format_table
 from repro.bench.measure import measure_best_of
 from repro.ontology.rewriting import count_union_branches
-from repro.query.engine import QueryEngine
 from repro.sparql.parser import parse_query
 
 
@@ -48,34 +46,6 @@ def test_ablation_litemat_vs_union_rewriting(benchmark, context, loaded_systems,
     )
     record_table(results_dir, "ablation_litemat_vs_union", table)
     benchmark.pedantic(lambda: succinct.query(queries[0].sparql, reasoning=True), rounds=1, iterations=1)
-
-
-def test_ablation_join_strategies(benchmark, context, loaded_systems, results_dir):
-    """Merge join vs bind propagation on the star-shaped queries M1 and M2."""
-    succinct = loaded_systems["SuccinctEdge"].store
-    queries = [context.catalog.by_identifier()[name] for name in ("M1", "M2")]
-    columns = [query.identifier for query in queries]
-    rows = {"auto": [], "bind-propagation": [], "sort-merge": []}
-    strategy_names = {"auto": "auto", "bind-propagation": "bind", "sort-merge": "merge"}
-    reference = {}
-    for query in queries:
-        reference[query.identifier] = None
-        for label, strategy in strategy_names.items():
-            engine = QueryEngine(succinct, reasoning=False, join_strategy=strategy)
-            measurement = measure_best_of(lambda: engine.execute(query.sparql), repetitions=1)
-            rows[label].append(measurement.total_ms)
-            result = measurement.result.to_set()
-            if reference[query.identifier] is None:
-                reference[query.identifier] = result
-            else:
-                assert result == reference[query.identifier]
-    table = format_table("Ablation: join strategy (SuccinctEdge engine)", columns, rows, unit="ms")
-    record_table(results_dir, "ablation_join_strategies", table)
-    benchmark.pedantic(
-        lambda: QueryEngine(succinct, reasoning=False, join_strategy="bind").execute(queries[0].sparql),
-        rounds=1,
-        iterations=1,
-    )
 
 
 def test_ablation_rdftype_store(benchmark, context, loaded_systems, results_dir):

@@ -41,7 +41,7 @@ def _baseline_path() -> pathlib.Path:
 
 def test_kernel_calls_do_not_regress(context):
     store = SuccinctEdge.from_graph(context.full_graph, ontology=context.lubm.ontology)
-    engine = QueryEngine(store, reasoning=True, planner="cost")
+    engine = QueryEngine(store, reasoning=True)
     by_identifier = context.catalog.by_identifier()
     measured = {}
     for identifier in _QUERY_IDS:
@@ -103,7 +103,7 @@ def test_path_kernel_calls_do_not_regress():
 
     workload = scaled_workload(bench_scale())
     store = SuccinctEdge.from_graph(workload.graph(), ontology=workload.ontology())
-    engine = QueryEngine(store, reasoning=False, planner="cost")
+    engine = QueryEngine(store, reasoning=False)
     measured = {}
     for query in workload.queries():
         engine.execute(query.sparql)  # warm the plan cache

@@ -4,9 +4,9 @@ The optimizer combines three kinds of statistics:
 
 * **Dictionary-time statistics** — per-entry occurrence counts recorded when
   the dictionaries are built, aggregated over concept/property hierarchies
-  (``hierarchical_occurrences``), wrapped here into one façade object.  They
-  drive the paper's Section-5.1 heuristics and the min-of-constants bound of
-  :meth:`DictionaryStatistics.triple_pattern_cardinality`.
+  (``hierarchical_occurrences``), wrapped here into one façade object.  The
+  estimator reads them for patterns whose constants the join profiles do not
+  cover (concept counts, per-instance occurrences, the total triple mass).
 * **Join-aware statistics** (PR 5) — per-property :class:`PropertyProfile`
   rows (triple count, distinct subjects, distinct objects) and
   :class:`CharacteristicSet` summaries (the property sets subjects exhibit,
@@ -14,7 +14,7 @@ The optimizer combines three kinds of statistics:
   :func:`profile_triples` and maintained *incrementally* on delta writes
   (``note_*`` hooks called by :mod:`repro.store.updatable`).  The cost-based
   planner's :mod:`repro.query.cardinality` estimator chains join
-  selectivities from these profiles instead of taking a min over constants.
+  selectivities from these profiles.
 * **Run-time statistics** — counts computed directly on the SDS structures
   (e.g. Algorithm 2: the number of triples holding a given predicate, derived
   from two ``select`` calls on the PS bitmap).  Those live on the triple
@@ -325,35 +325,6 @@ class DictionaryStatistics:
         total += sum(self.concepts.occurrences(i) for i in self.concepts.identifiers())
         self._unbound_mass_cache = (self.version, total)
         return total
-
-    def triple_pattern_cardinality(
-        self,
-        subject: Optional[Term],
-        predicate: Optional[URI],
-        obj: Optional[Term],
-        is_rdf_type: bool,
-    ) -> int:
-        """Estimate for a triple pattern where ``None`` marks a variable slot.
-
-        The estimate is the minimum over the selectivity of every constant
-        slot — a standard independence-style bound that only uses statistics
-        the dictionaries actually store.  (The cost-based planner's
-        :mod:`repro.query.cardinality` estimator refines this with the join
-        profiles; this bound remains the heuristic planner's statistic.)
-        """
-        estimates = []
-        if is_rdf_type and isinstance(obj, URI):
-            estimates.append(self.concept_cardinality(obj))
-        elif obj is not None:
-            estimates.append(self.instance_cardinality(obj))
-        if predicate is not None and not is_rdf_type:
-            estimates.append(self.property_cardinality(predicate))
-        if subject is not None:
-            estimates.append(self.instance_cardinality(subject))
-        if not estimates:
-            # Fully unbound pattern: fall back to the (cached) total mass.
-            return self.total_triple_mass()
-        return min(estimates)
 
     def __repr__(self) -> str:
         return (

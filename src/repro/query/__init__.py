@@ -3,8 +3,8 @@
 * :mod:`repro.query.query_graph` — the query graph (TP nodes, SS/SO join edges);
 * :mod:`repro.query.cardinality` — join-aware cardinality estimation
   (per-property distinct counts, characteristic sets, chained selectivities);
-* :mod:`repro.query.optimizer` — the cost-based DP planner (kernel-call cost
-  model) and the paper's Algorithm 1 heuristic planner, plus the
+* :mod:`repro.query.optimizer` — the cost-based planner (kernel-call cost
+  model, DP with a greedy fallback for large BGPs), plus the
   solution-modifier pipeline planner;
 * :mod:`repro.query.plan` — the unified plan IR: costed left-deep steps,
   group operators (OPTIONAL/VALUES/FILTER placement), modifier pipeline;
@@ -25,8 +25,6 @@ from repro.query.materializing import MaterializingQueryEngine
 from repro.query.optimizer import (
     CostBasedJoinOrderOptimizer,
     CostModel,
-    HeuristicJoinOrderOptimizer,
-    JoinOrderOptimizer,
 )
 from repro.query.parallel import ParallelExecutor, ParallelQueryEngine
 from repro.query.plan import (
@@ -46,9 +44,7 @@ __all__ = [
     "CostBasedJoinOrderOptimizer",
     "CostModel",
     "GroupPlan",
-    "HeuristicJoinOrderOptimizer",
     "JoinEdge",
-    "JoinOrderOptimizer",
     "MaterializingQueryEngine",
     "ModifierOp",
     "ModifierStep",

@@ -2,8 +2,8 @@
 
 The paper's Algorithm 1 estimates a triple pattern as the *minimum* over the
 occurrence counts of its constant slots — an independence bound that says
-nothing about how patterns combine.  This module replaces that bound for the
-cost-based planner:
+nothing about how patterns combine.  The cost-based planner estimates with
+this module instead:
 
 * **per-pattern estimates** come from the :class:`~repro.dictionary.statistics.PropertyProfile`
   rows collected at build time (triples ``T``, distinct subjects ``DS``,

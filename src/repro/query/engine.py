@@ -20,9 +20,10 @@ cardinalities instead of replaying stale orders.
 The previous list-materializing evaluation survives as
 :class:`~repro.query.materializing.MaterializingQueryEngine`; the
 differential tests check that the two return byte-identical results.  Both
-engines accept ``planner="heuristic"`` to run the paper's Algorithm 1
-instead of the cost-based planner (the plan-quality benchmark compares
-them).
+engines plan with :class:`~repro.query.optimizer.CostBasedJoinOrderOptimizer`
+and follow its join policy: a planned merge join runs when exactly one
+variable is shared and the prefix is at least half the pattern's estimated
+size, and every other step is a bind-propagation join.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Iterator, List, Optional, Set, Union as TypingUnion
 
 from repro.caching import LruCache
 from repro.query import operators as ops
-from repro.query.optimizer import CostModel, create_optimizer
+from repro.query.optimizer import CostBasedJoinOrderOptimizer
 from repro.query.plan import (
     GroupPlan,
     JoinMethod,
@@ -67,43 +68,18 @@ class QueryEngine:
         When ``True`` (the paper's native mode), concept and property
         hierarchy inferences are answered through LiteMat identifier
         intervals at query time.
-    join_strategy:
-        ``"auto"`` follows the optimizer's choice (merge joins where the PSO
-        order allows them, bind propagation otherwise); ``"bind"`` forces
-        bind propagation everywhere; ``"merge"`` forces sort-merge joins where
-        a single shared variable exists.  The ablation benchmark compares the
-        strategies.
-    planner:
-        ``"cost"`` (default) uses the DP cost-based planner;
-        ``"heuristic"`` the paper's Algorithm 1.
-    cost_model:
-        Optional :class:`~repro.query.optimizer.CostModel` override for the
-        cost-based planner (e.g. one calibrated on this store).
     """
 
-    def __init__(
-        self,
-        store: SuccinctEdge,
-        reasoning: bool = True,
-        join_strategy: str = "auto",
-        planner: str = "cost",
-        cost_model: Optional[CostModel] = None,
-    ) -> None:
-        if join_strategy not in ("auto", "bind", "merge"):
-            raise ValueError(f"unknown join strategy {join_strategy!r}")
+    def __init__(self, store: SuccinctEdge, reasoning: bool = True) -> None:
         self.store = store
         self.reasoning = reasoning
-        self.join_strategy = join_strategy
-        self.planner = planner
         self.evaluator = TriplePatternEvaluator(store, reasoning=reasoning)
         # Runtime estimates reuse the evaluator's Algorithm-2 counts on the
         # SDS rank/select directories when dictionary statistics draw a blank.
-        self.optimizer = create_optimizer(
-            planner,
+        self.optimizer = CostBasedJoinOrderOptimizer(
             statistics=store.statistics,
             runtime_estimator=self.evaluator.estimate_cardinality,
             reasoning=reasoning,
-            cost_model=cost_model,
         )
         # Compiled plans per BGP, keyed on (patterns, statistics version):
         # OPTIONAL groups are re-evaluated seeded once per upstream row, so
@@ -334,15 +310,8 @@ class QueryEngine:
         planned: JoinMethod,
         bound: Set[str],
     ) -> Iterator[Binding]:
-        """One join of the left-deep plan, honouring the join-strategy knob."""
+        """One join of the left-deep plan: the planned method, demoted if unprofitable."""
         shared = [name for name in pattern.variable_names() if name in bound]
-        if self.join_strategy == "bind":
-            return ops.bind_join(self.evaluator, stream, pattern)
-        if self.join_strategy == "merge":
-            if len(shared) != 1:
-                return ops.bind_join(self.evaluator, stream, pattern)
-            left = list(stream)
-            return ops.merge_join(self.evaluator, left, pattern, shared[0])
         if planned == JoinMethod.MERGE and len(shared) == 1:
             # The merge decision needs the left cardinality: a merge join
             # enumerates the pattern's whole property run, which only pays

@@ -11,8 +11,12 @@ path, but the materializing evaluator is retained because
 * the streaming-vs-materializing benchmark uses it to show the kernel-call
   and latency effect of early termination (``LIMIT``/``ASK``/top-k).
 
-Both engines share the same optimizer, triple-pattern evaluator and
-solution-modifier algebra (:mod:`repro.sparql.algebra`), so differences can
+Both engines share the planner
+(:class:`~repro.query.optimizer.CostBasedJoinOrderOptimizer`: the same join
+orders and planned join methods), the triple-pattern evaluator and the
+solution-modifier algebra (:mod:`repro.sparql.algebra`).  The oracle applies
+the one join policy — a planned merge join is demoted to bind propagation
+when the prefix is small — with its own list operators, so differences can
 only come from the operator evaluation strategy under test.
 """
 
@@ -21,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple, Union as TypingUnion
 
 from repro.query.operators import term_join_key
-from repro.query.optimizer import create_optimizer
+from repro.query.optimizer import CostBasedJoinOrderOptimizer
 from repro.query.paths import path_sort_key
 from repro.query.plan import JoinMethod, PhysicalPlan
 from repro.query.tp_eval import TriplePatternEvaluator
@@ -340,22 +344,11 @@ class MaterializingQueryEngine:
     kept.
     """
 
-    def __init__(
-        self,
-        store: SuccinctEdge,
-        reasoning: bool = True,
-        join_strategy: str = "auto",
-        planner: str = "cost",
-    ) -> None:
-        if join_strategy not in ("auto", "bind", "merge"):
-            raise ValueError(f"unknown join strategy {join_strategy!r}")
+    def __init__(self, store: SuccinctEdge, reasoning: bool = True) -> None:
         self.store = store
         self.reasoning = reasoning
-        self.join_strategy = join_strategy
-        self.planner = planner
         self.evaluator = TriplePatternEvaluator(store, reasoning=reasoning)
-        self.optimizer = create_optimizer(
-            planner,
+        self.optimizer = CostBasedJoinOrderOptimizer(
             statistics=store.statistics,
             runtime_estimator=self.evaluator.estimate_cardinality,
             reasoning=reasoning,
@@ -485,11 +478,6 @@ class MaterializingQueryEngine:
     def _effective_join_method(
         self, planned: JoinMethod, pattern: TriplePattern, current: List[Binding]
     ) -> JoinMethod:
-        if self.join_strategy == "bind":
-            return JoinMethod.BIND_PROPAGATION
-        if self.join_strategy == "merge":
-            shared = self._shared_variables(pattern, current)
-            return JoinMethod.MERGE if len(shared) == 1 else JoinMethod.BIND_PROPAGATION
         if planned == JoinMethod.MERGE:
             shared = self._shared_variables(pattern, current)
             if len(shared) != 1:

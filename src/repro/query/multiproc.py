@@ -452,10 +452,8 @@ class ProcessPoolQueryEngine(ParallelQueryEngine):
         self,
         store: SuccinctEdge,
         reasoning: bool = True,
-        join_strategy: str = "auto",
         max_workers: Optional[int] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        planner: str = "cost",
         pool: Optional[WorkerPool] = None,
         mp_context: Optional[str] = None,
         task_timeout: Optional[float] = None,
@@ -472,10 +470,8 @@ class ProcessPoolQueryEngine(ParallelQueryEngine):
         super().__init__(
             store,
             reasoning=reasoning,
-            join_strategy=join_strategy,
             max_workers=max_workers,
             batch_size=batch_size,
-            planner=planner,
         )
 
     def _executor(self, **shared) -> ProcessExecutor:

@@ -1,38 +1,23 @@
-"""Join-order planning: the cost-based DP planner and the paper's Algorithm 1.
+"""Join-order planning: the cost-based planner and the modifier pipeline.
 
-Two planners produce the same left-deep :class:`~repro.query.plan.PhysicalPlan`
-IR (memory-friendly on edge devices):
+:class:`CostBasedJoinOrderOptimizer` produces the left-deep
+:class:`~repro.query.plan.PhysicalPlan` IR (memory-friendly on edge devices)
+for every engine.  A dynamic-programming enumerator over the query graph's
+pattern subsets picks the left-deep order minimizing total cost under a
+:class:`CostModel` calibrated in **SDS-kernel-call units** (the counters of
+:mod:`repro.sds.kernels`), with cardinalities chained through the join
+prefix by :class:`~repro.query.cardinality.CardinalityEstimator`
+(per-property distinct counts, characteristic-set star refinement).  Cross
+products are costed explicitly (re-evaluating the pattern once per prefix
+row) and flagged ``CARTESIAN``.
 
-* :class:`CostBasedJoinOrderOptimizer` — the default since the cost-based
-  planning rework.  A dynamic-programming enumerator over the query graph's
-  pattern subsets picks the left-deep order minimizing total cost under a
-  :class:`CostModel` calibrated in **SDS-kernel-call units** (the counters of
-  :mod:`repro.sds.kernels`), with cardinalities chained through the join
-  prefix by :class:`~repro.query.cardinality.CardinalityEstimator`
-  (per-property distinct counts, characteristic-set star refinement).  Cross
-  products are costed explicitly (re-evaluating the pattern once per prefix
-  row) and flagged ``CARTESIAN``.  Above :attr:`~CostBasedJoinOrderOptimizer.dp_threshold`
-  patterns the enumerator falls back to the paper's greedy order (still
-  cost-annotated, ``method="cost-greedy"``).
-
-* :class:`HeuristicJoinOrderOptimizer` — the paper's Section-5.1
-  Algorithm 1, kept verbatim for differential testing and as the greedy
-  fallback.  It combines:
-
-  - **Heuristic 1** — a triple-pattern priority adapted from Tsialiamanis et
-    al. to SuccinctEdge's access paths::
-
-        (s, rdf:type, ?o) > (?s, rdf:type, o) > (s, p, ?o) > (?s, p, o) > (?s, p, ?o)
-
-  - **Heuristic 2** — join-type preference induced by the PSO self-index
-    (subject-subject joins over subject-object joins over the rest);
-  - **Statistics** — per-entry occurrence counts recorded at dictionary
-    creation time (min-of-constants bound), plus run-time counts computed on
-    the SDS structures (Algorithm 2).
-
-:class:`JoinOrderOptimizer` is the cost-based planner under its historical
-name (every engine constructs it); pass ``planner="heuristic"`` to the
-engines to compare the two on live workloads.
+Above :attr:`~CostBasedJoinOrderOptimizer.dp_threshold` patterns the ``2^n``
+enumeration is too slow to plan per query, so a multi-start greedy takes
+over (``method="cost-greedy"``): from every start pattern it repeatedly
+appends the cheapest extension under the same estimator and cost model, and
+keeps the cheapest complete order.  The paper's Algorithm 1 (shape ranks,
+join-type preference, dictionary-time counts) is not implemented; see the
+deviations in ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -44,7 +29,6 @@ from repro.dictionary.statistics import DictionaryStatistics
 from repro.query.cardinality import CardinalityEstimator, JoinState, PatternEstimate
 from repro.query.paths import path_access_label
 from repro.query.plan import (
-    AccessPath,
     JoinMethod,
     ModifierOp,
     ModifierStep,
@@ -56,19 +40,8 @@ from repro.query.plan import (
 from repro.query.query_graph import QueryGraph, QueryNode
 from repro.sparql.ast import SelectQuery, TriplePattern, Variable
 
-#: Heuristic-1 priority ranks (lower executes earlier).
-_SHAPE_RANK = {
-    "s,p,o": 0,        # fully bound: an existence check, maximally selective
-    "s,?p,o": 0,
-    "s,p,?o": 2,
-    "?s,p,o": 3,
-    "s,?p,?o": 4,
-    "?s,p,?o": 4,
-    "?s,?p,o": 4,
-    "?s,?p,?o": 5,
-}
-
-#: Heuristic-2 join-type preference (lower is better).
+#: Join-type preference (lower is better): picks the label EXPLAIN prints
+#: for a step joined through several shared variables.
 _JOIN_RANK = {"SS": 0, "SO": 1, "OS": 1, "OO": 2, "SP": 3, "PS": 3, "OP": 3, "PO": 3, "PP": 4}
 
 
@@ -204,12 +177,86 @@ class CostModel:
 
 
 # --------------------------------------------------------------------------- #
-# shared planner machinery
+# the cost-based planner
 # --------------------------------------------------------------------------- #
 
 
-class _PlannerBase:
-    """Shared helpers: join-method selection and the modifier pipeline."""
+@dataclass
+class _DpEntry:
+    """Best known way to evaluate one pattern subset (a costed order prefix)."""
+
+    cost: float
+    cartesians: int
+    state: JoinState
+    order: Tuple[int, ...]
+
+    def key(self) -> Tuple:
+        # Deterministic comparison: cost first (rounded so float noise does
+        # not flip plans between runs), then fewer cross products, then the
+        # lexicographically smallest order.
+        return (round(self.cost, 9), self.cartesians, self.order)
+
+
+class CostBasedJoinOrderOptimizer:
+    """Left-deep join ordering under a kernel-call cost model.
+
+    Also plans what surrounds the BGP: the property-path steps
+    (:meth:`plan_paths`) and the solution-modifier pipeline
+    (:meth:`plan_modifiers`).
+
+    Parameters
+    ----------
+    statistics:
+        The store's :class:`DictionaryStatistics`; the join profiles it
+        carries feed the :class:`CardinalityEstimator`.
+    runtime_estimator:
+        Algorithm-2 fallback for patterns the statistics cannot estimate.
+    cost_model:
+        The :class:`CostModel` (defaults match LUBM-shaped stores; see
+        :meth:`CostModel.calibrated`).
+    reasoning:
+        Must match the engine's reasoning mode — it decides whether
+        predicate/concept constants expand over LiteMat intervals.
+    """
+
+    #: BGPs with more patterns use the multi-start greedy (the DP
+    #: enumerates ``2^n`` subsets: 130-160 ms of planning at 11 patterns).
+    dp_threshold: int = 10
+
+    def __init__(
+        self,
+        statistics: Optional[DictionaryStatistics] = None,
+        runtime_estimator: Optional[Callable[[TriplePattern], int]] = None,
+        cost_model: Optional[CostModel] = None,
+        reasoning: bool = True,
+    ) -> None:
+        self.cost_model = cost_model if cost_model is not None else CostModel()
+        self.reasoning = reasoning
+        self.estimator = CardinalityEstimator(
+            statistics, reasoning=reasoning, runtime_estimator=runtime_estimator
+        )
+
+    # ------------------------------------------------------------------ #
+    # public API
+    # ------------------------------------------------------------------ #
+
+    def optimize(self, patterns: Sequence[TriplePattern]) -> PhysicalPlan:
+        """Produce the costed physical plan for ``patterns``."""
+        if not patterns:
+            return PhysicalPlan(steps=[], method="cost-dp")
+        graph = QueryGraph.from_patterns(patterns)
+        # The star refinement is a pure function of the pattern subset (and
+        # the statistics version, constant within one optimize() call); the
+        # memo spares the DP its O(2^n · n) transitions each re-validating
+        # the star shape and re-scanning the characteristic sets.
+        star_memo: Dict[int, Optional[Tuple[str, float, float]]] = {}
+        if len(graph.nodes) > self.dp_threshold:
+            order = self._greedy_order(graph, star_memo)
+            method = "cost-greedy"
+        else:
+            order = self._dp_order(graph, star_memo)
+            method = "cost-dp"
+        return self._steps_for_order(graph, order, method, star_memo)
 
     # ------------------------------------------------------------------ #
     # solution-modifier pipeline
@@ -307,13 +354,10 @@ class _PlannerBase:
         a constant, or a variable the BGP already binds — run first (each
         upstream row prunes the BFS to one source), ranked by estimated
         rows ascending; unbound-unbound paths (full relation
-        materializations) run last.  The heuristic planner shares this
-        placement, just without the cost estimates.
+        materializations) run last.
         """
         if not paths:
             return []
-        estimator = getattr(self, "estimator", None)
-        cost_model = getattr(self, "cost_model", None)
 
         def endpoint_bound(slot) -> bool:
             if isinstance(slot, Variable):
@@ -323,8 +367,8 @@ class _PlannerBase:
         ranked = []
         for index, pattern in enumerate(paths):
             bound = endpoint_bound(pattern.subject) or endpoint_bound(pattern.object)
-            rows = estimator.estimate_path(pattern) if estimator is not None else None
-            ranked.append((0 if bound else 1, rows if rows is not None else 0.0, index, pattern))
+            rows = self.estimator.estimate_path(pattern)
+            ranked.append((0 if bound else 1, rows, index, pattern))
             if isinstance(pattern.subject, Variable):
                 bound_names = bound_names | {pattern.subject.name}
             if isinstance(pattern.object, Variable):
@@ -332,20 +376,13 @@ class _PlannerBase:
         ranked.sort(key=lambda entry: (entry[0], entry[1], entry[2]))
         steps: List[PathStep] = []
         for boundedness, rows, index, pattern in ranked:
-            estimated_cardinality = None
-            estimated_cost = None
-            if estimator is not None:
-                estimated_cardinality = int(round(rows))
-                scan = cost_model.pso_scan if cost_model is not None else 8.0
-                per_row = cost_model.pso_row if cost_model is not None else 0.4
-                estimated_cost = scan + rows * per_row
             steps.append(
                 PathStep(
                     pattern_index=index,
                     pattern=pattern,
                     access_label=path_access_label(pattern.path),
-                    estimated_cardinality=estimated_cardinality,
-                    estimated_cost=estimated_cost,
+                    estimated_cardinality=int(round(rows)),
+                    estimated_cost=self.cost_model.pso_scan + rows * self.cost_model.pso_row,
                 )
             )
         return steps
@@ -369,283 +406,6 @@ class _PlannerBase:
             return JoinMethod.MERGE
         return JoinMethod.BIND_PROPAGATION
 
-
-# --------------------------------------------------------------------------- #
-# the paper's Algorithm 1 (heuristic planner)
-# --------------------------------------------------------------------------- #
-
-
-class HeuristicJoinOrderOptimizer(_PlannerBase):
-    """The paper's greedy planner (Algorithm 1), kept for differential testing.
-
-    Parameters
-    ----------
-    statistics:
-        Per-entry occurrence counts recorded at dictionary creation time.
-    runtime_estimator:
-        Optional fallback invoked when the dictionary statistics cannot
-        estimate a pattern.  The query engine wires this to
-        ``TriplePatternEvaluator.estimate_cardinality``, which computes
-        Algorithm-2 counts on the SDS rank/select directories — the same
-        directories the batched evaluation kernels use, so the estimate
-        comes for free.
-    """
-
-    def __init__(
-        self,
-        statistics: Optional[DictionaryStatistics] = None,
-        runtime_estimator: Optional[Callable[[TriplePattern], int]] = None,
-    ) -> None:
-        self.statistics = statistics
-        self.runtime_estimator = runtime_estimator
-
-    # ------------------------------------------------------------------ #
-    # public API
-    # ------------------------------------------------------------------ #
-
-    def optimize(self, patterns: Sequence[TriplePattern]) -> PhysicalPlan:
-        """Produce the physical plan (ordered steps) for ``patterns``."""
-        if not patterns:
-            return PhysicalPlan(steps=[], method="heuristic")
-        graph = QueryGraph.from_patterns(patterns)
-        order = self.order_patterns(graph)
-        steps: List[PlanStep] = []
-        done: Set[int] = set()
-        bound_variables: Set[str] = set()
-        for position, index in enumerate(order):
-            node = graph.nodes[index]
-            access_path = classify_access_path(node.pattern)
-            join_type = ""
-            join_method = JoinMethod.NONE
-            cartesian = False
-            if position > 0:
-                edges = graph.edges_between(done, index)
-                if edges:
-                    join_type = min(edges[0].join_types, key=lambda t: _JOIN_RANK.get(t, 9))
-                    join_method = self._pick_join_method(node, bound_variables)
-                else:
-                    # Disconnected pattern: an explicit cross product — the
-                    # executor re-evaluates the pattern per prefix row.
-                    join_method = JoinMethod.BIND_PROPAGATION
-                    cartesian = True
-            steps.append(
-                PlanStep(
-                    pattern_index=index,
-                    pattern=node.pattern,
-                    access_path=access_path,
-                    join_method=join_method,
-                    join_type=join_type,
-                    estimated_cardinality=self._estimate(node),
-                    cartesian=cartesian,
-                )
-            )
-            done.add(index)
-            bound_variables.update(node.pattern.variable_names())
-        return PhysicalPlan(steps=steps, method="heuristic")
-
-    def order_patterns(self, graph: QueryGraph) -> List[int]:
-        """Algorithm 1: the execution order of the query-graph nodes."""
-        if not graph.nodes:
-            return []
-        order: List[int] = []
-        done: Set[int] = set()
-
-        first = self._most_selective_start(graph)
-        order.append(first)
-        done.add(first)
-
-        while len(done) < len(graph.nodes):
-            next_node = self._most_selective_next(graph, done)
-            order.append(next_node)
-            done.add(next_node)
-        return order
-
-    # ------------------------------------------------------------------ #
-    # getMostSelective — start node
-    # ------------------------------------------------------------------ #
-
-    def _most_selective_start(self, graph: QueryGraph) -> int:
-        # Preferred start: an rdf:type TP attached to the rest through an SS join.
-        candidates: List[Tuple[Tuple, int]] = []
-        for node in graph.nodes:
-            if not node.is_rdf_type:
-                continue
-            edges = graph.neighbours(node.index)
-            has_ss = any("SS" in edge.join_types for _other, edge in edges)
-            if edges and not has_ss:
-                # Only SO-connected rdf:type patterns: de-prioritised by Algorithm 1.
-                continue
-            candidates.append((self._selectivity_key(node, graph), node.index))
-        if candidates:
-            return min(candidates)[1]
-        # Fallback: any TP, ranked by heuristic shape then statistics.
-        all_candidates = [(self._selectivity_key(node, graph), node.index) for node in graph.nodes]
-        return min(all_candidates)[1]
-
-    # ------------------------------------------------------------------ #
-    # getMostSelective — next node given the current prefix
-    # ------------------------------------------------------------------ #
-
-    def _most_selective_next(self, graph: QueryGraph, done: Set[int]) -> int:
-        connected: List[Tuple[Tuple, int]] = []
-        disconnected: List[Tuple[Tuple, int]] = []
-        for node in graph.nodes:
-            if node.index in done:
-                continue
-            edges = graph.edges_between(done, node.index)
-            key = self._selectivity_key(node, graph, edges_to_prefix=edges)
-            if edges:
-                connected.append((key, node.index))
-            else:
-                disconnected.append((key, node.index))
-        if connected:
-            return min(connected)[1]
-        return min(disconnected)[1]
-
-    # ------------------------------------------------------------------ #
-    # ranking helpers
-    # ------------------------------------------------------------------ #
-
-    def _selectivity_key(
-        self,
-        node: QueryNode,
-        graph: QueryGraph,
-        edges_to_prefix: Optional[List] = None,
-    ) -> Tuple:
-        shape_rank = self._shape_rank(node)
-        if edges_to_prefix:
-            join_rank = min(
-                _JOIN_RANK.get(label, 9)
-                for edge in edges_to_prefix
-                for label in edge.join_types
-            )
-        else:
-            # Disconnected from the prefix: a cross product, ranked strictly
-            # below every real join type.
-            join_rank = 9
-        cardinality = self._estimate(node)
-        if cardinality is None:
-            cardinality = 1 << 30
-        return (shape_rank, join_rank, cardinality, node.index)
-
-    def _shape_rank(self, node: QueryNode) -> int:
-        pattern = node.pattern
-        if node.is_rdf_type:
-            # rdf:type patterns use the dedicated pair-run type store, which is
-            # cheaper than the SDS navigation — they rank above the PSO shapes:
-            # (s, rdf:type, ?o) > (?s, rdf:type, o) > every non-type shape.
-            if not isinstance(pattern.subject, Variable):
-                return 0
-            if not isinstance(pattern.object, Variable):
-                return 1
-            return 5
-        return _SHAPE_RANK.get(pattern.shape(), 5)
-
-    def _estimate(self, node: QueryNode) -> Optional[int]:
-        estimate: Optional[int] = None
-        if self.statistics is not None:
-            pattern = node.pattern
-            subject = None if isinstance(pattern.subject, Variable) else pattern.subject
-            predicate = None if isinstance(pattern.predicate, Variable) else pattern.predicate
-            obj = None if isinstance(pattern.object, Variable) else pattern.object
-            estimate = self.statistics.triple_pattern_cardinality(
-                subject=subject,
-                predicate=predicate,  # type: ignore[arg-type]
-                obj=obj,
-                is_rdf_type=node.is_rdf_type,
-            )
-        if estimate is None and self.runtime_estimator is not None:
-            estimate = self.runtime_estimator(node.pattern)
-        return estimate
-
-
-# --------------------------------------------------------------------------- #
-# the cost-based DP planner
-# --------------------------------------------------------------------------- #
-
-
-@dataclass
-class _DpEntry:
-    """Best known way to evaluate one pattern subset."""
-
-    cost: float
-    cartesians: int
-    state: JoinState
-    order: Tuple[int, ...]
-
-    def key(self) -> Tuple:
-        # Deterministic comparison: cost first (rounded so float noise does
-        # not flip plans between runs), then fewer cross products, then the
-        # lexicographically smallest order.
-        return (round(self.cost, 9), self.cartesians, self.order)
-
-
-class CostBasedJoinOrderOptimizer(_PlannerBase):
-    """Left-deep DP join enumeration under a kernel-call cost model.
-
-    Parameters
-    ----------
-    statistics:
-        The store's :class:`DictionaryStatistics`; the join profiles it
-        carries feed the :class:`CardinalityEstimator`.
-    runtime_estimator:
-        Algorithm-2 fallback for patterns the statistics cannot estimate.
-    cost_model:
-        The :class:`CostModel` (defaults match LUBM-shaped stores; see
-        :meth:`CostModel.calibrated`).
-    reasoning:
-        Must match the engine's reasoning mode — it decides whether
-        predicate/concept constants expand over LiteMat intervals.
-    dp_threshold:
-        BGPs with more patterns fall back to the greedy Algorithm-1 order
-        (the DP enumerates ``2^n`` subsets).
-    """
-
-    dp_threshold: int = 10
-
-    def __init__(
-        self,
-        statistics: Optional[DictionaryStatistics] = None,
-        runtime_estimator: Optional[Callable[[TriplePattern], int]] = None,
-        cost_model: Optional[CostModel] = None,
-        reasoning: bool = True,
-        dp_threshold: Optional[int] = None,
-    ) -> None:
-        self.statistics = statistics
-        self.runtime_estimator = runtime_estimator
-        self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.reasoning = reasoning
-        if dp_threshold is not None:
-            self.dp_threshold = dp_threshold
-        self.estimator = CardinalityEstimator(
-            statistics, reasoning=reasoning, runtime_estimator=runtime_estimator
-        )
-        self._greedy = HeuristicJoinOrderOptimizer(
-            statistics=statistics, runtime_estimator=runtime_estimator
-        )
-
-    # ------------------------------------------------------------------ #
-    # public API
-    # ------------------------------------------------------------------ #
-
-    def optimize(self, patterns: Sequence[TriplePattern]) -> PhysicalPlan:
-        """Produce the costed physical plan for ``patterns``."""
-        if not patterns:
-            return PhysicalPlan(steps=[], method="cost-dp")
-        graph = QueryGraph.from_patterns(patterns)
-        # The star refinement is a pure function of the pattern subset (and
-        # the statistics version, constant within one optimize() call); the
-        # memo spares the DP its O(2^n · n) transitions each re-validating
-        # the star shape and re-scanning the characteristic sets.
-        star_memo: Dict[int, Optional[Tuple[str, float, float]]] = {}
-        if len(graph.nodes) > self.dp_threshold:
-            order = self._greedy.order_patterns(graph)
-            method = "cost-greedy"
-        else:
-            order = self._dp_order(graph, star_memo)
-            method = "cost-dp"
-        return self._steps_for_order(graph, order, method, star_memo)
-
     # ------------------------------------------------------------------ #
     # DP enumeration
     # ------------------------------------------------------------------ #
@@ -657,13 +417,7 @@ class CostBasedJoinOrderOptimizer(_PlannerBase):
     ) -> List[int]:
         nodes = graph.nodes
         n = len(nodes)
-        best: Dict[int, _DpEntry] = {}
-        for node in nodes:
-            estimate = self.estimator.estimate_pattern(node.pattern)
-            state = self.estimator.initial_state(node.pattern)
-            cost = self.cost_model.scan_cost(node.pattern, estimate)
-            entry = _DpEntry(cost=cost, cartesians=0, state=state, order=(node.index,))
-            best[1 << node.index] = entry
+        best: Dict[int, _DpEntry] = {1 << node.index: self._seed(node) for node in nodes}
         full = (1 << n) - 1
         masks = sorted(range(1, full + 1), key=lambda m: (bin(m).count("1"), m))
         for mask in masks:
@@ -683,6 +437,53 @@ class CostBasedJoinOrderOptimizer(_PlannerBase):
             assert chosen is not None
             best[mask] = chosen
         return list(best[full].order)
+
+    # ------------------------------------------------------------------ #
+    # greedy fallback (above dp_threshold)
+    # ------------------------------------------------------------------ #
+
+    def _greedy_order(
+        self,
+        graph: QueryGraph,
+        star_memo: Dict[int, Optional[Tuple[str, float, float]]],
+    ) -> List[int]:
+        """Multi-start greedy: ``n`` starts × ``n`` steps × ``n`` candidates.
+
+        Each step appends the cheapest :meth:`_extend`, preferring steps that
+        share a variable with the prefix (a cross product only when nothing
+        else is left); the cheapest of the ``n`` complete orders wins.
+        """
+        best: Optional[_DpEntry] = None
+        for start in graph.nodes:
+            entry = self._seed(start)
+            mask = 1 << start.index
+            while len(entry.order) < len(graph.nodes):
+                entry = min(
+                    (
+                        self._extend(graph, entry, node, mask | (1 << node.index), star_memo)
+                        for node in graph.nodes
+                        if not mask & (1 << node.index)
+                    ),
+                    key=lambda candidate: (candidate.cartesians,) + candidate.key(),
+                )
+                mask |= 1 << entry.order[-1]
+            if best is None or entry.key() < best.key():
+                best = entry
+        assert best is not None
+        return list(best.order)
+
+    # ------------------------------------------------------------------ #
+    # costed order prefixes (shared by the DP and the greedy)
+    # ------------------------------------------------------------------ #
+
+    def _seed(self, node: QueryNode) -> _DpEntry:
+        estimate = self.estimator.estimate_pattern(node.pattern)
+        return _DpEntry(
+            cost=self.cost_model.scan_cost(node.pattern, estimate),
+            cartesians=0,
+            state=self.estimator.initial_state(node.pattern),
+            order=(node.index,),
+        )
 
     def _extend(
         self,
@@ -819,35 +620,3 @@ class CostBasedJoinOrderOptimizer(_PlannerBase):
             done.add(index)
             bound_variables.update(node.pattern.variable_names())
         return PhysicalPlan(steps=steps, method=method)
-
-
-class JoinOrderOptimizer(CostBasedJoinOrderOptimizer):
-    """The default planner (cost-based), under its historical name.
-
-    Every engine constructs a ``JoinOrderOptimizer``; the paper's greedy
-    planner remains available as :class:`HeuristicJoinOrderOptimizer` (the
-    engines' ``planner="heuristic"`` knob) for differential testing and for
-    the plan-quality benchmark.
-    """
-
-
-def create_optimizer(
-    planner: str,
-    statistics: Optional[DictionaryStatistics],
-    runtime_estimator: Optional[Callable[[TriplePattern], int]],
-    reasoning: bool,
-    cost_model: Optional[CostModel] = None,
-):
-    """The planner instance for one engine (``"cost"`` or ``"heuristic"``)."""
-    if planner == "heuristic":
-        return HeuristicJoinOrderOptimizer(
-            statistics=statistics, runtime_estimator=runtime_estimator
-        )
-    if planner == "cost":
-        return JoinOrderOptimizer(
-            statistics=statistics,
-            runtime_estimator=runtime_estimator,
-            reasoning=reasoning,
-            cost_model=cost_model,
-        )
-    raise ValueError(f"unknown planner {planner!r} (expected 'cost' or 'heuristic')")

@@ -513,41 +513,6 @@ def select_backend(requested: str = "auto") -> str:
     )
 
 
-def create_parallel_engine(
-    store: SuccinctEdge,
-    backend: str = "auto",
-    reasoning: bool = True,
-    max_workers: Optional[int] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    **kwargs,
-) -> QueryEngine:
-    """One engine for ``store`` on the resolved backend.
-
-    ``sequential`` returns a plain :class:`~repro.query.engine.QueryEngine`;
-    ``threads`` (and ``free-threaded``, once validated) a
-    :class:`ParallelQueryEngine`; ``process`` a
-    :class:`~repro.query.multiproc.ProcessPoolQueryEngine` (extra ``kwargs``
-    such as ``pool`` / ``task_timeout`` / ``mp_context`` are forwarded to
-    it).  All three produce byte-identical results by construction.
-    """
-    resolved = select_backend(backend)
-    if resolved == "sequential":
-        return QueryEngine(store, reasoning=reasoning)
-    if resolved == "process":
-        from repro.query.multiproc import ProcessPoolQueryEngine
-
-        return ProcessPoolQueryEngine(
-            store,
-            reasoning=reasoning,
-            max_workers=max_workers,
-            batch_size=batch_size,
-            **kwargs,
-        )
-    return ParallelQueryEngine(
-        store, reasoning=reasoning, max_workers=max_workers, batch_size=batch_size
-    )
-
-
 class ParallelQueryEngine(QueryEngine):
     """A :class:`QueryEngine` whose evaluator scatters work units.
 
@@ -574,14 +539,10 @@ class ParallelQueryEngine(QueryEngine):
         self,
         store: SuccinctEdge,
         reasoning: bool = True,
-        join_strategy: str = "auto",
         max_workers: Optional[int] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        planner: str = "cost",
     ) -> None:
-        super().__init__(
-            store, reasoning=reasoning, join_strategy=join_strategy, planner=planner
-        )
+        super().__init__(store, reasoning=reasoning)
         self.evaluator = self._executor(
             reasoning=reasoning,
             inner=self.evaluator,

@@ -3,9 +3,9 @@
 The optimizer produces a left-deep sequence of plan steps; each step records
 the access path the executor will use (which storage layout and which of the
 paper's algorithms), the join type linking it to the already-computed
-prefix, and — since the cost-based planning rework — the estimated
-cardinality, cumulative row count and cumulative cost in SDS-kernel-call
-units.  Cross products are flagged explicitly (``CARTESIAN`` in the
+prefix, the join method every engine follows (merge or bind propagation),
+and the estimated cardinality, cumulative row count and cumulative cost in
+SDS-kernel-call units.  Cross products are flagged explicitly (``CARTESIAN`` in the
 rendering) so the hazard is visible in every EXPLAIN.
 
 The IR has three layers, and the engines interpret it directly (one code
@@ -59,8 +59,8 @@ class JoinMethod(enum.Enum):
 class PlanStep:
     """One step of the left-deep plan.
 
-    ``estimated_cardinality`` is the pattern's stand-alone estimate (the
-    statistic Algorithm 1 ranks on); ``estimated_rows`` / ``estimated_cost``
+    ``estimated_cardinality`` is the pattern's stand-alone estimate;
+    ``estimated_rows`` / ``estimated_cost``
     are cumulative — the expected intermediate-result size after this join
     and the total SDS-kernel-call budget spent up to and including it.
     ``cartesian`` flags a step with no join edge to the prefix: the executor
@@ -100,10 +100,10 @@ class PlanStep:
 class PhysicalPlan:
     """Ordered sequence of plan steps (a left-deep join tree).
 
-    ``method`` names the planner that produced the order (``"cost-dp"``,
-    ``"cost-greedy"`` for the above-threshold fallback, ``"heuristic"`` for
-    the paper's Algorithm 1); it is rendered in EXPLAIN output so plan
-    regressions in review show *which* planner changed its mind.
+    ``method`` names how the order was found (``"cost-dp"``, or
+    ``"cost-greedy"`` for the above-threshold fallback); it is rendered in
+    EXPLAIN output so plan regressions in review show *which* search
+    changed its mind.
     """
 
     steps: List[PlanStep] = field(default_factory=list)

@@ -3,7 +3,8 @@
 Each triple pattern of the basic graph pattern becomes a node; two nodes are
 connected when they share a variable, and the edge is labelled with the join
 type derived from the positions of the shared variable (SS, SO/OS, OO, plus
-the rarer SP/OP/PP combinations that the optimizer de-prioritises).
+the rarer SP/OP/PP combinations).  The planner reads the edges to flag
+cross products and to label each join step in EXPLAIN.
 """
 
 from __future__ import annotations
@@ -68,20 +69,6 @@ class JoinEdge:
             return self.left
         raise ValueError(f"edge {self} does not involve node {node_index}")
 
-    def join_type_from(self, node_index: int) -> str:
-        """Best join label oriented from ``node_index`` (``SS`` preferred)."""
-        labels = []
-        for label in self.join_types:
-            if node_index == self.left:
-                labels.append(label)
-            else:
-                labels.append(label[::-1])
-        # SS is the most favourable for the PSO layout, then S-O combinations.
-        for preferred in ("SS", "SO", "OS", "OO"):
-            if preferred in labels:
-                return preferred
-        return labels[0] if labels else ""
-
 
 @dataclass
 class QueryGraph:
@@ -120,14 +107,6 @@ class QueryGraph:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def neighbours(self, node_index: int) -> List[Tuple[int, JoinEdge]]:
-        """Adjacent nodes of ``node_index`` with the connecting edge."""
-        result = []
-        for edge in self.edges:
-            if edge.involves(node_index):
-                result.append((edge.other(node_index), edge))
-        return result
-
     def edges_between(self, done: Set[int], candidate: int) -> List[JoinEdge]:
         """Edges linking ``candidate`` to any node already in ``done``."""
         return [
@@ -135,10 +114,3 @@ class QueryGraph:
             for edge in self.edges
             if edge.involves(candidate) and edge.other(candidate) in done
         ]
-
-    def join_variables(self) -> Set[str]:
-        """Variables shared by at least two triple patterns."""
-        names: Set[str] = set()
-        for edge in self.edges:
-            names.update(edge.variables)
-        return names

@@ -811,10 +811,8 @@ class ClusterQueryEngine(ParallelQueryEngine):
         replicas: ReplicaSet,
         source: ReplicationSource,
         reasoning: bool = True,
-        join_strategy: str = "auto",
         max_workers: Optional[int] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        planner: str = "cost",
         deadline_s: Optional[float] = None,
         retries: int = 1,
     ) -> None:
@@ -824,10 +822,8 @@ class ClusterQueryEngine(ParallelQueryEngine):
         super().__init__(
             store,
             reasoning=reasoning,
-            join_strategy=join_strategy,
             max_workers=max_workers,
             batch_size=batch_size,
-            planner=planner,
         )
 
     def _executor(self, **shared) -> ClusterExecutor:

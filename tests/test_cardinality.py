@@ -128,13 +128,13 @@ class TestUnboundFallbackCache:
     def test_cached_and_invalidated_on_write(self, live_toy_store):
         live = live_toy_store
         statistics = live.statistics
-        first = statistics.triple_pattern_cardinality(None, None, None, is_rdf_type=False)
+        first = statistics.total_triple_mass()
         # Second call is served from the version-keyed cache.
         assert statistics._unbound_mass_cache is not None
-        assert statistics.triple_pattern_cardinality(None, None, None, False) == first
+        assert statistics.total_triple_mass() == first
         assert live.insert(Triple(EX.x1, EX.memberOf, EX.dept1))
         assert statistics._unbound_mass_cache is None  # write invalidated it
-        after = statistics.triple_pattern_cardinality(None, None, None, False)
+        after = statistics.total_triple_mass()
         assert after == first + 1
 
 

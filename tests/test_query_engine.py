@@ -8,7 +8,16 @@ from repro.query.engine import QueryEngine
 from repro.query.rewriter import HighLevelQueryBuilder
 from repro.rdf.namespaces import QUDT
 from repro.rdf.terms import Literal
-from tests.conftest import EX, hierarchy_closure, naive_query
+from repro.query.materializing import MaterializingQueryEngine
+from repro.query.multiproc import ProcessPoolQueryEngine
+from repro.query.parallel import ParallelQueryEngine
+from repro.serve.cluster import ClusterQueryEngine
+from tests.conftest import (
+    EX,
+    hierarchy_closure,
+    naive_query,
+    query_engine_with_join_strategy,
+)
 
 
 def oracle_rows(graph, schema, query, reasoning):
@@ -83,7 +92,7 @@ class TestJoins:
             "?x <http://example.org/name> ?n }"
         )
         results = {
-            strategy: QueryEngine(toy_store, reasoning=False, join_strategy=strategy)
+            strategy: query_engine_with_join_strategy(toy_store, strategy, reasoning=False)
             .execute(query)
             .to_set()
             for strategy in ("auto", "bind", "merge")
@@ -181,18 +190,27 @@ class TestPlanIntrospection:
         assert len(plan) == 2
         assert plan.method == "cost-dp"
         assert sorted(plan.order()) == [0, 1]
-        # The cost-based planner starts with the name scan: the per-row type
-        # checks then run on the pair-run type store, which issues no SDS
-        # kernel calls (the heuristic planner would start with rdf:type).
-        heuristic = QueryEngine(toy_store, planner="heuristic").plan(
-            "SELECT ?x WHERE { ?x a <http://example.org/Person> . ?x <http://example.org/name> ?n }"
-        )
-        assert heuristic.method == "heuristic"
-        assert heuristic.steps[0].pattern.is_rdf_type
+        # The planner starts with the name scan: the per-row type checks then
+        # run on the pair-run type store, which issues no SDS kernel calls.
+        assert not plan.steps[0].pattern.is_rdf_type
 
     def test_invalid_join_strategy_rejected(self, toy_store):
-        with pytest.raises(ValueError):
-            QueryEngine(toy_store, join_strategy="hash")
+        # The join policy and the planner are fixed: no engine takes a
+        # strategy or planner option, so a stale or misspelled one fails
+        # loudly instead of being ignored.  (The cluster engine's replica
+        # set and source are never reached: the call fails on the keyword.)
+        engines = [
+            (QueryEngine, ()),
+            (MaterializingQueryEngine, ()),
+            (ParallelQueryEngine, ()),
+            (ProcessPoolQueryEngine, ()),
+            (ClusterQueryEngine, (None, None)),
+        ]
+        for engine_class, extra in engines:
+            with pytest.raises(TypeError, match="join_strategy"):
+                engine_class(toy_store, *extra, join_strategy="hash")
+            with pytest.raises(TypeError, match="planner"):
+                engine_class(toy_store, *extra, planner="heuristic")
 
 
 class TestHighLevelQueryBuilder:

@@ -1,18 +1,17 @@
-"""Tests for the query graph and the join-order optimizers.
+"""Tests for the query graph and the join-order optimizer.
 
-``JoinOrderOptimizer`` is the cost-based DP planner (the default for every
-engine); ``HeuristicJoinOrderOptimizer`` is the paper's Algorithm 1, kept
-verbatim for differential testing.  The shared expectations below (left-deep
-connectivity, every pattern planned once, explain output) are checked on the
-default planner; the Algorithm-1 block pins the heuristic-specific shape and
-join-type preferences.
+``CostBasedJoinOrderOptimizer`` is the one planner every engine uses.  The
+expectations below (statistics-driven first steps, greedy-fallback
+connectivity, cross products flagged, every pattern planned once, merge
+joins on subject stars, explain output) are planner-shape checks; the
+cost-model edge cases live in ``tests/test_cost_planner.py``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.query.optimizer import HeuristicJoinOrderOptimizer, JoinOrderOptimizer
+from repro.query.optimizer import CostBasedJoinOrderOptimizer
 from repro.query.plan import AccessPath, JoinMethod, classify_access_path
 from repro.query.query_graph import QueryGraph
 from repro.sparql.parser import parse_query
@@ -40,22 +39,20 @@ class TestQueryGraph:
         graph = QueryGraph.from_patterns(patterns)
         edge = graph.edges[0]
         assert edge.join_types == ("OS",)
-        assert edge.join_type_from(0) == "OS"
-        assert edge.join_type_from(1) == "SO"
 
     def test_neighbours_and_edges_between(self):
         patterns = patterns_of(
             "SELECT * WHERE { ?x <http://p> ?y . ?x <http://q> ?z . ?z <http://r> ?w }"
         )
         graph = QueryGraph.from_patterns(patterns)
-        assert {other for other, _ in graph.neighbours(1)} == {0, 2}
+        assert {edge.other(1) for edge in graph.edges if edge.involves(1)} == {0, 2}
         assert len(graph.edges_between({0}, 1)) == 1
         assert graph.edges_between({0}, 2) == []
 
     def test_join_variables(self):
         patterns = patterns_of("SELECT * WHERE { ?x <http://p> ?y . ?x <http://q> ?z }")
         graph = QueryGraph.from_patterns(patterns)
-        assert graph.join_variables() == {"x"}
+        assert {name for edge in graph.edges for name in edge.variables} == {"x"}
 
     def test_rdf_type_annotation(self):
         patterns = patterns_of("SELECT * WHERE { ?x a <http://C> . ?x <http://p> ?y }")
@@ -90,50 +87,39 @@ class TestAccessPathClassification:
 
 
 class TestOptimizerHeuristics:
-    def test_rdf_type_with_ss_join_starts_the_plan(self, toy_store):
-        # Algorithm-1 behaviour: the heuristic planner leads with the
-        # SS-connected rdf:type pattern.  (The cost-based default may instead
-        # lead with a PSO scan and use the rdf:type store as a free per-row
-        # filter — covered in tests/test_cost_planner.py.)
-        optimizer = HeuristicJoinOrderOptimizer(statistics=toy_store.statistics)
-        query = parse_query(
-            "SELECT * WHERE { ?x <http://example.org/memberOf> ?d . ?x a <http://example.org/GraduateStudent> }"
-        )
-        plan = optimizer.optimize(list(query.triple_patterns))
-        assert plan.steps[0].pattern.is_rdf_type
-        assert plan.steps[1].join_type in ("SS", "")
-
     def test_statistics_pick_most_selective_concept(self, toy_store):
-        # Department has 2 instances, FullProfessor has 1: Algorithm 1 must
-        # start from the FullProfessor pattern.  (The cost-based default
-        # instead leads with the 1-row headOf scan — cheaper still.)
-        optimizer = HeuristicJoinOrderOptimizer(statistics=toy_store.statistics)
+        # Person has 4 instances, FullProfessor 1: with statistics the plan
+        # starts from the FullProfessor pattern although it is written second.
+        optimizer = CostBasedJoinOrderOptimizer(statistics=toy_store.statistics)
         query = parse_query(
-            "SELECT * WHERE { ?d a <http://example.org/Department> . "
-            "?x a <http://example.org/FullProfessor> . ?x <http://example.org/headOf> ?d }"
+            "SELECT * WHERE { ?x a <http://example.org/Person> . "
+            "?x a <http://example.org/FullProfessor> }"
         )
         plan = optimizer.optimize(list(query.triple_patterns))
         first = plan.steps[0].pattern
         assert first.object == EX.FullProfessor
 
     def test_left_deep_connectivity(self, toy_store):
-        # Algorithm 1 always extends through a join edge when one exists.
-        # (The cost-based planner may deliberately interleave a cheap cross
-        # product — e.g. off a 1-row prefix — but must flag it CARTESIAN;
-        # see test_cost_planner.py.)
-        optimizer = HeuristicJoinOrderOptimizer(statistics=toy_store.statistics)
+        # The greedy fallback ranks a step that shares a variable with the
+        # prefix above any cross product, so it extends through a join edge
+        # whenever one exists.  (The DP may deliberately interleave a cheap
+        # cross product and flag it CARTESIAN; see the next test.)
+        optimizer = CostBasedJoinOrderOptimizer(statistics=toy_store.statistics)
+        optimizer.dp_threshold = 0
         query = parse_query(
             "SELECT * WHERE { ?x <http://example.org/memberOf> ?d . "
             "?d <http://example.org/subOrganizationOf> ?u . ?u a <http://example.org/University> }"
         )
         plan = optimizer.optimize(list(query.triple_patterns))
+        assert plan.method == "cost-greedy"
         seen_variables = set(plan.steps[0].pattern.variable_names())
         for step in plan.steps[1:]:
             assert any(name in seen_variables for name in step.pattern.variable_names())
+            assert not step.cartesian
             seen_variables.update(step.pattern.variable_names())
 
     def test_cost_planner_flags_every_disconnected_step(self, toy_store):
-        optimizer = JoinOrderOptimizer(statistics=toy_store.statistics)
+        optimizer = CostBasedJoinOrderOptimizer(statistics=toy_store.statistics)
         query = parse_query(
             "SELECT * WHERE { ?x <http://example.org/memberOf> ?d . "
             "?d <http://example.org/subOrganizationOf> ?u . ?u a <http://example.org/University> }"
@@ -149,7 +135,7 @@ class TestOptimizerHeuristics:
             seen_variables.update(step.pattern.variable_names())
 
     def test_every_pattern_appears_exactly_once(self, toy_store):
-        optimizer = JoinOrderOptimizer(statistics=toy_store.statistics)
+        optimizer = CostBasedJoinOrderOptimizer(statistics=toy_store.statistics)
         query = parse_query(
             "SELECT * WHERE { ?x a <http://example.org/Person> . ?x <http://example.org/name> ?n . "
             "?x <http://example.org/memberOf> ?d . ?d a <http://example.org/Department> . "
@@ -159,7 +145,7 @@ class TestOptimizerHeuristics:
         assert sorted(plan.order()) == list(range(5))
 
     def test_disconnected_patterns_still_planned(self, toy_store):
-        optimizer = JoinOrderOptimizer(statistics=toy_store.statistics)
+        optimizer = CostBasedJoinOrderOptimizer(statistics=toy_store.statistics)
         query = parse_query(
             "SELECT * WHERE { ?x <http://example.org/name> ?n . ?y <http://example.org/age> ?a }"
         )
@@ -167,12 +153,12 @@ class TestOptimizerHeuristics:
         assert len(plan) == 2
 
     def test_empty_bgp(self):
-        plan = JoinOrderOptimizer().optimize([])
+        plan = CostBasedJoinOrderOptimizer().optimize([])
         assert len(plan) == 0
         assert plan.order() == []
 
     def test_merge_join_planned_for_star_pattern(self, toy_store):
-        optimizer = JoinOrderOptimizer(statistics=toy_store.statistics)
+        optimizer = CostBasedJoinOrderOptimizer(statistics=toy_store.statistics)
         query = parse_query(
             "SELECT * WHERE { ?x <http://example.org/memberOf> <http://example.org/dept1> . "
             "?x <http://example.org/name> ?n }"
@@ -180,16 +166,8 @@ class TestOptimizerHeuristics:
         plan = optimizer.optimize(list(query.triple_patterns))
         assert plan.steps[1].join_method == JoinMethod.MERGE
 
-    def test_without_statistics_heuristics_alone_work(self):
-        optimizer = HeuristicJoinOrderOptimizer(statistics=None)
-        query = parse_query(
-            "SELECT * WHERE { ?x <http://example.org/p> ?y . ?x a <http://example.org/C> }"
-        )
-        plan = optimizer.optimize(list(query.triple_patterns))
-        assert plan.steps[0].pattern.is_rdf_type
-
     def test_without_statistics_cost_planner_still_plans(self):
-        optimizer = JoinOrderOptimizer(statistics=None)
+        optimizer = CostBasedJoinOrderOptimizer(statistics=None)
         query = parse_query(
             "SELECT * WHERE { ?x <http://example.org/p> ?y . ?x a <http://example.org/C> }"
         )
@@ -197,48 +175,28 @@ class TestOptimizerHeuristics:
         assert sorted(plan.order()) == [0, 1]
         assert plan.method == "cost-dp"
 
+    def test_without_statistics_heuristics_alone_work(self):
+        # The greedy fallback, like the DP, prices steps with the default
+        # estimates when the store has no statistics.
+        optimizer = CostBasedJoinOrderOptimizer(statistics=None)
+        optimizer.dp_threshold = 0
+        query = parse_query(
+            "SELECT * WHERE { ?x <http://example.org/p> ?y . ?x a <http://example.org/C> }"
+        )
+        plan = optimizer.optimize(list(query.triple_patterns))
+        assert sorted(plan.order()) == [0, 1]
+        assert plan.method == "cost-greedy"
+        assert not plan.steps[1].cartesian
+        assert all(step.estimated_cost is not None for step in plan.steps)
+
     def test_explain_output(self, toy_store):
-        optimizer = JoinOrderOptimizer(statistics=toy_store.statistics)
+        optimizer = CostBasedJoinOrderOptimizer(statistics=toy_store.statistics)
         query = parse_query(
             "SELECT * WHERE { ?x a <http://example.org/Person> . ?x <http://example.org/name> ?n }"
         )
         plan = optimizer.optimize(list(query.triple_patterns))
         text = plan.explain()
         assert "tp1" in text and "rdftype" in text
-
-
-class TestAlgorithm1Heuristics:
-    """The paper's greedy planner, pinned independently of the cost model."""
-
-    def test_rdf_type_always_starts_the_plan(self, toy_store):
-        optimizer = HeuristicJoinOrderOptimizer(statistics=toy_store.statistics)
-        plan = optimizer.optimize(
-            patterns_of(
-                "SELECT * WHERE { ?x a <http://example.org/Person> . "
-                "?x <http://example.org/name> ?n }"
-            )
-        )
-        assert plan.method == "heuristic"
-        assert plan.steps[0].pattern.is_rdf_type
-
-    def test_shape_rank_prefers_bound_subject_over_bound_object(self, toy_store):
-        optimizer = HeuristicJoinOrderOptimizer(statistics=toy_store.statistics)
-        plan = optimizer.optimize(
-            patterns_of(
-                "SELECT * WHERE { ?x <http://example.org/advisor> <http://example.org/bob> . "
-                "<http://example.org/alice> <http://example.org/advisor> ?y }"
-            )
-        )
-        # (s, p, ?o) ranks above (?s, p, o) in Heuristic 1.
-        assert plan.steps[0].pattern.subject == EX.alice
-
-    def test_heuristic_has_no_cost_annotations(self, toy_store):
-        optimizer = HeuristicJoinOrderOptimizer(statistics=toy_store.statistics)
-        plan = optimizer.optimize(
-            patterns_of("SELECT * WHERE { ?x <http://example.org/name> ?n }")
-        )
-        assert plan.steps[0].estimated_cost is None
-        assert plan.steps[0].estimated_cardinality is not None
 
 
 class TestPaperExample51:
@@ -257,7 +215,7 @@ class TestPaperExample51:
     """
 
     def test_plan_is_connected_and_starts_with_rdf_type(self, toy_store):
-        optimizer = JoinOrderOptimizer(statistics=toy_store.statistics)
+        optimizer = CostBasedJoinOrderOptimizer(statistics=toy_store.statistics)
         patterns = list(parse_query(self.QUERY).triple_patterns)
         plan = optimizer.optimize(patterns)
         assert plan.steps[0].pattern.is_rdf_type

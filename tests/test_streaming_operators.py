@@ -14,6 +14,7 @@ import itertools
 import pytest
 
 from repro.bench.measure import measure_call
+from repro.query import operators as ops
 from repro.query.engine import QueryEngine
 from repro.query.materializing import MaterializingQueryEngine
 from repro.query.plan import ModifierOp
@@ -21,7 +22,7 @@ from repro.rdf.terms import Literal
 from repro.sparql.ast import AskQuery
 from repro.sparql.bindings import AskResult
 from repro.sparql.parser import parse_query
-from tests.conftest import EX
+from tests.conftest import EX, query_engine_with_join_strategy
 
 NAME = f"<{EX.name}>"
 AGE = f"<{EX.age}>"
@@ -305,12 +306,53 @@ class TestDifferentialStreamingVsMaterializing:
     def test_join_strategies_still_agree(self, small_lubm_store, small_lubm_catalog):
         query = small_lubm_catalog.by_identifier()["M1"].sparql
         results = {
-            strategy: QueryEngine(small_lubm_store, reasoning=False, join_strategy=strategy)
+            strategy: query_engine_with_join_strategy(small_lubm_store, strategy, reasoning=False)
             .execute(query)
             .to_set()
             for strategy in ("auto", "bind", "merge")
         }
         assert results["auto"] == results["bind"] == results["merge"]
+
+    @pytest.mark.parametrize(
+        "identifier, reasoning, operator",
+        [
+            # Subject star on ?X: memberOf (with its sub-properties) joins a
+            # prefix large enough to merge.  M1's name run is over twice its
+            # worksFor prefix here, so the policy bind-joins it instead.
+            ("M2", True, "merge_join"),
+            ("chain", False, "bind_join"),  # advisor probed per bound ?p
+        ],
+    )
+    def test_default_join_policy_picks_operator(
+        self, engines, small_lubm_catalog, monkeypatch, identifier, reasoning, operator
+    ):
+        """The one join policy really runs both join operators."""
+        if identifier == "chain":
+            query = (
+                "PREFIX lubm: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
+                "SELECT ?x ?p ?d WHERE { ?x lubm:advisor ?p . ?p lubm:worksFor ?d }"
+            )
+        else:
+            query = small_lubm_catalog.by_identifier()[identifier].sparql
+        calls = {"merge_join": 0, "bind_join": 0}
+        for name in calls:
+            original = getattr(ops, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(ops, name, spy)
+        streaming, materializing = engines[reasoning]
+        actual = streaming.execute(query)
+        expected = materializing.execute(query)
+        assert len(actual) > 0
+        assert actual.to_tuples() == expected.to_tuples()
+        if operator == "merge_join":
+            assert calls["merge_join"] == 1
+        else:
+            # One bind join scans the first pattern, the other is the join.
+            assert calls == {"merge_join": 0, "bind_join": 2}
 
 
 class TestEarlyTermination:
