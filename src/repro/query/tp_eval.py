@@ -11,11 +11,23 @@ SDS operations of the paper's Section 5.2:
 * reasoning — the constant predicate/concept is replaced by its LiteMat
   identifier interval, so concept and property hierarchies are answered
   without materialisation or UNION rewriting.
+
+Algorithms 3 and 4 answer one upstream binding at a time, as in the paper,
+until a bind-join step has probed one run often enough to pay for decoding
+it.  :meth:`TriplePatternEvaluator.evaluate_many` gives each step a
+:class:`StepProbes` state that charges every probe of a run against the
+run's size (a ski-rental rule); at the next probe of a run whose charge has
+reached its size, the run is decoded once (``pairs_for_property`` /
+``subjects_of_interval``) into an id-keyed bucket that answers that probe
+and every later one.  Every store view yields those runs in PSO order, so
+the bucketed answers come out in the probes' order.  Literal probes of the
+datatype layout always stay on the probe path: decoding literal records
+costs more than the probes it saves.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.rdf.namespaces import RDF_TYPE
 from repro.rdf.terms import Literal, Term, URI
@@ -25,6 +37,83 @@ from repro.store.succinct_edge import SuccinctEdge
 
 #: A resolved pattern slot: a constant term, or the name of an unbound variable.
 _Slot = Tuple[Optional[Term], Optional[str]]
+
+#: A matched type-membership probe: one hit, so it is charged like a found entry.
+_MEMBER = (True,)
+
+
+class StepProbes:
+    """Run buckets of one bind-join step (one ``evaluate_many`` call).
+
+    Every probe of a run is charged :attr:`PROBE_COST` plus :attr:`HIT_COST`
+    per returned entry, in units of one decoded run entry.  A probe that
+    finds its run's charge at or above the run's size decodes the run once
+    into a bucket and answers from it, as does every later probe of the run
+    (Karlin et al.'s ski rental: rent until the rent paid equals the price);
+    an empty run is never decoded.
+    The first probe of a run never builds — a step that probes once (one
+    ``OPTIONAL`` per outer binding) never pays for a decode — and neither
+    does the probe that crosses the threshold: the build waits for the next
+    probe, which a ``LIMIT`` that is already satisfied never issues.
+
+    The constants are calibrated in decoded PSO triples (5–11 µs each): an
+    object-layout probe costs ~100 µs plus 24–95 µs per hit.  A
+    type-membership probe (4.9 µs) is worth ~45 decoded rdf:type pairs
+    (0.11 µs each), so it is charged the same and builds later than the
+    break-even point.
+    """
+
+    PROBE_COST = 16
+    HIT_COST = 8
+
+    __slots__ = ("_charges", "_sizes", "_buckets")
+
+    def __init__(self) -> None:
+        self._charges: Dict[Hashable, int] = {}
+        self._sizes: Dict[Hashable, int] = {}
+        self._buckets: Dict[Hashable, dict] = {}
+
+    def answer(
+        self,
+        key: Hashable,
+        item: int,
+        probe: Callable[[], Sequence],
+        size: Callable[[], int],
+        build: Callable[[], dict],
+    ) -> Sequence:
+        """Answer the probe for ``item`` of run ``key``.
+
+        ``probe()`` is the per-binding store call; ``size()`` counts the
+        run's entries; ``build()`` decodes the run into a bucket mapping
+        each probed id to what ``probe()`` would return for it.
+        """
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            charge = self._charges.get(key)
+            if charge is None or not 0 < self._run_size(key, size) <= charge:
+                found = probe()
+                self._charges[key] = (charge or 0) + self.PROBE_COST + self.HIT_COST * len(found)
+                return found
+            bucket = self._buckets[key] = build()
+        return bucket.get(item, ())
+
+    def _run_size(self, key: Hashable, size: Callable[[], int]) -> int:
+        known = self._sizes.get(key)
+        if known is None:
+            known = self._sizes[key] = size()
+        return known
+
+
+def _group_pairs(pairs: Iterable[Tuple[int, int]]) -> Dict[int, List[int]]:
+    """Bucket ``(key, value)`` pairs by key; each value list keeps the pairs' order."""
+    bucket: Dict[int, List[int]] = {}
+    for key, value in pairs:
+        found = bucket.get(key)
+        if found is None:
+            bucket[key] = [value]
+        else:
+            found.append(value)
+    return bucket
 
 
 class TriplePatternEvaluator:
@@ -38,22 +127,34 @@ class TriplePatternEvaluator:
     # public API
     # ------------------------------------------------------------------ #
 
-    def evaluate(self, pattern: TriplePattern, binding: Binding) -> Iterator[Binding]:
-        """Yield the bindings extending ``binding`` that satisfy ``pattern``."""
+    def evaluate(
+        self,
+        pattern: TriplePattern,
+        binding: Binding,
+        probes: Optional[StepProbes] = None,
+    ) -> Iterator[Binding]:
+        """Yield the bindings extending ``binding`` that satisfy ``pattern``.
+
+        ``probes`` is the run-bucket state of the bind-join step this
+        binding belongs to (see :meth:`evaluate_many`); without it the
+        binding gets a fresh state, so every probe goes to the store.
+        """
+        if probes is None:
+            probes = StepProbes()
         subject = self._resolve(pattern.subject, binding)
         predicate = self._resolve(pattern.predicate, binding)
         obj = self._resolve(pattern.object, binding)
 
         predicate_term, predicate_var = predicate
         if predicate_term is None:
-            yield from self._evaluate_unbound_predicate(subject, predicate_var, obj, binding)
+            yield from self._evaluate_unbound_predicate(subject, predicate_var, obj, binding, probes)
             return
         if not isinstance(predicate_term, URI):
             return
         if predicate_term == RDF_TYPE:
-            yield from self._evaluate_rdf_type(subject, obj, binding)
+            yield from self._evaluate_rdf_type(subject, obj, binding, probes)
             return
-        yield from self._evaluate_property(predicate_term, subject, obj, binding)
+        yield from self._evaluate_property(predicate_term, subject, obj, binding, probes)
 
     def evaluate_all(self, pattern: TriplePattern) -> List[Binding]:
         """Evaluate ``pattern`` with no initial binding (convenience for tests)."""
@@ -65,13 +166,15 @@ class TriplePatternEvaluator:
         """Stream the bind-propagation join of ``bindings`` with ``pattern``.
 
         Pulls one upstream binding at a time, propagates it into the pattern
-        (one batched SDS probe) and yields the extensions before touching the
-        next upstream binding — the primitive the streaming pipeline's
-        ``LIMIT``/``ASK`` early termination relies on: upstream bindings the
-        consumer never asks about are never probed.
+        (one batched SDS probe, or a read of the step's run bucket once the
+        probes have paid for one — see :class:`StepProbes`) and yields the
+        extensions before touching the next upstream binding — the primitive
+        the streaming pipeline's ``LIMIT``/``ASK`` early termination relies
+        on: upstream bindings the consumer never asks about are never probed.
         """
+        probes = StepProbes()
         for binding in bindings:
-            yield from self.evaluate(pattern, binding)
+            yield from self.evaluate(pattern, binding, probes=probes)
 
     def expand_frontier(self, forward_pids, inverse_pids, frontier_ids, frontier_literals):
         """One property-path BFS round against this evaluator's store.
@@ -148,7 +251,11 @@ class TriplePatternEvaluator:
     # ------------------------------------------------------------------ #
 
     def _evaluate_rdf_type(
-        self, subject: _Slot, obj: _Slot, binding: Binding
+        self,
+        subject: _Slot,
+        obj: _Slot,
+        binding: Binding,
+        probes: StepProbes,
     ) -> Iterator[Binding]:
         subject_term, subject_var = subject
         object_term, object_var = obj
@@ -165,12 +272,22 @@ class TriplePatternEvaluator:
                 subject_id = store.instances.try_locate(subject_term)
                 if subject_id is None:
                     return
-                stored_concepts = store.type_store.concepts_of(subject_id)
                 if self.reasoning:
                     low, high = store.concepts.interval(object_term)
-                    matched = any(low <= stored < high for stored in stored_concepts)
                 else:
-                    matched = concept_id in stored_concepts
+                    low, high = concept_id, concept_id + 1
+                type_store = store.type_store
+                matched = probes.answer(
+                    ("type", low, high),
+                    subject_id,
+                    lambda: (
+                        _MEMBER
+                        if any(low <= c < high for c in type_store.concepts_of(subject_id))
+                        else ()
+                    ),
+                    lambda: type_store.count_concept_interval(low, high),
+                    lambda: dict.fromkeys(type_store.subjects_of_interval(low, high), _MEMBER),
+                )
                 if matched:
                     extended = self._emit(binding, [])
                     if extended is not None:
@@ -266,6 +383,7 @@ class TriplePatternEvaluator:
         subject: _Slot,
         obj: _Slot,
         binding: Binding,
+        probes: StepProbes,
         expand: bool = True,
     ) -> Iterator[Binding]:
         subject_term, subject_var = subject
@@ -301,7 +419,7 @@ class TriplePatternEvaluator:
                 # ``object_var`` is guaranteed unbound (a bound variable
                 # would have been resolved to a term), so the bindings are
                 # extended directly.
-                for object_id in store.object_store.objects_for(subject_id, property_id):
+                for object_id in self._objects_for(subject_id, property_id, probes):
                     yield extend(object_var, extract(object_id))
                 for literal in store.datatype_store.literals_for(subject_id, property_id):
                     yield extend(object_var, literal)
@@ -314,7 +432,7 @@ class TriplePatternEvaluator:
                     object_id = store.instances.try_locate(object_term)
                     if object_id is None:
                         continue
-                    found_subjects = store.object_store.subjects_for(property_id, object_id)
+                    found_subjects = self._subjects_for(property_id, object_id, probes)
                 for found_subject in found_subjects:
                     yield extend(subject_var, extract(found_subject))
                 continue
@@ -341,6 +459,30 @@ class TriplePatternEvaluator:
                 values[object_var] = literal
                 yield adopt(values)
 
+    def _objects_for(self, subject_id: int, property_id: int, probes: StepProbes) -> Sequence[int]:
+        """Algorithm 3 on the object layout, or the step's subject-keyed run bucket."""
+        object_store = self.store.object_store
+        return probes.answer(
+            ("objects", property_id),
+            subject_id,
+            lambda: object_store.objects_for(subject_id, property_id),
+            lambda: object_store.count_triples_with_property(property_id),
+            lambda: _group_pairs(object_store.pairs_for_property(property_id)),
+        )
+
+    def _subjects_for(self, property_id: int, object_id: int, probes: StepProbes) -> Sequence[int]:
+        """Algorithm 4 on the object layout, or the step's object-keyed run bucket."""
+        object_store = self.store.object_store
+        return probes.answer(
+            ("subjects", property_id),
+            object_id,
+            lambda: object_store.subjects_for(property_id, object_id),
+            lambda: object_store.count_triples_with_property(property_id),
+            lambda: _group_pairs(
+                (obj, subject) for subject, obj in object_store.pairs_for_property(property_id)
+            ),
+        )
+
     def _contains(self, property_id: int, subject_id: int, object_term: Term) -> bool:
         if isinstance(object_term, Literal):
             return object_term in self.store.datatype_store.literals_for(subject_id, property_id)
@@ -359,10 +501,11 @@ class TriplePatternEvaluator:
         predicate_var: Optional[str],
         obj: _Slot,
         binding: Binding,
+        probes: StepProbes,
     ) -> Iterator[Binding]:
         store = self.store
         # rdf:type triples first.
-        for extended in self._evaluate_rdf_type(subject, obj, binding):
+        for extended in self._evaluate_rdf_type(subject, obj, binding, probes):
             result = self._emit(extended, [(predicate_var, RDF_TYPE)])
             if result is not None:
                 yield result
@@ -376,7 +519,9 @@ class TriplePatternEvaluator:
                 continue
             # The variable binds to the *stored* predicate, so no hierarchy
             # expansion happens here (each stored property matches itself).
-            for extended in self._evaluate_property(predicate, subject, obj, binding, expand=False):
+            for extended in self._evaluate_property(
+                predicate, subject, obj, binding, probes, expand=False
+            ):
                 result = self._emit(extended, [(predicate_var, predicate)])
                 if result is not None:
                     yield result
