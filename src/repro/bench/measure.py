@@ -12,7 +12,7 @@ Every latency this reproduction reports is split into two components:
 components are always available so the calibration stays transparent.
 
 Measurements additionally record the number of **SDS kernel calls** the
-operation performed (rank/select/scan/access_range invocations counted by
+operation performed (rank/select/access_range invocations counted by
 :mod:`repro.sds.kernels`).  A batched primitive registers as one call, so
 this number makes the effect of batched triple-pattern evaluation visible
 next to the wall-clock improvement.
@@ -22,7 +22,7 @@ The counters are process-wide, and the process execution backend
 boundaries: each worker task reports its per-task counter delta, which the
 coordinator folds back into its own ``KERNEL_COUNTS`` before the task's
 results are surfaced — so ``measure_call`` around a process-backed query
-still sees every rank/select/scan the workers performed.
+still sees every rank/select the workers performed.
 """
 
 from __future__ import annotations

@@ -7,12 +7,12 @@ that preserves the operations the paper needs:
 * :class:`~repro.sds.bitvector.BitVector` — a compressed-friendly bit sequence
   with O(1) ``rank`` and near-O(1) ``select`` through two-level rank
   directories and sampled select hints.
-* :class:`~repro.sds.wavelet_matrix.WaveletMatrix` — the flat form of the
-  paper's wavelet tree (one level bitvector per bit of the alphabet)
-  supporting ``access``, ``rank``, ``select`` and the paper's
-  ``range_search`` primitive in O(log sigma).
-* :class:`~repro.sds.int_sequence.IntSequence` — a fixed-width packed integer
-  array used for flat layers (e.g. the datatype-property literal pointers).
+* :class:`~repro.sds.int_sequence.IntSequence` — the one id-column type: a
+  byte-aligned id array (8, 16, 32 or 64 bits, the narrowest that fits)
+  with ``access``, batched ``access_range``, bisection (``locate``) and the
+  paper's ``range_search``.  It holds every id layer where the paper keeps
+  a wavelet tree (HDT BitmapTriples' layout; ``docs/architecture.md``,
+  "Deviations from the paper"), the literal pointers and the rdf:type runs.
 
 The paper keeps ``rdf:type`` triples in red-black trees; this reproduction
 uses two sorted pair runs instead (:mod:`repro.store.rdftype_store`).
@@ -25,13 +25,11 @@ from repro.sds.kernels import (
     reset_kernel_counters,
     total_kernel_calls,
 )
-from repro.sds.wavelet_matrix import WaveletMatrix
 
 __all__ = [
     "BitVector",
     "BitVectorBuilder",
     "IntSequence",
-    "WaveletMatrix",
     "kernel_counters",
     "reset_kernel_counters",
     "total_kernel_calls",

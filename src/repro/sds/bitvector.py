@@ -12,15 +12,16 @@ support the three SDS primitives:
 The implementation packs bits into 64-bit words and keeps a two-level rank
 directory (superblocks of 8 words, per-word cumulative counts) giving O(1)
 ``rank``.  ``select`` uses a sampled select directory — the word index of
-every ``k``-th 1 (and 0) is recorded at construction — so each call binary
-searches only the handful of words between two samples instead of the whole
-directory, the sdsl-lite ``select_support_mcl`` discipline.
+every ``k``-th 1 is recorded at construction — so each call binary searches
+only the handful of words between two samples instead of the whole
+directory, the sdsl-lite ``select_support_mcl`` discipline.  The store's
+bitmaps mark run starts with ones, so ``select`` serves ones only;
+``rank(i, 0)`` stays, as arithmetic on ``rank(i, 1)``.
 
 On top of the single-call primitives the class exposes the batched kernels
-the query layer is built on: ``rank_many`` (one pass over many indices),
+the query layer is built on: ``rank_many`` (one pass over many indices) and
 ``select_many`` / ``select_range`` (one forward scan materialising many
-occurrence positions) and ``scan_ones`` (word-at-a-time extraction of every
-set bit in an index range).  A batched call does the work of O(results)
+occurrence positions).  A batched call does the work of O(results)
 single-call round-trips while registering as one kernel invocation.
 """
 
@@ -48,7 +49,7 @@ _SUPERBLOCK_BITS = _WORD_BITS * _WORDS_PER_SUPERBLOCK
 #: still bounding every select to one sample stride.
 _SELECT_SAMPLE = 8192
 
-for _name in ("rank", "select", "rank_many", "select_many", "scan", "access", "access_range"):
+for _name in ("rank", "select", "rank_many", "select_many", "access_range"):
     KERNEL_COUNTS.setdefault(_name, 0)
 
 
@@ -175,6 +176,11 @@ class BitVectorBuilder:
         return BitVector._from_words(words, len(self))
 
 
+def _check_select_bit(bit: int) -> None:
+    if bit != 1:
+        raise ValueError(f"select serves set bits only (bit=1), got bit={bit!r}")
+
+
 def _words_from_bytes(data: bytes) -> List[int]:
     """Pack a byte string into little-endian 64-bit words."""
     padded = data + b"\x00" * (-len(data) % 8)
@@ -200,7 +206,6 @@ class BitVector:
         "_word_ranks",
         "_ones",
         "_one_samples",
-        "_zero_samples",
     )
 
     def __init__(self, bits: Iterable[int] = ()) -> None:
@@ -213,7 +218,6 @@ class BitVector:
         self._word_ranks = frozen._word_ranks
         self._ones = frozen._ones
         self._one_samples = frozen._one_samples
-        self._zero_samples = frozen._zero_samples
 
     @classmethod
     def _from_words(cls, words: List[int], length: int) -> "BitVector":
@@ -245,7 +249,6 @@ class BitVector:
         word_ranks,
         superblock_ranks,
         one_samples,
-        zero_samples,
     ) -> "BitVector":
         """Assemble a vector around pre-built word buffers without any rebuild.
 
@@ -264,45 +267,31 @@ class BitVector:
         self._word_ranks = word_ranks
         self._superblock_ranks = superblock_ranks
         self._one_samples = one_samples
-        self._zero_samples = zero_samples
         return self
 
     def _build_directories(self) -> None:
         superblock_ranks = array("Q")
         word_ranks = array("Q")
         one_samples = array("Q")
-        zero_samples = array("Q")
         running = 0
-        zeros_running = 0
         # The first stride needs no sample (the search window starts at word
         # 0 anyway), so vectors shorter than one stride carry no select
         # directory at all — important for the many short
         # bitmaps.
         next_one_target = _SELECT_SAMPLE + 1
-        next_zero_target = _SELECT_SAMPLE + 1
-        length = self._length
         for index, word in enumerate(self._words):
             if index % _WORDS_PER_SUPERBLOCK == 0:
                 superblock_ranks.append(running)
             word_ranks.append(running)
             ones_here = _popcount(word)
-            bits_here = length - index * _WORD_BITS
-            if bits_here > _WORD_BITS:
-                bits_here = _WORD_BITS
-            zeros_here = bits_here - ones_here
             while running + ones_here >= next_one_target:
                 one_samples.append(index)
                 next_one_target += _SELECT_SAMPLE
-            while zeros_running + zeros_here >= next_zero_target:
-                zero_samples.append(index)
-                next_zero_target += _SELECT_SAMPLE
             running += ones_here
-            zeros_running += zeros_here
         self._superblock_ranks = superblock_ranks
         self._word_ranks = word_ranks
         self._ones = running
         self._one_samples = one_samples
-        self._zero_samples = zero_samples
 
     # ------------------------------------------------------------------ #
     # basic protocol
@@ -405,19 +394,16 @@ class BitVector:
         return out
 
     def select(self, occurrence: int, bit: int = 1) -> int:
-        """Index of the ``occurrence``-th (1-based) occurrence of ``bit``.
+        """Index of the ``occurrence``-th (1-based) set bit.
 
         Raises :class:`ValueError` when the vector holds fewer than
-        ``occurrence`` occurrences of ``bit``.
+        ``occurrence`` set bits, and for ``bit`` other than 1.
         """
+        _check_select_bit(bit)
         if occurrence <= 0:
             raise ValueError("select occurrence is 1-based and must be positive")
         KERNEL_COUNTS["select"] += 1
-        if bit == 1:
-            return self._select1(occurrence)
-        if bit == 0:
-            return self._select0(occurrence)
-        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+        return self._select1(occurrence)
 
     def _select1(self, occurrence: int) -> int:
         if occurrence > self._ones:
@@ -425,36 +411,17 @@ class BitVector:
                 f"select(1) out of range: asked occurrence {occurrence}, "
                 f"vector has {self._ones} set bits"
             )
-        word_index = self._select_word(occurrence, 1)
+        word_index = self._select_word(occurrence)
         remaining = occurrence - self._word_ranks[word_index]
         return word_index * _WORD_BITS + _nth_set_bit_kernel(self._words[word_index], remaining)
 
-    def _select0(self, occurrence: int) -> int:
-        zeros_total = self._length - self._ones
-        if occurrence > zeros_total:
-            raise ValueError(
-                f"select(0) out of range: asked occurrence {occurrence}, "
-                f"vector has {zeros_total} zero bits"
-            )
-        word_index = self._select_word(occurrence, 0)
-        zeros_before = word_index * _WORD_BITS - self._word_ranks[word_index]
-        remaining = occurrence - zeros_before
-        inverted = (~self._words[word_index]) & _WORD_MASK
-        position = word_index * _WORD_BITS + _nth_set_bit_kernel(inverted, remaining)
-        if position >= self._length:
-            raise ValueError(
-                f"select(0) out of range: occurrence {occurrence} falls past "
-                f"the end of the vector"
-            )
-        return position
-
-    def _select_word(self, occurrence: int, bit: int) -> int:
-        """Word containing the ``occurrence``-th ``bit``, via the sampled directory.
+    def _select_word(self, occurrence: int) -> int:
+        """Word containing the ``occurrence``-th set bit, via the sampled directory.
 
         The samples bound the binary search to the words spanning one sample
         stride (``_SELECT_SAMPLE`` occurrences) instead of the whole vector.
         """
-        samples = self._one_samples if bit == 1 else self._zero_samples
+        samples = self._one_samples
         # ``samples[s]`` holds the word of occurrence ``(s + 1) * stride + 1``;
         # the first stride searches from word 0.
         sample_index = (occurrence - 1) // _SELECT_SAMPLE
@@ -467,65 +434,46 @@ class BitVector:
         else:
             hi = len(self._words) - 1
         word_ranks = self._word_ranks
-        if bit == 1:
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if word_ranks[mid] < occurrence:
-                    lo = mid
-                else:
-                    hi = mid - 1
-        else:
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if mid * _WORD_BITS - word_ranks[mid] < occurrence:
-                    lo = mid
-                else:
-                    hi = mid - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if word_ranks[mid] < occurrence:
+                lo = mid
+            else:
+                hi = mid - 1
         return lo
 
     def select_many(self, occurrences: Sequence[int], bit: int = 1) -> List[int]:
-        """Positions of many (ascending, 1-based) occurrences in one forward scan.
+        """Positions of many (ascending, 1-based) set bits in one forward scan.
 
         This is the batched counterpart of :meth:`select`: the word array is
         traversed once, decoding each word's set-bit offsets at most once, so
         materialising ``k`` occurrence positions costs O(words spanned + k)
         instead of ``k`` independent directory searches.
         """
-        if bit not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+        _check_select_bit(bit)
         occurrences = list(occurrences)
         if not occurrences:
             return []
         KERNEL_COUNTS["select_many"] += 1
-        total = self._ones if bit == 1 else self._length - self._ones
+        ones = self._ones
         first = occurrences[0]
         if first <= 0:
             raise ValueError("select occurrence is 1-based and must be positive")
-        if occurrences[-1] > total:
+        if occurrences[-1] > ones:
             raise ValueError(
-                f"select({bit}) out of range: asked occurrence {occurrences[-1]}, "
-                f"vector has {total} such bits"
+                f"select(1) out of range: asked occurrence {occurrences[-1]}, "
+                f"vector has {ones} set bits"
             )
         words = self._words
         word_ranks = self._word_ranks
         word_count = len(words)
-        length = self._length
-        ones = self._ones
 
         def count_through(word_index: int) -> int:
-            """Occurrences of ``bit`` in words ``[0, word_index]``."""
-            end = word_ranks[word_index + 1] if word_index + 1 < word_count else ones
-            if bit == 1:
-                return end
-            bits_through = (word_index + 1) * _WORD_BITS
-            if bits_through > length:
-                bits_through = length
-            return bits_through - end
+            """Set bits in words ``[0, word_index]``."""
+            return word_ranks[word_index + 1] if word_index + 1 < word_count else ones
 
-        word_index = self._select_word(first, bit)
+        word_index = self._select_word(first)
         word = words[word_index]
-        if bit == 0:
-            word = ~word & _WORD_MASK
         # Offsets of the current word are decoded lazily: the first hit in a
         # word uses the table-skipping ``nth_set_bit`` (cheap for dense
         # words probed once), a second hit decodes the full offset list so a
@@ -547,17 +495,11 @@ class BitVector:
                 if word_index + 1 < word_count and occurrence <= count_through(word_index + 1):
                     word_index += 1
                 else:
-                    word_index = self._select_word(occurrence, bit)
+                    word_index = self._select_word(occurrence)
                 word = words[word_index]
-                if bit == 0:
-                    word = ~word & _WORD_MASK
                 offsets = None
                 hits_in_word = 0
-            before = (
-                word_ranks[word_index]
-                if bit == 1
-                else word_index * _WORD_BITS - word_ranks[word_index]
-            )
+            before = word_ranks[word_index]
             hits_in_word += 1
             if offsets is None and hits_in_word > 1:
                 offsets = _set_offsets(word)
@@ -565,21 +507,16 @@ class BitVector:
                 offset = _nth_set_bit_kernel(word, occurrence - before)
             else:
                 offset = offsets[occurrence - before - 1]
-            position = word_index * _WORD_BITS + offset
-            if position >= length:
-                raise ValueError(
-                    f"select({bit}) out of range: occurrence {occurrence} falls past "
-                    f"the end of the vector"
-                )
-            push(position)
+            push(word_index * _WORD_BITS + offset)
         return out
 
     def select_range(self, first: int, last: int, bit: int = 1) -> List[int]:
-        """Positions of occurrences ``first..last`` (1-based, inclusive) of ``bit``.
+        """Positions of set bits ``first..last`` (1-based, inclusive).
 
-        Equivalent to ``[select(j, bit) for j in range(first, last + 1)]`` but
+        Equivalent to ``[select(j) for j in range(first, last + 1)]`` but
         computed in a single forward scan.
         """
+        _check_select_bit(bit)
         if first <= 0:
             raise ValueError("select occurrence is 1-based and must be positive")
         if last < first:
@@ -588,40 +525,8 @@ class BitVector:
             # Tiny ranges (single runs probed during bind-propagation joins)
             # skip the scan machinery.
             KERNEL_COUNTS["select_many"] += 1
-            if bit == 1:
-                return [self._select1(j) for j in range(first, last + 1)]
-            return [self._select0(j) for j in range(first, last + 1)]
-        return self.select_many(range(first, last + 1), bit)
-
-    def scan_ones(self, start: int = 0, stop: Optional[int] = None) -> List[int]:
-        """Positions of every set bit in ``[start, stop)``, word-at-a-time."""
-        length = self._length
-        if stop is None:
-            stop = length
-        start = max(0, start)
-        stop = min(length, stop)
-        if start >= stop:
-            return []
-        KERNEL_COUNTS["scan"] += 1
-        words = self._words
-        out: List[int] = []
-        push = out.append
-        first_word = start // _WORD_BITS
-        last_word = (stop - 1) // _WORD_BITS
-        for word_index in range(first_word, last_word + 1):
-            word = words[word_index]
-            if not word:
-                continue
-            if word_index == first_word and start % _WORD_BITS:
-                word &= _WORD_MASK ^ ((1 << (start % _WORD_BITS)) - 1)
-            if word_index == last_word and stop % _WORD_BITS:
-                word &= (1 << (stop % _WORD_BITS)) - 1
-            base = word_index * _WORD_BITS
-            while word:
-                low = word & -word
-                push(base + low.bit_length() - 1)
-                word ^= low
-        return out
+            return [self._select1(j) for j in range(first, last + 1)]
+        return self.select_many(range(first, last + 1))
 
     # ------------------------------------------------------------------ #
     # storage accounting
@@ -642,7 +547,7 @@ class BitVector:
         directories = (
             (payload + 3) // 4
             + len(self._superblock_ranks) * 8
-            + (len(self._one_samples) + len(self._zero_samples)) * 8
+            + len(self._one_samples) * 8
         )
         return payload + directories
 

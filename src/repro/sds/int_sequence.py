@@ -1,175 +1,153 @@
-"""Fixed-width packed integer sequence.
+"""Byte-aligned id array: the one column type of every store layer.
 
-SuccinctEdge stores flat identifier layers (for example the pointers from
-datatype-property subjects into the literal store) as packed integer arrays:
-every value is stored with ``ceil(log2(max_value + 1))`` bits, which keeps the
-memory footprint close to the information-theoretic minimum while retaining
-O(1) random access.
+SuccinctEdge's PSO layout (paper Figure 5) keeps each identifier layer in a
+wavelet tree.  This reproduction stores every id column the way HDT's
+BitmapTriples does (Fernández et al., JWS 2013): as a plain fixed-width
+array of identifiers next to the bitmaps that delimit its runs.  An
+:class:`IntSequence` holds the property, subject and object layers of the
+object layout, the property and subject layers and literal pointers of the
+datatype layout, and both columns of each rdf:type pair run.
 
-Values are packed little-endian into 64-bit words (a value may straddle a
-word boundary), so construction and the batched ``access_range`` kernel run
-word-at-a-time instead of manipulating one huge Python integer — the seed
-implementation's single big-int buffer made both construction and slicing
-quadratic in the sequence length.
+Each column is stored at the narrowest of 8, 16, 32 or 64 bits that holds
+its largest id, as an ``array`` for a built store or a read-only
+``memoryview`` aliasing a mapped store image.  The primitives the paper's
+algorithms need are then C-level operations on that buffer:
+
+* ``access`` / ``access_range`` — indexing and slicing;
+* ``locate`` — bisection inside an ascending run (a subject inside its
+  property run, Algorithm 3; a LiteMat property interval; a type run key);
+* ``range_search`` — every position of one id inside a range (Algorithm 4),
+  a byte-string search over the range.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
-from typing import Iterable, Iterator, List, Optional, Sequence
+from bisect import bisect_left
+from typing import Iterable, Iterator, List, Optional
 
-from repro.sds.kernels import KERNEL_COUNTS, WORD_BITS as _WORD_BITS, WORD_MASK as _WORD_MASK
+from repro.sds.kernels import KERNEL_COUNTS, WordBuffer, words_view
+
+#: ``array`` typecode of each unsigned item size, narrowest first.
+TYPECODES = {}
+for _code in "BHILQ":
+    TYPECODES.setdefault(array(_code).itemsize, _code)
+del _code
 
 
 class IntSequence:
-    """Immutable fixed-width integer array with O(1) access.
+    """Immutable id array at the narrowest byte-aligned width that fits."""
 
-    Values are packed into 64-bit words; the width is derived from the
-    maximum value unless given explicitly.
-    """
+    __slots__ = ("_values",)
 
-    __slots__ = ("_words", "_width", "_length", "_mask")
+    def __init__(self, values: Iterable[int]) -> None:
+        data = values if isinstance(values, list) else list(values)
+        if data and min(data) < 0:
+            raise ValueError(f"IntSequence values must be non-negative, got {min(data)}")
+        largest = max(data, default=0)
+        for itemsize, typecode in TYPECODES.items():
+            if largest >> (8 * itemsize) == 0:
+                self._values: WordBuffer = array(typecode, data)
+                return
+        raise ValueError(f"IntSequence value {largest} does not fit in 64 bits")
 
-    def __init__(self, values: Sequence[int], width: Optional[int] = None) -> None:
-        data = list(values)
-        for value in data:
-            if value < 0:
-                raise ValueError(f"IntSequence values must be non-negative, got {value}")
-        if width is None:
-            width = max(1, max(data).bit_length()) if data else 1
-        if data and max(data).bit_length() > width:
-            raise ValueError(
-                f"value {max(data)} does not fit in declared width {width}"
-            )
-        self._width = width
-        self._length = len(data)
-        self._mask = (1 << width) - 1
-        words: List[int] = []
-        current = 0
-        filled = 0
-        for value in data:
-            current |= (value << filled) & _WORD_MASK
-            filled += width
-            while filled >= _WORD_BITS:
-                words.append(current)
-                filled -= _WORD_BITS
-                # Bits of ``value`` that spilled past the word boundary.
-                current = value >> (width - filled) if filled else 0
-                current &= _WORD_MASK
-        if filled:
-            words.append(current)
-        self._words = array("Q", words)
+    @classmethod
+    def from_buffers(cls, buffer, itemsize: int) -> "IntSequence":
+        """Wrap a little-endian byte buffer of ``itemsize``-byte ids without copying.
+
+        The store-image zero-copy constructor: on little-endian hosts the
+        column aliases ``buffer`` (typically a slice of a mapped image) as a
+        read-only ``memoryview``, so construction is O(1).
+        """
+        if itemsize not in TYPECODES:
+            raise ValueError(f"IntSequence item size must be 1, 2, 4 or 8 bytes, got {itemsize}")
+        self = object.__new__(cls)
+        self._values = words_view(buffer, TYPECODES[itemsize])
+        return self
 
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
-        return self._length
+        return len(self._values)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.access_range(0, self._length))
+        return iter(self._values)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntSequence):
             return NotImplemented
-        return (
-            self._length == other._length
-            and self._width == other._width
-            and self._words == other._words
-        )
+        return self.to_list() == other.to_list()
 
     def __hash__(self) -> int:
-        return hash((self._length, self._width, self._words.tobytes()))
+        return hash(tuple(self._values))
 
     def __repr__(self) -> str:
-        preview = ", ".join(str(v) for v in self.access_range(0, min(8, self._length)))
-        suffix = ", ..." if self._length > 8 else ""
-        return f"IntSequence([{preview}{suffix}], width={self._width})"
+        preview = ", ".join(str(v) for v in self._values[:8])
+        suffix = ", ..." if len(self) > 8 else ""
+        return f"IntSequence([{preview}{suffix}], itemsize={self.itemsize})"
 
     @property
-    def width(self) -> int:
-        """Number of bits used per value."""
-        return self._width
+    def itemsize(self) -> int:
+        """Bytes per stored id: 1, 2, 4 or 8."""
+        return self._values.itemsize
 
     def access(self, index: int) -> int:
-        """Return the value stored at ``index``."""
-        if not 0 <= index < self._length:
-            raise IndexError(f"index {index} out of range [0, {self._length})")
-        width = self._width
-        bit_index = index * width
-        word_index, offset = divmod(bit_index, _WORD_BITS)
-        value = self._words[word_index] >> offset
-        spilled = offset + width - _WORD_BITS
-        consumed = _WORD_BITS - offset
-        while spilled > 0:
-            word_index += 1
-            value |= self._words[word_index] << consumed
-            consumed += _WORD_BITS
-            spilled -= _WORD_BITS
-        return value & self._mask
+        """Return the id stored at ``index``."""
+        if not 0 <= index < len(self._values):
+            raise IndexError(f"index {index} out of range [0, {len(self._values)})")
+        return self._values[index]
 
     __getitem__ = access
 
-    def access_range(self, start: int, stop: int) -> List[int]:
-        """Values at positions ``[start, stop)`` decoded in one word-level pass.
-
-        The batched counterpart of :meth:`access`: the backing words are
-        walked once, so materialising a run of ``k`` values costs
-        O(k·width/64 + k) instead of ``k`` independent bit-window reads.
-        """
-        start = max(0, start)
-        stop = min(self._length, stop)
-        if start >= stop:
+    def access_range(self, begin: int, end: int) -> List[int]:
+        """Ids at positions ``[begin, end)`` as a list (one slice)."""
+        begin = max(0, begin)
+        end = min(len(self._values), end)
+        if begin >= end:
             return []
         KERNEL_COUNTS["access_range"] += 1
-        width = self._width
-        mask = self._mask
-        words = self._words
-        word_count = len(words)
-        out: List[int] = []
-        push = out.append
-        bit_index = start * width
-        word_index, offset = divmod(bit_index, _WORD_BITS)
-        buffer = words[word_index] >> offset
-        available = _WORD_BITS - offset
-        word_index += 1
-        for _ in range(stop - start):
-            while available < width and word_index < word_count:
-                buffer |= words[word_index] << available
-                available += _WORD_BITS
-                word_index += 1
-            push(buffer & mask)
-            buffer >>= width
-            available -= width
-        return out
+        return self._values[begin:end].tolist()
 
     def to_list(self) -> List[int]:
-        """Materialise the sequence as a plain list."""
-        return self.access_range(0, self._length)
+        """Materialise the column as a plain list."""
+        return self._values.tolist()
+
+    def locate(self, value: int, begin: int = 0, end: Optional[int] = None) -> int:
+        """First position in ``[begin, end)`` whose id is ``>= value``.
+
+        The range must be ascending (a property layer, a subject run, a type
+        run's keys); the answer is ``end`` when every id is smaller.  One
+        bisection, counted as one ``rank``.
+        """
+        KERNEL_COUNTS["rank"] += 1
+        return bisect_left(self._values, value, begin, len(self._values) if end is None else end)
+
+    def range_search(self, begin: int, end: int, value: int) -> List[int]:
+        """Every position of ``value`` inside ``[begin, end)``, ascending.
+
+        The paper's ``rangeSearch(a, b, c)`` over an unordered range (the
+        objects of one property, Algorithm 4): one byte-string search over
+        the range, keeping the hits that start on an item boundary.
+        """
+        begin = max(0, begin)
+        end = min(len(self._values), end)
+        itemsize = self._values.itemsize
+        if begin >= end or value < 0 or value >> (8 * itemsize):
+            return []
+        KERNEL_COUNTS["rank"] += 1
+        raw = self._values[begin:end].tobytes()
+        needle = value.to_bytes(itemsize, sys.byteorder)
+        found: List[int] = []
+        hit = raw.find(needle)
+        while hit >= 0:
+            if hit % itemsize:
+                hit = raw.find(needle, hit + itemsize - hit % itemsize)
+                continue
+            found.append(begin + hit // itemsize)
+            hit = raw.find(needle, hit + itemsize)
+        return found
 
     def size_in_bytes(self) -> int:
-        """Approximate packed storage footprint in bytes."""
-        return (self._length * self._width + 7) // 8
-
-    @classmethod
-    def from_iterable(cls, values: Iterable[int], width: Optional[int] = None) -> "IntSequence":
-        """Build from any iterable of non-negative integers."""
-        return cls(list(values), width=width)
-
-    @classmethod
-    def from_buffers(cls, words, length: int, width: int) -> "IntSequence":
-        """Assemble a sequence around a pre-packed word buffer without copying.
-
-        The store-image zero-copy constructor: ``words`` is a 64-bit word
-        buffer (``array('Q')`` or a read-only ``memoryview`` aliasing a
-        mapped store image) holding exactly the packed payload the regular
-        constructor would have produced for ``length`` values of ``width``
-        bits each.  No repacking happens, so construction is O(1).
-        """
-        if width <= 0:
-            raise ValueError(f"IntSequence width must be positive, got {width}")
-        self = object.__new__(cls)
-        self._words = words
-        self._width = width
-        self._length = length
-        self._mask = (1 << width) - 1
-        return self
+        """Storage footprint of the id array in bytes."""
+        return len(self._values) * self._values.itemsize

@@ -1,6 +1,6 @@
 """Word-level SDS kernel helpers shared by the succinct structures.
 
-The rank/select/scan primitives of :mod:`repro.sds` all bottom out in a small
+The rank/select primitives of :mod:`repro.sds` all bottom out in a small
 set of word-level kernels collected here:
 
 * ``popcount`` — number of set bits in a 64-bit word.  Uses the native
@@ -11,11 +11,11 @@ set of word-level kernels collected here:
   chunks through the same table;
 * ``set_offsets`` — decode every set-bit offset of a word in one pass
   (lowest-set-bit stripping), the building block of the batched
-  ``scan_ones`` / ``select_range`` kernels.
+  ``select_many`` / ``select_range`` kernels.
 
 The module also hosts the **kernel-call counters** used by the benchmark
-harness: every public rank/select/scan entry point on the SDS structures
-counts as one kernel call, so a batched primitive that replaces O(results)
+harness: every public rank/select/locate/range-search entry point on the SDS
+structures counts as one kernel call, so a batched primitive that replaces O(results)
 round-trips registers as a single call.  ``measure_call`` snapshots the
 counters around each measured operation and reports the delta alongside wall
 time.
@@ -31,28 +31,32 @@ from typing import Dict, List, Union
 WORD_BITS = 64
 WORD_MASK = (1 << WORD_BITS) - 1
 
-#: Buffer types the word-level kernels accept interchangeably: the mutable
-#: ``array('Q')`` produced by the builders, or a read-only ``memoryview``
-#: aliasing a mapped store image.  Both support indexing,
-#: ``len``, iteration and ``tobytes`` — everything the kernels use.
+#: Buffer types the kernels accept interchangeably: the mutable ``array``
+#: produced by the builders, or a read-only ``memoryview`` aliasing a mapped
+#: store image.  Both support indexing, slicing, ``len``, iteration,
+#: ``tolist`` and ``tobytes`` — everything the kernels use.
 WordBuffer = Union["array", memoryview]
 
 
-def words_view(buffer: Union[bytes, bytearray, memoryview]) -> WordBuffer:
-    """Expose a bytes-like buffer as read-only little-endian 64-bit words.
+def words_view(buffer: Union[bytes, bytearray, memoryview], typecode: str = "Q") -> WordBuffer:
+    """Expose a bytes-like buffer as read-only little-endian ``typecode`` items.
 
-    On little-endian hosts this is a zero-copy ``memoryview.cast('Q')`` —
-    the caller keeps aliasing the underlying buffer (typically an ``mmap``
-    of a store image), so no decode pass happens.  Big-endian hosts fall
-    back to one byteswapped ``array('Q')`` copy with identical indexing
-    semantics; the on-disk format stays little-endian either way.
+    ``typecode`` is an unsigned ``array`` typecode: ``Q`` for the 64-bit
+    bitvector words, the id width for an id column.  On little-endian hosts
+    this is a zero-copy ``memoryview.cast`` — the caller keeps aliasing the
+    underlying buffer (typically an ``mmap`` of a store image), so no decode
+    pass happens.  Big-endian hosts fall back to one byteswapped ``array``
+    copy with identical indexing semantics; the on-disk format stays
+    little-endian either way.
     """
     view = memoryview(buffer)
-    if view.nbytes % 8:
-        raise ValueError(f"word buffer length {view.nbytes} is not a multiple of 8 bytes")
+    copied = array(typecode)
+    if view.nbytes % copied.itemsize:
+        raise ValueError(
+            f"buffer length {view.nbytes} is not a multiple of {copied.itemsize} bytes"
+        )
     if sys.byteorder == "little":
-        return view.toreadonly().cast("Q")
-    copied = array("Q")
+        return view.toreadonly().cast(typecode)
     copied.frombytes(view.tobytes())
     copied.byteswap()
     return copied
@@ -120,7 +124,8 @@ def set_offsets(word: int) -> List[int]:
 # --------------------------------------------------------------------------- #
 
 #: Mutable per-operation call counters.  Keys are kernel names (``rank``,
-#: ``select``, ``rank_many``, ``select_many``, ``scan``, ``access_range``...).
+#: ``select``, ``rank_many``, ``select_many``, ``access_range``); an id
+#: column's ``locate`` and ``range_search`` count as ``rank``.
 #: The hot kernels increment their (preset) keys directly.
 KERNEL_COUNTS: Dict[str, int] = {}
 

@@ -3,7 +3,7 @@
 The store is split exactly along the paper's architecture (Figure 4):
 
 * :class:`~repro.store.triple_store.ObjectTripleStore` — object-property
-  triples in a single PSO index made of wavelet matrices linked by bitmaps
+  triples in a single PSO index made of id arrays linked by bitmaps
   (:class:`~repro.store.triple_store.PSOLayout`);
 * :class:`~repro.store.datatype_store.DatatypeTripleStore` — the same layout
   for datatype-property triples, whose objects live in a flat literal store;

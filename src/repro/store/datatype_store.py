@@ -36,8 +36,6 @@ class DatatypeTripleStore(PSOLayout):
     pass.
     """
 
-    _objects_in_alphabet = False
-
     def __init__(
         self,
         triples: Sequence[EncodedDatatypeTriple],
@@ -63,7 +61,7 @@ class DatatypeTripleStore(PSOLayout):
         store.literals = literals
         return store
 
-    def _encode_objects(self, literals: List[Literal], alphabet: int) -> IntSequence:
+    def _encode_objects(self, literals: List[Literal]) -> IntSequence:
         return IntSequence([self.literals.append(literal) for literal in literals])
 
     def _decode_objects(self, begin: int, end: int) -> List[Literal]:

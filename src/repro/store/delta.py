@@ -2,7 +2,7 @@
 
 The succinct layouts of :mod:`repro.store.triple_store`,
 :mod:`repro.store.datatype_store` and :mod:`repro.store.rdftype_store` are
-immutable by construction — bitmaps and wavelet matrices are built once from a
+immutable by construction — bitmaps and id arrays are built once from a
 sorted triple run.  Live updates therefore follow the LSM pattern
 (see ``docs/update_lifecycle.md``):
 

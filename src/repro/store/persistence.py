@@ -12,10 +12,10 @@ module provides:
   image back.
 
 The image (see ``docs/persistence.md`` for the full layout) holds bitvector
-words, rank blocks, select directories (including every wavelet-matrix
-level), packed int-sequences, the literal records and the sorted rdf:type
-pair runs verbatim as aligned sections behind a fixed header plus a table of
-contents.
+words, rank blocks and select directories, the byte-aligned id arrays of
+every layer (the PSO id layers, the literal pointers and the rdf:type pair
+columns) and the literal records verbatim as aligned sections behind a
+fixed header plus a table of contents.
 :func:`load_store` maps the file and hands read-only ``memoryview`` slices
 straight to the SDS kernels — **no per-triple decode happens**, so
 cold-start cost is independent of the triple count.  Only the small decoded
@@ -28,6 +28,7 @@ import io
 import mmap as _mmaplib
 import os
 import struct
+import sys
 import zlib
 from array import array
 from typing import BinaryIO, Dict, List, Optional, Tuple
@@ -36,17 +37,16 @@ from repro.ontology.litemat import EncodedEntity, LiteMatEncoding
 from repro.ontology.schema import OntologySchema
 from repro.rdf.terms import BlankNode, Literal, Term, URI
 from repro.sds.bitvector import BitVector
-from repro.sds.int_sequence import IntSequence
+from repro.sds.int_sequence import TYPECODES, IntSequence
 from repro.sds.kernels import words_view
-from repro.sds.wavelet_matrix import WaveletMatrix
 from repro.store.rdftype_store import PairRun, RDFTypeStore
 
 _MAGIC = b"SEDG"
 # The version is a little-endian u16 at byte offset 4, right after the magic.
-# Version 5 stores wavelet matrices and table-indexed literal datatypes;
-# earlier versions (v4's pointer wavelet trees, v3's varint streams) are no
-# longer read.
-_VERSION = 5
+# Version 6 stores every id column as one byte-aligned id array; earlier
+# versions (v5's wavelet matrices, v4's pointer wavelet trees, v3's varint
+# streams) are no longer read.
+_VERSION = 6
 _PAGE = 4096
 #: Fixed 64-byte header: magic, version, flags, page size, section count,
 #: TOC offset, meta offset, meta length, file length, checksum (CRC-32 of
@@ -401,25 +401,22 @@ def _align_up(value: int, alignment: int) -> int:
     return (value + alignment - 1) // alignment * alignment
 
 
-def _word_bytes(words) -> bytes:
-    """Little-endian byte payload of a 64-bit word buffer (array or view)."""
-    import sys
-
+def _word_bytes(words, typecode: str = "Q") -> bytes:
+    """Little-endian byte payload of a ``typecode`` item buffer (array or view)."""
     if sys.byteorder == "little":
         return words.tobytes()
-    copied = array("Q", words)
+    copied = array(typecode, words)
     copied.byteswap()
     return copied.tobytes()
 
 
 def _bitvector_parts(bits: BitVector) -> tuple:
-    """The five word buffers of a bitvector, in image order."""
+    """The four word buffers of a bitvector, in image order."""
     return (
         bits._words,
         bits._word_ranks,
         bits._superblock_ranks,
         bits._one_samples,
-        bits._zero_samples,
     )
 
 
@@ -448,37 +445,20 @@ class _ImageWriter:
         for part in parts:
             _write_varint(meta, len(part))
 
-    def write_wavelet_matrix(self, matrix: WaveletMatrix) -> None:
-        """Length, sigma and level count in meta, then one bitvector per level."""
-        meta = self.meta
-        levels = matrix.levels
-        _write_varint(meta, len(matrix))
-        _write_varint(meta, matrix.alphabet_size)
-        _write_varint(meta, len(levels))
-        for bits in levels:
-            self.write_bitvector(bits)
-
-    def write_int_sequence(self, sequence: IntSequence) -> None:
-        """Packed words as one section; length and width in meta."""
-        section = self.add_section(_word_bytes(sequence._words))
+    def write_id_array(self, column: IntSequence) -> None:
+        """The column's ids as one section; count and item size in meta."""
+        section = self.add_section(_word_bytes(column._values, TYPECODES[column.itemsize]))
         meta = self.meta
         _write_varint(meta, section)
-        _write_varint(meta, len(sequence))
-        _write_varint(meta, sequence.width)
+        _write_varint(meta, len(column))
+        _write_varint(meta, column.itemsize)
 
-    def write_pair_run(self, run: PairRun) -> None:
-        """The run's interleaved pair words as one section; pair count in meta."""
-        section = self.add_section(_word_bytes(run.words))
-        meta = self.meta
-        _write_varint(meta, section)
-        _write_varint(meta, len(run))
-
-    def write_layout(self, layout, write_objects) -> None:
-        """The four shared PSO structures around the layout's object layer."""
+    def write_layout(self, layout, objects: IntSequence) -> None:
+        """The PSO layers around the layout's object layer."""
         _write_varint(self.meta, len(layout))
-        self.write_wavelet_matrix(layout.wt_p)
-        self.write_wavelet_matrix(layout.wt_s)
-        write_objects()
+        self.write_id_array(layout.wt_p)
+        self.write_id_array(layout.wt_s)
+        self.write_id_array(objects)
         self.write_bitvector(layout.bm_ps)
         self.write_bitvector(layout.bm_so)
 
@@ -558,19 +538,17 @@ def dump_store_image(store) -> bytes:
     _write_varint(meta, store.skipped_triples)
     _write_statistics(meta, store.statistics)
 
-    object_store = store.object_store
-    writer.write_layout(object_store, lambda: writer.write_wavelet_matrix(object_store.wt_o))
+    writer.write_layout(store.object_store, store.object_store.wt_o)
     datatype_store = store.datatype_store
-    writer.write_layout(
-        datatype_store, lambda: writer.write_int_sequence(datatype_store.object_pointers)
-    )
+    writer.write_layout(datatype_store, datatype_store.object_pointers)
     writer.write_literals(datatype_store.literals)
 
     # rdf:type layout: both sorted pair orders, served by binary search.
     type_store = store.type_store
     _write_varint(meta, len(type_store))
-    writer.write_pair_run(type_store._so)
-    writer.write_pair_run(type_store._os)
+    for run in (type_store._so, type_store._os):
+        writer.write_id_array(run.first)
+        writer.write_id_array(run.second)
 
     return writer.render()
 
@@ -843,7 +821,7 @@ def _load_image(view: memoryview, image: StoreImage):
         section = _read_varint(meta)
         length = _read_varint(meta)
         ones = _read_varint(meta)
-        counts = [_read_varint(meta) for _ in range(5)]
+        counts = [_read_varint(meta) for _ in range(4)]
         words_all = section_words(section)
         if len(words_all) != sum(counts):
             raise PersistenceError(
@@ -855,44 +833,25 @@ def _load_image(view: memoryview, image: StoreImage):
         for count in counts:
             parts.append(words_all[cursor : cursor + count])
             cursor += count
-        return BitVector.from_buffers(parts[0], length, ones, parts[1], parts[2], parts[3], parts[4])
+        return BitVector.from_buffers(parts[0], length, ones, parts[1], parts[2], parts[3])
 
-    def read_wavelet_matrix() -> WaveletMatrix:
-        length = _read_varint(meta)
-        sigma = _read_varint(meta)
-        level_count = _read_varint(meta)
-        expected = (max(1, sigma) - 1).bit_length()
-        if level_count != expected:
-            raise PersistenceError(
-                f"store image {where}: wavelet matrix over sigma={sigma} declares "
-                f"{level_count} levels, expected {expected}"
-            )
-        levels = [read_bitvector() for _ in range(level_count)]
-        for depth, bits in enumerate(levels):
-            if len(bits) != length:
-                raise PersistenceError(
-                    f"store image {where}: wavelet-matrix level {depth} holds "
-                    f"{len(bits)} bits, the matrix has {length} symbols"
-                )
-        return WaveletMatrix.from_levels(length, sigma, levels)
-
-    def read_int_sequence() -> IntSequence:
+    def read_id_array() -> IntSequence:
         section = _read_varint(meta)
-        length = _read_varint(meta)
-        width = _read_varint(meta)
-        if not 1 <= width <= 64:
+        count = _read_varint(meta)
+        itemsize = _read_varint(meta)
+        if itemsize not in TYPECODES:
             raise PersistenceError(
-                f"store image {where}: int sequence {section} declares width {width}, "
-                "expected 1 to 64 bits"
+                f"store image {where}: id-array section {section} declares item size "
+                f"{itemsize}, expected 1, 2, 4 or 8 bytes"
             )
-        words = section_words(section)
-        expected = (length * width + 63) // 64
-        if len(words) != expected:
+        payload = section_bytes(section)
+        if payload.nbytes != count * itemsize:
             raise PersistenceError(
-                f"store image {where}: int-sequence section {section} holds "
-                f"{len(words)} words, {length} values of {width} bits need {expected}"
+                f"store image {where}: id-array section {section} holds "
+                f"{payload.nbytes} bytes, {count} ids of {itemsize} bytes need "
+                f"{count * itemsize}"
             )
-        return IntSequence.from_buffers(words, length, width)
+        return IntSequence.from_buffers(payload, itemsize)
 
     def read_literals() -> BufferLiteralStore:
         count = _read_varint(meta)
@@ -916,42 +875,32 @@ def _load_image(view: memoryview, image: StoreImage):
         return BufferLiteralStore(offsets, blob, count, kinds)
 
     def read_pair_run() -> PairRun:
-        section = _read_varint(meta)
-        count = _read_varint(meta)
-        words = section_words(section)
-        if len(words) != 2 * count:
+        first = read_id_array()
+        second = read_id_array()
+        if len(first) != type_count or len(second) != type_count:
             raise PersistenceError(
-                f"store image {where}: pair section {section} holds {len(words)} "
-                f"words, expected {2 * count}"
+                f"store image {where}: rdf:type columns hold {len(first)} and "
+                f"{len(second)} ids, meta declares {type_count} pairs"
             )
-        return PairRun(words, count)
+        return PairRun(first, second)
 
-    def read_layout(read_objects) -> dict:
-        """The four shared PSO structures around the layout's object layer."""
-        triple_count = _read_varint(meta)
-        wt_p = read_wavelet_matrix()
-        wt_s = read_wavelet_matrix()
-        objects = read_objects()
+    def read_layout() -> dict:
+        """The PSO layers around the layout's object layer."""
         return dict(
-            triple_count=triple_count,
-            wt_p=wt_p,
-            wt_s=wt_s,
-            objects=objects,
+            triple_count=_read_varint(meta),
+            wt_p=read_id_array(),
+            wt_s=read_id_array(),
+            objects=read_id_array(),
             bm_ps=read_bitvector(),
             bm_so=read_bitvector(),
         )
 
-    object_store = ObjectTripleStore._from_components(**read_layout(read_wavelet_matrix))
-    datatype_layout = read_layout(read_int_sequence)
+    object_store = ObjectTripleStore._from_components(**read_layout())
+    datatype_layout = read_layout()
     datatype_store = DatatypeTripleStore._from_components(read_literals(), **datatype_layout)
 
     type_count = _read_varint(meta)
     type_store = RDFTypeStore._from_components(read_pair_run(), read_pair_run())
-    if len(type_store) != type_count:
-        raise PersistenceError(
-            f"store image {where}: rdf:type section holds {len(type_store)} pairs, "
-            f"meta declares {type_count}"
-        )
 
     store = SuccinctEdge(
         schema=schema,

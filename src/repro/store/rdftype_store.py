@@ -6,7 +6,9 @@ The paper uses red-black trees so that lookups stay O(log n) while triples
 are inserted during construction.  Here the type index is built once from
 the encoded triples, so it is two sorted pair runs instead — the same
 O(log n) lookups by binary search, no per-node objects, and the exact layout
-a store image maps (``docs/architecture.md``, "Deviations from the paper"):
+a store image maps (``docs/architecture.md``, "Deviations from the paper").
+Each run is two id columns of the store's one column type,
+:class:`~repro.sds.int_sequence.IntSequence`:
 
 * the OS run holds ``(concept_id, subject_id)`` pairs — enumerating every
   subject of a concept (or of a whole LiteMat concept interval) is one
@@ -17,78 +19,62 @@ a store image maps (``docs/architecture.md``, "Deviations from the paper"):
 
 from __future__ import annotations
 
-from array import array
-from itertools import chain
 from typing import Iterable, Iterator, List, Tuple
+
+from repro.sds.int_sequence import IntSequence
 
 #: An encoded rdf:type triple ``(subject_id, concept_id)``.
 EncodedTypeTriple = Tuple[int, int]
 
 
 class PairRun:
-    """Sorted, unique integer pairs packed into one flat 64-bit word buffer.
+    """Sorted, unique integer pairs as two id columns.
 
-    ``words[2 * i]`` / ``words[2 * i + 1]`` are the ``i``-th pair.  The
-    buffer is an ``array('Q')`` for built stores or a read-only
-    ``memoryview`` aliasing a mapped store image; either way lookups are
-    binary searches over the words, and nothing is decoded up front.
+    ``first[i]`` / ``second[i]`` are the ``i``-th pair.  Each column is an
+    :class:`~repro.sds.int_sequence.IntSequence` — built, or a read-only
+    view over a mapped store image — so lookups are bisections on the
+    columns and nothing is decoded up front.
     """
 
-    __slots__ = ("words", "_count")
+    __slots__ = ("first", "second")
 
-    def __init__(self, words, count: int) -> None:
-        self.words = words
-        self._count = count
+    def __init__(self, first: IntSequence, second: IntSequence) -> None:
+        self.first = first
+        self.second = second
 
     @classmethod
     def from_pairs(cls, pairs: List[Tuple[int, int]]) -> "PairRun":
-        """Pack already-sorted unique ``(a, b)`` pairs into a fresh buffer."""
-        return cls(array("Q", chain.from_iterable(pairs)), len(pairs))
+        """Store already-sorted unique ``(a, b)`` pairs as two fresh columns."""
+        return cls(IntSequence([a for a, _ in pairs]), IntSequence([b for _, b in pairs]))
 
     def __len__(self) -> int:
-        return self._count
+        return len(self.first)
 
     def __iter__(self) -> Iterator[Tuple[int, int]]:
-        words = iter(self.words)
-        return zip(words, words)
-
-    def _lower_bound(self, first: int, second: int = -1) -> int:
-        """Index of the first pair ``>= (first, second)``."""
-        words = self.words
-        lo, hi = 0, self._count
-        while lo < hi:
-            mid = (lo + hi) // 2
-            key = words[2 * mid]
-            if key < first or (key == first and words[2 * mid + 1] < second):
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return zip(self.first, self.second)
 
     def __contains__(self, pair: Tuple[int, int]) -> bool:
         first, second = pair
-        index = self._lower_bound(first, second)
-        return (
-            index < self._count
-            and self.words[2 * index] == first
-            and self.words[2 * index + 1] == second
-        )
+        begin, end = self.span(first, first + 1)
+        index = self.second.locate(second, begin, end)
+        return index < end and self.second[index] == second
 
     def span(self, low: int, high: int) -> Tuple[int, int]:
         """Index interval of the pairs whose first element lies in ``[low, high)``."""
-        return self._lower_bound(low), self._lower_bound(high)
+        begin = self.first.locate(low)
+        return begin, self.first.locate(high, begin)
 
     def firsts(self, begin: int, end: int) -> List[int]:
         """First elements of the pairs at indexes ``[begin, end)``."""
-        return self.words[2 * begin : 2 * end : 2].tolist()
+        return self.first.access_range(begin, end)
 
     def seconds(self, begin: int, end: int) -> List[int]:
         """Second elements of the pairs at indexes ``[begin, end)``."""
-        return self.words[2 * begin + 1 : 2 * end : 2].tolist()
+        return self.second.access_range(begin, end)
 
     def size_in_bytes(self) -> int:
-        """Exact storage footprint of the packed word buffer."""
-        return self._count * 2 * 8
+        """Exact storage footprint of both columns."""
+        return self.first.size_in_bytes() + self.second.size_in_bytes()
 
 
 class RDFTypeStore:
@@ -168,5 +154,5 @@ class RDFTypeStore:
     # ------------------------------------------------------------------ #
 
     def size_in_bytes(self) -> int:
-        """Storage footprint of both pair runs (16 B per pair per order)."""
+        """Storage footprint of both pair runs."""
         return self._so.size_in_bytes() + self._os.size_in_bytes()

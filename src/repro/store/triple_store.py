@@ -1,6 +1,8 @@
-"""The PSO wavelet-matrix / bitmap layout and the object-property triple store.
+"""The PSO id-array / bitmap layout and the object-property triple store.
 
-This is the core single-index layout of Figure 5(b):
+This is the core single-index layout of Figure 5(b), with each id layer a
+byte-aligned :class:`~repro.sds.int_sequence.IntSequence` where the paper
+keeps a wavelet tree (``docs/architecture.md``, "Deviations from the paper"):
 
 * ``wt_p`` — the property layer: every *distinct* property identifier, in
   ascending order (one entry per property);
@@ -16,19 +18,21 @@ This is the core single-index layout of Figure 5(b):
 :class:`PSOLayout` holds everything built from the first four structures —
 the build loop, property navigation, counts and the batched scans.  The two
 stores differ only in their object layer: :class:`ObjectTripleStore` keeps
-object identifiers in a wavelet matrix ``wt_o`` (ascending inside each pair),
+object identifiers in ``wt_o`` (ascending inside each pair),
 :class:`~repro.store.datatype_store.DatatypeTripleStore` keeps pointers into
 a literal store.
 
 Every triple-pattern evaluation is a sequence of ``select`` / ``rank`` /
-``access`` / ``range_search`` operations on these five structures, i.e. the
-store is *decompression-free* (paper contribution ii).
+``locate`` / ``access_range`` / ``range_search`` operations on these five
+structures, i.e. the store is *decompression-free* (paper contribution ii).
+``wt_p`` is ascending and so is each property's run of ``wt_s``, so a
+property or a subject is found by bisection (Algorithm 3); Algorithm 4
+scans the property's span of the object layer.
 
 The evaluation entry points are **range-materialising**: a pattern is
-answered with one batched kernel call per layout (``select_range`` over the
-bitmaps, ``access_range`` / batched ``range_search`` over the wavelet matrices)
-instead of O(results) individual rank/select round-trips, which is what keeps
-the scan benchmarks fast in pure Python.
+answered with one batched kernel call per layer (``select_range`` over the
+bitmaps, ``access_range`` over the id arrays) instead of O(results)
+individual rank/select round-trips.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.sds.bitvector import BitVector, BitVectorBuilder
-from repro.sds.wavelet_matrix import WaveletMatrix
+from repro.sds.int_sequence import IntSequence
 
 #: An encoded object-property triple ``(property_id, subject_id, object_id)``.
 EncodedTriple = Tuple[int, int, int]
@@ -45,13 +49,9 @@ EncodedTriple = Tuple[int, int, int]
 class PSOLayout:
     """Immutable PSO layout; subclasses supply the object layer.
 
-    A subclass sets ``_objects_in_alphabet`` (whether object values share the
-    wavelet-matrix alphabet with properties and subjects), implements
-    :meth:`_encode_objects` and, when the stored values are not the objects
-    themselves, overrides :meth:`_decode_objects`.
+    A subclass implements :meth:`_encode_objects` and, when the stored values
+    are not the objects themselves, overrides :meth:`_decode_objects`.
     """
-
-    _objects_in_alphabet = True
 
     def __init__(self, ordered: Sequence[tuple]) -> None:
         """Lay out ``ordered`` triples, already in the subclass's sort order."""
@@ -86,13 +86,9 @@ class PSOLayout:
         ps_bits.append(1)
         so_bits.append(1)
 
-        symbols = property_layer + subject_layer
-        if self._objects_in_alphabet:
-            symbols += object_layer
-        alphabet = max(symbols, default=0) + 1
-        self.wt_p = WaveletMatrix(property_layer, alphabet_size=alphabet)
-        self.wt_s = WaveletMatrix(subject_layer, alphabet_size=alphabet)
-        self._objects = self._encode_objects(object_layer, alphabet)
+        self.wt_p = IntSequence(property_layer)
+        self.wt_s = IntSequence(subject_layer)
+        self._objects = self._encode_objects(object_layer)
         self.bm_ps: BitVector = ps_bits.build()
         self.bm_so: BitVector = so_bits.build()
         # The property layer is tiny (one entry per distinct property) but its
@@ -107,8 +103,8 @@ class PSOLayout:
     def _from_components(
         cls,
         triple_count: int,
-        wt_p: WaveletMatrix,
-        wt_s: WaveletMatrix,
+        wt_p: IntSequence,
+        wt_s: IntSequence,
         objects,
         bm_ps: BitVector,
         bm_so: BitVector,
@@ -130,7 +126,7 @@ class PSOLayout:
         store._subject_run_cache = {}
         return store
 
-    def _encode_objects(self, objects: list, alphabet: int):
+    def _encode_objects(self, objects: list) -> IntSequence:
         """Build the object layer from the per-triple object values."""
         raise NotImplementedError
 
@@ -160,9 +156,9 @@ class PSOLayout:
     def properties_in_interval(self, low: int, high: int) -> List[int]:
         """Stored property identifiers in ``[low, high)``, ascending.
 
-        One wavelet-matrix symbol-range probe over the property layer — the
-        reasoning access path of Section 5.2 (a LiteMat interval is answered
-        by probing only the *stored* properties it covers).
+        Two bisections on the ascending property layer — the reasoning access
+        path of Section 5.2 (a LiteMat interval is answered by probing only
+        the *stored* properties it covers).
         """
         return [symbol for _position, symbol in self._property_interval(low, high)]
 
@@ -172,7 +168,9 @@ class PSOLayout:
             return self._property_interval_cache[low, high]
         except KeyError:
             pass
-        found = self.wt_p.range_search_symbols(0, len(self.wt_p), low, high)
+        begin = self.wt_p.locate(low)
+        end = self.wt_p.locate(high, begin)
+        found = list(zip(range(begin, end), self.wt_p.access_range(begin, end)))
         self._property_interval_cache[low, high] = found
         return found
 
@@ -186,10 +184,10 @@ class PSOLayout:
             return self._property_index_cache[property_id]
         except KeyError:
             pass
-        if self.wt_p.count(property_id) == 0:
-            index: Optional[int] = None
-        else:
-            index = self.wt_p.select(1, property_id)
+        wt_p = self.wt_p
+        index: Optional[int] = wt_p.locate(property_id)
+        if index == len(wt_p) or wt_p[index] != property_id:
+            index = None
         self._property_index_cache[property_id] = index
         return index
 
@@ -251,27 +249,17 @@ class PSOLayout:
     def _objects_of(self, subject_id: int, property_id: int) -> list:
         """Algorithm 3 core: objects of ``(subject, property, ?o)`` in stored order.
 
-        One batched ``range_search`` finds every position of the subject, one
-        batched select scan finds all object-run boundaries, and each run is
-        decoded with one batched object-layer read.
+        A subject occurs once in its property's (ascending) run, so one
+        bisection finds it, one select scan finds its object run, and the
+        run is decoded with one object-layer read.
         """
         run = self.subject_run(property_id)
         if run is None:
             return []
-        positions = self.wt_s.range_search(run[0], run[1], subject_id)
-        if not positions:
+        position = self.wt_s.locate(subject_id, *run)
+        if position == run[1] or self.wt_s[position] != subject_id:
             return []
-        if len(positions) == 1:
-            position = positions[0]
-            return self._decode_objects(*self.bm_so.select_range(position + 1, position + 2, 1))
-        boundaries = self.bm_so.select_many(
-            [occurrence for position in positions for occurrence in (position + 1, position + 2)],
-            1,
-        )
-        results: list = []
-        for index in range(0, len(boundaries), 2):
-            results.extend(self._decode_objects(boundaries[index], boundaries[index + 1]))
-        return results
+        return self._decode_objects(*self.bm_so.select_range(position + 1, position + 2))
 
     def pairs_for_property(self, property_id: int) -> Iterator[tuple]:
         """All ``(subject, object)`` pairs of ``(?s, property, ?o)``, in stored order.
@@ -341,11 +329,11 @@ class ObjectTripleStore(PSOLayout):
     def __init__(self, triples: Sequence[EncodedTriple], presorted: bool = False) -> None:
         super().__init__(list(triples) if presorted else sorted(set(triples)))
 
-    def _encode_objects(self, objects: List[int], alphabet: int) -> WaveletMatrix:
-        return WaveletMatrix(objects, alphabet_size=alphabet)
+    def _encode_objects(self, objects: List[int]) -> IntSequence:
+        return IntSequence(objects)
 
     @property
-    def wt_o(self) -> WaveletMatrix:
+    def wt_o(self) -> IntSequence:
         """The object layer: object identifiers grouped by ``(p, s)`` pair."""
         return self._objects
 
@@ -354,7 +342,11 @@ class ObjectTripleStore(PSOLayout):
         return self._objects_of(subject_id, property_id)
 
     def subjects_for(self, property_id: int, object_id: int) -> List[int]:
-        """Algorithm 4 core: subjects of ``(?s, property, object)``, ascending."""
+        """Algorithm 4 core: subjects of ``(?s, property, object)``, ascending.
+
+        One scan of the property's object span finds the object's positions;
+        one batched rank maps them to subject-layer positions.
+        """
         span = self._object_span(property_id)
         if span is None:
             return []

@@ -1,4 +1,4 @@
-"""Tests for SuccinctEdge store persistence (v5 store images).
+"""Tests for SuccinctEdge store persistence (v6 store images).
 
 Covers the in-memory bytes path (``dump_store_image`` /
 ``load_store_from_bytes``), the file path (mapped and unmapped), a golden
@@ -10,6 +10,7 @@ keep the names they had when the mapped image format was introduced.)
 from __future__ import annotations
 
 import hashlib
+import io
 import struct
 import sys
 import zlib
@@ -17,10 +18,9 @@ import zlib
 import pytest
 
 from repro.rdf.terms import XSD_STRING, Literal, Triple
-from repro.sds.bitvector import BitVector
-from repro.sds.wavelet_matrix import WaveletMatrix
 from repro.store.persistence import (
     PersistenceError,
+    _write_varint,
     dump_store_image,
     load_store,
     load_store_from_bytes,
@@ -31,22 +31,21 @@ from tests.conftest import EX
 
 #: The toy fixture's image.  Any change to the byte format — or to how the
 #: builder lays the toy graph out — moves these; update them deliberately.
-_TOY_IMAGE_LENGTH = 5240
-_TOY_IMAGE_SHA256 = "4ed417a5a9bbf6076838dd73afd97fb22d7e4550e28dd08375ea163c8e7390e5"
+_TOY_IMAGE_LENGTH = 4368
+_TOY_IMAGE_SHA256 = "80187f134bc1f809b67e7d4af263a2033d99d6d333eabef1efcd9e5327c284bd"
 
-#: TOC indexes in the toy image.  Every wavelet matrix writes one bitvector
-#: section per level, and the toy alphabets need six levels: the object
-#: layout writes 20 sections (three matrices of six levels, two bitvectors),
-#: then the datatype layout writes ``wt_p`` (20-25), ``wt_s`` (26-31), the
-#: pointer sequence, its two bitvectors and the literal offset directory +
-#: record blob.
-_POINTER_SECTION = 32
-_LITERAL_OFFSETS_SECTION = 35
-_LITERAL_BLOB_SECTION = 36
+#: TOC indexes in the toy image.  Each layout writes its three id arrays
+#: and two bitvectors (the object layout 0-4, the datatype layout 5-9, its
+#: pointers at 7), then come the literal offset directory and record blob,
+#: and the two columns of each rdf:type pair run (SO 12-13, OS 14-15).
+_OBJECT_WT_S_SECTION = 1
+_POINTER_SECTION = 7
+_LITERAL_OFFSETS_SECTION = 10
+_LITERAL_BLOB_SECTION = 11
 
-#: Image bytes per triple of ``small_lubm_store`` (31.27 when pinned), with
+#: Image bytes per triple of ``small_lubm_store`` (26.13 when pinned), with
 #: 2 % slack: a change that grows the image past it must say why.
-_SMALL_LUBM_BYTES_PER_TRIPLE = 31.27 * 1.02
+_SMALL_LUBM_BYTES_PER_TRIPLE = 26.13 * 1.02
 
 
 class TestRoundTrip:
@@ -183,6 +182,39 @@ def _set_section_length(data: bytearray, index: int, length: int) -> None:
     _rewrite_image_checksum(data)
 
 
+def _assert_version_rejected(store, tmp_path, version: int) -> None:
+    """A current image relabelled ``version`` is refused by number."""
+    image = bytearray(dump_store_image(store))
+    image[4:6] = struct.pack("<H", version)
+    path = tmp_path / f"v{version}.sedg"
+    path.write_bytes(bytes(image))
+    with pytest.raises(PersistenceError, match=f"version {version}"):
+        load_store(str(path))
+    with pytest.raises(PersistenceError, match=f"version {version}"):
+        load_store_from_bytes(bytes(image))
+
+
+def _set_object_layer_itemsize(data: bytearray, store, itemsize: int) -> None:
+    """Patch the item size the meta declares for ``wt_o`` and re-sign the header.
+
+    The object layout's meta opens with its triple count and then
+    ``(section, count, item size)`` for ``wt_p``, ``wt_s`` and ``wt_o``
+    (sections 0, 1 and 2); that run of varints is found verbatim.
+    """
+    layout = store.object_store
+    encoded = io.BytesIO()
+    for value in (len(layout), 0, len(layout.wt_p), layout.wt_p.itemsize,
+                  1, len(layout.wt_s), layout.wt_s.itemsize,
+                  2, len(layout.wt_o), layout.wt_o.itemsize):
+        _write_varint(encoded, value)
+    pattern = encoded.getvalue()
+    meta_offset, meta_length = struct.unpack_from("<QQ", data, 24)
+    at = data.find(pattern, meta_offset, meta_offset + meta_length)
+    assert at >= 0 and data.find(pattern, at + 1, meta_offset + meta_length) < 0
+    data[at + len(pattern) - 1] = itemsize
+    _rewrite_image_checksum(data)
+
+
 class TestV4RoundTrip:
     def test_image_bytes_round_trip(self, toy_store, toy_data):
         # Any buffer works as a payload, not only ``bytes``.
@@ -216,8 +248,17 @@ class TestV4RoundTrip:
         save_store_image(toy_store, str(path))
         restored = load_store(str(path))
         assert isinstance(restored.object_store.bm_ps._words, memoryview)
-        assert isinstance(restored.datatype_store.object_pointers._words, memoryview)
-        assert isinstance(restored.type_store._os.words, memoryview)
+        columns = [
+            restored.object_store.wt_p,
+            restored.object_store.wt_s,
+            restored.object_store.wt_o,
+            restored.datatype_store.object_pointers,
+        ]
+        for run in (restored.type_store._so, restored.type_store._os):
+            columns += [run.first, run.second]
+        for column in columns:
+            assert isinstance(column._values, memoryview)
+            assert column._values.readonly
 
     def test_version_sniffing_dispatch(self, toy_store, tmp_path):
         # load_store reads the version from the preamble before touching
@@ -233,14 +274,11 @@ class TestV4RoundTrip:
 
     def test_v4_preamble_rejected(self, toy_store, tmp_path):
         # v4's pointer wavelet trees are not read any more: re-save instead.
-        image = bytearray(dump_store_image(toy_store))
-        image[4:6] = struct.pack("<H", 4)
-        path = tmp_path / "v4.sedg"
-        path.write_bytes(bytes(image))
-        with pytest.raises(PersistenceError, match="version 4"):
-            load_store(str(path))
-        with pytest.raises(PersistenceError, match="version 4"):
-            load_store_from_bytes(bytes(image))
+        _assert_version_rejected(toy_store, tmp_path, 4)
+
+    def test_v5_preamble_rejected(self, toy_store, tmp_path):
+        # Nor are v5's wavelet matrices.
+        _assert_version_rejected(toy_store, tmp_path, 5)
 
     def test_literal_kinds_round_trip(self):
         from repro.rdf.graph import Graph
@@ -435,24 +473,23 @@ class TestV4ErrorHandling:
 
     def test_short_pointer_section_rejected(self, image):
         _set_section_length(image, _POINTER_SECTION, 0)
-        with pytest.raises(PersistenceError, match="int-sequence section"):
+        with pytest.raises(PersistenceError, match="id-array section 7 holds 0 bytes"):
             load_store_from_bytes(bytes(image))
 
-    def test_short_matrix_level_rejected(self, toy_store, monkeypatch):
-        wt_s = toy_store.object_store.wt_s
-        levels = wt_s.levels
-        short = BitVector(levels[0].to_list()[:-1])
-        forged = WaveletMatrix.from_levels(len(wt_s), wt_s.alphabet_size, [short] + levels[1:])
-        monkeypatch.setattr(toy_store.object_store, "wt_s", forged)
-        with pytest.raises(PersistenceError, match="level 0 holds"):
-            load_store_from_bytes(dump_store_image(toy_store))
+    def test_short_matrix_level_rejected(self, image):
+        # An id layer whose section is one byte short of count × item size.
+        length = _section_span(image, _OBJECT_WT_S_SECTION)[1]
+        _set_section_length(image, _OBJECT_WT_S_SECTION, length - 1)
+        with pytest.raises(PersistenceError, match=f"holds {length - 1} bytes"):
+            load_store_from_bytes(bytes(image))
 
-    def test_matrix_level_count_must_match_sigma(self, toy_store, monkeypatch):
-        wt_o = toy_store.object_store.wt_o
-        forged = WaveletMatrix.from_levels(len(wt_o), wt_o.alphabet_size, wt_o.levels[1:])
-        monkeypatch.setattr(toy_store.object_store, "_objects", forged)
-        with pytest.raises(PersistenceError, match="levels, expected"):
-            load_store_from_bytes(dump_store_image(toy_store))
+    def test_matrix_level_count_must_match_sigma(self, toy_store):
+        # An id layer's declared item size must be 1, 2, 4 or 8 bytes.
+        for itemsize in (0, 3, 16):
+            image = bytearray(dump_store_image(toy_store))
+            _set_object_layer_itemsize(image, toy_store, itemsize)
+            with pytest.raises(PersistenceError, match=f"declares item size {itemsize},"):
+                load_store_from_bytes(bytes(image))
 
     def test_datatype_index_past_the_table_rejected(self, image):
         # The first record's last byte is its datatype-table index; the

@@ -113,11 +113,16 @@ class TestSelect:
             assert bv.select(occurrence, 1) == expected
 
     def test_select_zeros(self):
+        # The store's bitmaps mark run starts with ones; selecting zeros is
+        # not supported, while ranking them stays arithmetic on rank(·, 1).
         bits = [0, 1, 0, 0, 1, 1, 0, 1]
         bv = BitVector(bits)
-        zeros = [i for i, b in enumerate(bits) if not b]
-        for occurrence, expected in enumerate(zeros, start=1):
-            assert bv.select(occurrence, 0) == expected
+        for occurrence in range(1, 5):
+            with pytest.raises(ValueError):
+                bv.select(occurrence, 0)
+        assert [bv.rank(i, 0) for i in range(len(bits) + 1)] == [
+            bits[:i].count(0) for i in range(len(bits) + 1)
+        ]
 
     def test_select_beyond_population_raises(self):
         bv = BitVector([1, 0, 1])
@@ -133,7 +138,7 @@ class TestSelect:
 
     def test_select_trailing_padding_not_counted_as_zero(self):
         # The last 64-bit word is padded with zero bits; they are not part of
-        # the vector and select(·, 0) must never land on them.
+        # the vector, and select(·, 0) is refused outright.
         bits = [1, 1, 1]
         bv = BitVector(bits)
         with pytest.raises(ValueError):
@@ -180,7 +185,7 @@ def test_property_rank_matches_prefix_sums(bits):
 @given(bits=st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=600))
 def test_property_select_inverts_rank(bits):
     bv = BitVector(bits)
-    for bit in (0, 1):
-        positions = [i for i, b in enumerate(bits) if b == bit]
-        for occurrence, expected in enumerate(positions, start=1):
-            assert bv.select(occurrence, bit) == expected
+    positions = [i for i, b in enumerate(bits) if b]
+    for occurrence, expected in enumerate(positions, start=1):
+        assert bv.select(occurrence) == expected
+        assert bv.rank(expected) == occurrence - 1

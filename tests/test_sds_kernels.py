@@ -1,8 +1,8 @@
 """Property-based and brute-force tests for the batched SDS kernels.
 
 The vectorized hot path (sampled select directory, ``rank_many`` /
-``select_many`` / ``select_range`` / ``scan_ones`` on bitvectors, batched
-``access_range`` / ``range_search`` on wavelet matrices, word-level builder
+``select_many`` / ``select_range`` on bitvectors, batched ``access_range`` /
+``range_search`` / ``locate`` on the id layers, word-level builder
 ingestion) must agree bit-for-bit with the naive single-call definitions.
 Every test here checks a batched kernel against its brute-force reference.
 """
@@ -23,7 +23,6 @@ from repro.sds.kernels import (
     set_offsets,
     total_kernel_calls,
 )
-from repro.sds.wavelet_matrix import WaveletMatrix
 
 bit_lists = st.lists(st.integers(min_value=0, max_value=1), max_size=700)
 
@@ -60,10 +59,9 @@ class TestSampledSelect:
     @given(bits=bit_lists)
     def test_select_matches_naive_reference(self, bits):
         bv = BitVector(bits)
-        for bit in (0, 1):
-            positions = [i for i, b in enumerate(bits) if b == bit]
-            for occurrence, expected in enumerate(positions, start=1):
-                assert bv.select(occurrence, bit) == expected
+        positions = [i for i, b in enumerate(bits) if b]
+        for occurrence, expected in enumerate(positions, start=1):
+            assert bv.select(occurrence) == expected
 
     def test_select_spanning_many_sample_strides(self):
         # More set bits than one sample stride (512) on both sides.
@@ -72,8 +70,6 @@ class TestSampledSelect:
         assert bv.select(1500, 1) == 1499
         assert bv.select(1501, 1) == 2200
         assert bv.select(2400, 1) == 3099
-        assert bv.select(1, 0) == 1500
-        assert bv.select(700, 0) == 2199
 
     def test_select_across_sample_strides_of_mixed_density(self):
         # Several select-sample strides per bit value, with dense, sparse,
@@ -86,25 +82,22 @@ class TestSampledSelect:
         for density in (0.5, 0.02, 0.98, 0.5, 1.0, 0.0, 0.3, 0.5):
             bits += [1 if rng.random() < density else 0 for _ in range(12_000)]
         bv = BitVector(bits)
-        for bit in (0, 1):
-            positions = [i for i, b in enumerate(bits) if b == bit]
-            for occurrence in sorted(set(rng.sample(range(1, len(positions) + 1), 400)) | {1, len(positions)}):
-                assert bv.select(occurrence, bit) == positions[occurrence - 1]
-            assert bv.select_many(range(1, len(positions) + 1, 97), bit) == positions[::97]
-
-    def test_select0_at_word_boundaries(self):
-        # Zeros sitting exactly on 64-bit word edges.
-        bits = ([1] * 63) + [0] + ([1] * 64) + [0] + ([1] * 63) + [0]
-        bv = BitVector(bits)
-        assert bv.select(1, 0) == 63
-        assert bv.select(2, 0) == 128
-        assert bv.select(3, 0) == 192
+        positions = [i for i, b in enumerate(bits) if b]
+        for occurrence in sorted(set(rng.sample(range(1, len(positions) + 1), 400)) | {1, len(positions)}):
+            assert bv.select(occurrence) == positions[occurrence - 1]
+        assert bv.select_many(range(1, len(positions) + 1, 97)) == positions[::97]
 
     def test_select0_ignores_trailing_word_padding(self):
+        # Select serves set bits only: asking for a zero is an error, also
+        # where the last word's padding zeros would sit.
         bits = [1] * 65  # one full word plus one bit; padding zeros follow
         bv = BitVector(bits)
         with pytest.raises(ValueError):
             bv.select(1, 0)
+        with pytest.raises(ValueError):
+            bv.select_many([1], 0)
+        with pytest.raises(ValueError):
+            bv.select_range(1, 1, 0)
 
 
 class TestBatchedBitVectorKernels:
@@ -120,45 +113,29 @@ class TestBatchedBitVectorKernels:
             assert bv.rank_many(indices, bit) == expected
 
     @settings(max_examples=60, deadline=None)
-    @given(bits=bit_lists, data=st.data())
-    def test_scan_ones_matches_brute_force(self, bits, data):
-        bv = BitVector(bits)
-        start = data.draw(st.integers(min_value=0, max_value=len(bits)))
-        stop = data.draw(st.integers(min_value=start, max_value=len(bits)))
-        assert bv.scan_ones(start, stop) == [
-            i for i in range(start, stop) if bits[i]
-        ]
-
-    @settings(max_examples=60, deadline=None)
     @given(bits=st.one_of(bit_lists, sparse_bits), data=st.data())
     def test_select_many_matches_repeated_select(self, bits, data):
         bv = BitVector(bits)
-        for bit in (0, 1):
-            total = bv.count(bit)
-            if total == 0:
-                continue
-            occurrences = sorted(
-                data.draw(
-                    st.lists(
-                        st.integers(min_value=1, max_value=total), max_size=40
-                    )
-                )
-            )
-            expected = [bv.select(j, bit) for j in occurrences]
-            assert bv.select_many(occurrences, bit) == expected
+        total = bv.count(1)
+        if total == 0:
+            return
+        occurrences = sorted(
+            data.draw(st.lists(st.integers(min_value=1, max_value=total), max_size=40))
+        )
+        expected = [bv.select(j) for j in occurrences]
+        assert bv.select_many(occurrences) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(bits=bit_lists, data=st.data())
     def test_select_range_matches_repeated_select(self, bits, data):
         bv = BitVector(bits)
-        for bit in (0, 1):
-            total = bv.count(bit)
-            if total == 0:
-                continue
-            first = data.draw(st.integers(min_value=1, max_value=total))
-            last = data.draw(st.integers(min_value=first, max_value=total))
-            expected = [bv.select(j, bit) for j in range(first, last + 1)]
-            assert bv.select_range(first, last, bit) == expected
+        total = bv.count(1)
+        if total == 0:
+            return
+        first = data.draw(st.integers(min_value=1, max_value=total))
+        last = data.draw(st.integers(min_value=first, max_value=total))
+        expected = [bv.select(j) for j in range(first, last + 1)]
+        assert bv.select_range(first, last) == expected
 
     def test_select_many_rejects_descending_occurrences(self):
         bv = BitVector([1] * 10)
@@ -229,34 +206,37 @@ class TestBuilderFastPaths:
             builder.extend([0, 1, 2])
 
 
-int_sequences = st.integers(min_value=1, max_value=18).flatmap(
-    lambda width: st.tuples(
-        st.just(width),
-        st.lists(st.integers(min_value=0, max_value=(1 << width) - 1), max_size=300),
-    )
+#: Id columns of every item size: ids up to 2**8, 2**16, 2**32 or 2**64.
+int_sequences = st.sampled_from([8, 16, 32, 64]).flatmap(
+    lambda bits: st.lists(st.integers(min_value=0, max_value=(1 << bits) - 1), max_size=300)
 )
 
 
 class TestIntSequenceBatch:
     @settings(max_examples=60, deadline=None)
-    @given(spec=int_sequences, data=st.data())
-    def test_access_range_matches_slicing(self, spec, data):
-        width, values = spec
-        seq = IntSequence(values, width=width)
+    @given(values=int_sequences, data=st.data())
+    def test_access_range_matches_slicing(self, values, data):
+        seq = IntSequence(values)
         assert seq.to_list() == values
         start = data.draw(st.integers(min_value=0, max_value=len(values)))
         stop = data.draw(st.integers(min_value=start, max_value=len(values)))
         assert seq.access_range(start, stop) == values[start:stop]
 
     def test_values_straddling_word_boundaries(self):
-        values = [(1 << 13) - 1, 0, 4242, 8191, 1]
-        seq = IntSequence(values, width=13)
-        assert [seq.access(i) for i in range(len(values))] == values
-        assert seq.access_range(0, len(values)) == values
+        # Each id just past the previous item size widens the column.
+        for values, itemsize in (
+            ([255, 0], 1),
+            ([255, 256], 2),
+            ([65_535, 65_536], 4),
+            ([(1 << 32) - 1, 1 << 32], 8),
+        ):
+            seq = IntSequence(values)
+            assert seq.itemsize == itemsize
+            assert [seq.access(i) for i in range(len(values))] == values
+            assert seq.access_range(0, len(values)) == values
 
 
-# Alphabets of every size up to 40: powers of two, the sizes just around
-# them (a last level that is only partly used) and sigma = 1 (no levels).
+# Ids over alphabets of every size up to 40, as the PSO layers hold them.
 wt_specs = st.integers(min_value=1, max_value=40).flatmap(
     lambda sigma: st.tuples(
         st.just(sigma),
@@ -266,40 +246,44 @@ wt_specs = st.integers(min_value=1, max_value=40).flatmap(
 
 
 class TestWaveletTreeBatch:
-    """Batched wavelet-matrix kernels against slicing and brute force."""
+    """The batched kernels of the PSO id layers (the paper's wavelet trees)
+    against slicing and brute force."""
 
     @settings(max_examples=50, deadline=None)
     @given(spec=wt_specs, data=st.data())
     def test_access_range_matches_slicing(self, spec, data):
-        sigma, values = spec
-        wt = WaveletMatrix(values, alphabet_size=sigma)
+        _sigma, values = spec
+        layer = IntSequence(values)
         begin = data.draw(st.integers(min_value=0, max_value=len(values)))
         end = data.draw(st.integers(min_value=begin, max_value=len(values)))
-        assert wt.access_range(begin, end) == values[begin:end]
+        assert layer.access_range(begin, end) == values[begin:end]
 
     @settings(max_examples=50, deadline=None)
     @given(spec=wt_specs, data=st.data())
     def test_range_search_matches_brute_force(self, spec, data):
         sigma, values = spec
-        wt = WaveletMatrix(values, alphabet_size=sigma)
+        layer = IntSequence(values)
         begin = data.draw(st.integers(min_value=0, max_value=len(values)))
         end = data.draw(st.integers(min_value=begin, max_value=len(values)))
         symbol = data.draw(st.integers(min_value=0, max_value=sigma - 1))
-        assert wt.range_search(begin, end, symbol) == [
+        assert layer.range_search(begin, end, symbol) == [
             i for i in range(begin, end) if values[i] == symbol
         ]
 
     @settings(max_examples=50, deadline=None)
     @given(spec=wt_specs, data=st.data())
     def test_range_search_symbols_matches_brute_force(self, spec, data):
+        # A symbol interval on an ascending layer (a LiteMat property
+        # interval on ``wt_p``) is two bisections.
         sigma, values = spec
-        wt = WaveletMatrix(values, alphabet_size=sigma)
-        begin = data.draw(st.integers(min_value=0, max_value=len(values)))
-        end = data.draw(st.integers(min_value=begin, max_value=len(values)))
+        values = sorted(values)
+        layer = IntSequence(values)
         lo = data.draw(st.integers(min_value=0, max_value=sigma))
         hi = data.draw(st.integers(min_value=0, max_value=sigma))
-        assert wt.range_search_symbols(begin, end, lo, hi) == [
-            (i, values[i]) for i in range(begin, end) if lo <= values[i] < hi
+        begin = layer.locate(lo)
+        end = layer.locate(hi, begin)
+        assert list(zip(range(begin, end), layer.access_range(begin, end))) == [
+            (i, value) for i, value in enumerate(values) if lo <= value < hi
         ]
 
 
@@ -307,10 +291,18 @@ class TestKernelCounters:
     def test_batched_call_counts_once(self):
         bv = BitVector([1, 0, 1, 1, 0, 1, 0, 1] * 40)
         reset_kernel_counters()
-        bv.scan_ones(0, len(bv))
+        bv.select_range(1, bv.count(1))
         counters = kernel_counters()
-        assert counters.get("scan") == 1
+        assert counters.get("select_many") == 1
         assert total_kernel_calls() == 1
+        layer = IntSequence([3, 1, 3, 2, 3])
+        reset_kernel_counters()
+        assert layer.range_search(0, 5, 3) == [0, 2, 4]
+        assert layer.locate(2, 0, 1) == 0
+        assert layer.access_range(0, 5) == [3, 1, 3, 2, 3]
+        assert kernel_counters()["rank"] == 2
+        assert kernel_counters()["access_range"] == 1
+        assert total_kernel_calls() == 3
         reset_kernel_counters()
         assert total_kernel_calls() == 0
 

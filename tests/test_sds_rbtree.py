@@ -5,8 +5,8 @@ keeps two sorted pair runs (:class:`repro.store.rdftype_store.PairRun`)
 instead.  These tests pin the run itself — construction through the type
 store (sort + dedupe), binary-search membership, slices by first element
 with the ``(id, -1)`` sentinel-bound semantics the store relies on — for
-both backings: a built ``array('Q')`` and a read-only ``memoryview`` like a
-mapped store image hands out.
+both backings of its two id columns: built arrays, and read-only
+``memoryview`` s over raw bytes like a mapped store image hands out.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sds.kernels import words_view
+from repro.sds.int_sequence import IntSequence
 from repro.store.rdftype_store import PairRun, RDFTypeStore
 
 
@@ -26,8 +26,13 @@ def _run(pairs) -> PairRun:
 
 
 def _mapped(run: PairRun) -> PairRun:
-    """The same run over a read-only word view, as a mapped image serves it."""
-    return PairRun(words_view(run.words.tobytes()), len(run))
+    """The same run over read-only views of its columns' bytes, as a mapped image serves it."""
+    return PairRun(
+        *(
+            IntSequence.from_buffers(column._values.tobytes(), column.itemsize)
+            for column in (run.first, run.second)
+        )
+    )
 
 
 def _slice(run: PairRun, low: int, high: int):
@@ -71,9 +76,12 @@ class TestBasics:
         assert _slice(_mapped(run), 2, 3) == [(2, 5), (2, 6)]
 
     def test_size_in_bytes(self):
+        # One byte per id while ids stay below 256, two bytes once one does.
         run = _run([(key, 0) for key in range(100)])
-        assert run.size_in_bytes() == 100 * 2 * 8
-        assert RDFTypeStore([(key, 0) for key in range(100)]).size_in_bytes() == 100 * 2 * 16
+        assert run.size_in_bytes() == 100 * 2
+        assert RDFTypeStore([(key, 0) for key in range(100)]).size_in_bytes() == 100 * 2 * 2
+        wide = _run([(key * 3, 0) for key in range(100)])
+        assert wide.size_in_bytes() == 100 * 2 + 100
 
 
 class TestInvariants:
