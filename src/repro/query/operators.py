@@ -219,9 +219,21 @@ def extend_select(
 
 
 def project(upstream: Iterable[Binding], names: Sequence[str]) -> Iterator[Binding]:
-    """Projection: restrict every solution to the projected variable names."""
+    """Projection: restrict every solution to the projected variable names.
+
+    The rows keep their instance ids: each input layout maps to its cached
+    projection layout, so the ids travel on to the response encoder.
+    """
+    names = tuple(names)
+    plans = {}  # input layout -> (pick, projected layout)
+    of = Binding.of
     for binding in upstream:
-        yield binding.project(names)
+        layout = binding.layout
+        plan = plans.get(layout)
+        if plan is None:
+            plan = plans[layout] = layout.projection(names)
+        pick, projected = plan
+        yield binding if pick is None else of(projected, pick(binding.row))
 
 
 def distinct(upstream: Iterable[Binding], names: Sequence[str]) -> Iterator[Binding]:

@@ -400,7 +400,7 @@ class ParallelExecutor:
         """Constant-predicate leaf: units per (candidate property × shard).
 
         Emission mirrors
-        :meth:`~repro.query.tp_eval.TriplePatternEvaluator._evaluate_property`
+        :meth:`repro.query.tp_eval._Step._property`
         — property-major (ascending candidate identifiers, the LiteMat
         interval order), object layout before datatype layout, shards in
         ascending subject-interval order within each.

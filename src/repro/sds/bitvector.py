@@ -20,7 +20,7 @@ bitmaps mark run starts with ones, so ``select`` serves ones only;
 
 On top of the single-call primitives the class exposes the batched kernels
 the query layer is built on: ``rank_many`` (one pass over many indices) and
-``select_many`` / ``select_range`` (one forward scan materialising many
+``select_range`` (one forward walk over the words materialising a range of
 occurrence positions).  A batched call does the work of O(results)
 single-call round-trips while registering as one kernel invocation.
 """
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, Optional, Union
 
 from repro.sds.kernels import (
     KERNEL_COUNTS,
@@ -37,7 +37,6 @@ from repro.sds.kernels import (
     WORD_MASK as _WORD_MASK,
     nth_set_bit as _nth_set_bit_kernel,
     popcount as _popcount,
-    set_offsets as _set_offsets,
 )
 
 _WORDS_PER_SUPERBLOCK = 8
@@ -442,91 +441,48 @@ class BitVector:
                 hi = mid - 1
         return lo
 
-    def select_many(self, occurrences: Sequence[int], bit: int = 1) -> List[int]:
-        """Positions of many (ascending, 1-based) set bits in one forward scan.
-
-        This is the batched counterpart of :meth:`select`: the word array is
-        traversed once, decoding each word's set-bit offsets at most once, so
-        materialising ``k`` occurrence positions costs O(words spanned + k)
-        instead of ``k`` independent directory searches.
-        """
-        _check_select_bit(bit)
-        occurrences = list(occurrences)
-        if not occurrences:
-            return []
-        KERNEL_COUNTS["select_many"] += 1
-        ones = self._ones
-        first = occurrences[0]
-        if first <= 0:
-            raise ValueError("select occurrence is 1-based and must be positive")
-        if occurrences[-1] > ones:
-            raise ValueError(
-                f"select(1) out of range: asked occurrence {occurrences[-1]}, "
-                f"vector has {ones} set bits"
-            )
-        words = self._words
-        word_ranks = self._word_ranks
-        word_count = len(words)
-
-        def count_through(word_index: int) -> int:
-            """Set bits in words ``[0, word_index]``."""
-            return word_ranks[word_index + 1] if word_index + 1 < word_count else ones
-
-        word_index = self._select_word(first)
-        word = words[word_index]
-        # Offsets of the current word are decoded lazily: the first hit in a
-        # word uses the table-skipping ``nth_set_bit`` (cheap for dense
-        # words probed once), a second hit decodes the full offset list so a
-        # contiguous sweep pays the per-word decode only once.
-        offsets: Optional[List[int]] = None
-        hits_in_word = 0
-        out: List[int] = []
-        push = out.append
-        previous = 0
-        for occurrence in occurrences:
-            if occurrence < previous:
-                raise ValueError("select_many occurrences must be ascending")
-            previous = occurrence
-            if occurrence > count_through(word_index):
-                # The common contiguous case lands in the next word; anything
-                # further re-seeks through the sampled directory (sparse
-                # occurrences may skip arbitrarily many words, so a linear
-                # walk would degenerate).
-                if word_index + 1 < word_count and occurrence <= count_through(word_index + 1):
-                    word_index += 1
-                else:
-                    word_index = self._select_word(occurrence)
-                word = words[word_index]
-                offsets = None
-                hits_in_word = 0
-            before = word_ranks[word_index]
-            hits_in_word += 1
-            if offsets is None and hits_in_word > 1:
-                offsets = _set_offsets(word)
-            if offsets is None:
-                offset = _nth_set_bit_kernel(word, occurrence - before)
-            else:
-                offset = offsets[occurrence - before - 1]
-            push(word_index * _WORD_BITS + offset)
-        return out
-
     def select_range(self, first: int, last: int, bit: int = 1) -> List[int]:
         """Positions of set bits ``first..last`` (1-based, inclusive).
 
-        Equivalent to ``[select(j) for j in range(first, last + 1)]`` but
-        computed in a single forward scan.
+        Equivalent to ``[select(j) for j in range(first, last + 1)]``: one
+        directory search finds ``select(first)``, then the set bits are read
+        off the words in one forward walk.  Counts as one ``select_many``
+        kernel call.
         """
         _check_select_bit(bit)
         if first <= 0:
             raise ValueError("select occurrence is 1-based and must be positive")
         if last < first:
             return []
-        if last - first <= 1:
-            # Tiny ranges (single runs probed during bind-propagation joins)
-            # skip the scan machinery.
-            KERNEL_COUNTS["select_many"] += 1
-            return [self._select1(j) for j in range(first, last + 1)]
-        return self.select_many(range(first, last + 1))
+        if last > self._ones:
+            raise ValueError(
+                f"select(1) out of range: asked occurrence {last}, "
+                f"vector has {self._ones} set bits"
+            )
+        KERNEL_COUNTS["select_many"] += 1
+        words = self._words
+        word_index = self._select_word(first)
+        word = words[word_index]
+        skip = first - self._word_ranks[word_index] - 1
+        if skip:
+            # Clear the word's set bits below ``first``.
+            offset = _nth_set_bit_kernel(word, skip + 1)
+            word = (word >> offset) << offset
+        base = word_index * _WORD_BITS
+        remaining = last - first + 1
+        out: List[int] = []
+        push = out.append
+        while True:
+            while word:
+                low = word & -word
+                push(base + low.bit_length() - 1)
+                remaining -= 1
+                if not remaining:
+                    return out
+                word ^= low
+            word_index += 1
+            word = words[word_index]
+            base += _WORD_BITS
 
     # ------------------------------------------------------------------ #
     # storage accounting

@@ -8,10 +8,7 @@ set of word-level kernels collected here:
   to a 16-bit lookup table on older interpreters, mirroring the classic
   sdsl-lite table-driven popcount;
 * ``nth_set_bit`` — offset of the n-th set bit inside a word, skipping 16-bit
-  chunks through the same table;
-* ``set_offsets`` — decode every set-bit offset of a word in one pass
-  (lowest-set-bit stripping), the building block of the batched
-  ``select_many`` / ``select_range`` kernels.
+  chunks through the same table.
 
 The module also hosts the **kernel-call counters** used by the benchmark
 harness: every public rank/select/locate/range-search entry point on the SDS
@@ -26,7 +23,7 @@ from __future__ import annotations
 import os
 import sys
 from array import array
-from typing import Dict, List, Union
+from typing import Dict, Union
 
 WORD_BITS = 64
 WORD_MASK = (1 << WORD_BITS) - 1
@@ -106,17 +103,6 @@ def nth_set_bit(word: int, n: int) -> int:
         for _ in range(n - 1):
             chunk &= chunk - 1
         return offset + (chunk & -chunk).bit_length() - 1
-
-
-def set_offsets(word: int) -> List[int]:
-    """Offsets of every set bit of ``word``, ascending, as a list."""
-    out: List[int] = []
-    w = word
-    while w:
-        low = w & -w
-        out.append(low.bit_length() - 1)
-        w ^= low
-    return out
 
 
 # --------------------------------------------------------------------------- #

@@ -36,7 +36,9 @@ from __future__ import annotations
 
 import json
 import threading
+import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from json.encoder import encode_basestring_ascii as _encode_string
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
@@ -46,20 +48,51 @@ from repro.sparql.bindings import AskResult
 from repro.sparql.parser import SparqlParseError
 
 
-def _result_document(outcome: QueryOutcome) -> dict:
-    """A SPARQL-JSON-style document for one outcome (values stringified)."""
+#: Per instance dictionary, id -> the JSON string of its term; a memo lives
+#: and grows no longer than its dictionary.
+_FRAGMENTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def encode_result(outcome: QueryOutcome) -> bytes:
+    """The SPARQL-JSON-style response body of one outcome (values stringified).
+
+    The bytes equal ``json.dumps`` of ``{"head": {"vars": [...]}, "results":
+    {"rows": [[str(value) or null, ...], ...]}}``.  An instance id is written
+    from its dictionary's memo (:data:`_FRAGMENTS`): decoded and escaped once
+    per process, not once per row.  Other terms are escaped per value.
+    """
     result = outcome.result
     if isinstance(result, AskResult):
-        return {"head": {}, "boolean": result.boolean}
-    return {
-        "head": {"vars": list(result.variables)},
-        "results": {
-            "rows": [
-                [None if value is None else str(value) for value in row]
-                for row in result.to_tuples()
-            ]
-        },
-    }
+        return json.dumps({"head": {}, "boolean": result.boolean}).encode("utf-8")
+    names = tuple(result.variables)
+    plans = {}  # layout -> (pick the variables' values from a row, id memo)
+    rows = []
+    for binding in result.bindings:
+        layout = binding.layout
+        plan = plans.get(layout)
+        if plan is None:
+            pick, projected = layout.projection(names)
+            if projected.names != names:  # unbound variables write null
+                columns = [layout.columns.get(name) for name in names]
+                pick = lambda row, columns=columns: [None if c is None else row[c] for c in columns]
+            dictionary = layout.dictionary
+            memo = None if dictionary is None else _FRAGMENTS.setdefault(dictionary, {})
+            plan = plans[layout] = (pick, memo)
+        pick, memo = plan
+        parts = []
+        for value in binding.row if pick is None else pick(binding.row):
+            if value.__class__ is int:
+                fragment = memo.get(value)
+                if fragment is None:
+                    fragment = memo[value] = _encode_string(str(layout.dictionary.extract(value)))
+                parts.append(fragment)
+            elif value is None:
+                parts.append("null")
+            else:
+                parts.append(_encode_string(str(value)))
+        rows.append("[" + ", ".join(parts) + "]")
+    head = json.dumps({"vars": list(names)})
+    return ('{"head": ' + head + ', "results": {"rows": [' + ", ".join(rows) + "]}}").encode("utf-8")
 
 
 class _SparqlRequestHandler(BaseHTTPRequestHandler):
@@ -197,7 +230,7 @@ class _SparqlRequestHandler(BaseHTTPRequestHandler):
             # Runs while the worker slot is held: serialization plus
             # (simulated) transmission are the worker's work, as in a
             # pre-threaded server writing the response socket itself.
-            payload = json.dumps(_result_document(outcome)).encode("utf-8")
+            payload = encode_result(outcome)
             prepared["payload"] = payload
             network: Optional[SimulatedNetwork] = getattr(self.server, "network", None)
             if network is not None:

@@ -3,93 +3,246 @@
 A :class:`Binding` maps variable names to RDF terms; a :class:`ResultSet`
 is an ordered collection of bindings together with the projected variable
 names, comparable to the SPARQL JSON results a full engine would emit.
+
+A binding is a row: a tuple under a shared :class:`Layout` that maps each
+variable to its column.  A column holds a term or an ``int``, an id of the
+store's append-only *instance* dictionary (which the layout carries and
+every compacted base shares).  Triple-pattern evaluation extends rows with
+ids; an id becomes a term only where something reads the value (``get``,
+``items``, equality) or at the HTTP encoder
+(:func:`repro.serve.server.encode_result`).  An id and its term are the
+same value everywhere.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.rdf.terms import Term
 
+#: Bound on each layout's child / projection / merge caches and on the table
+#: of term-only layouts: a server sees arbitrary variable names, and a cleared
+#: cache only costs rebuilding layouts (equality never relies on identity).
+_CACHE_BOUND = 256
+
+
+def _remember(cache: dict, key, value):
+    """Store ``value`` under ``key`` and return it; a full cache starts over."""
+    if len(cache) >= _CACHE_BOUND:
+        cache.clear()
+    cache[key] = value
+    return value
+
+
+class Layout:
+    """The column of each variable in a row, shared by every row of one shape.
+
+    Layouts are interned: a term-only layout per tuple of names, below it
+    one child per added name, one layout per projection and per merge.
+    ``dictionary`` decodes the ``int`` columns (``None``: terms only).  A
+    term-only layout remembers only the last dictionary that took it over
+    (:meth:`owned`), so the interned layouts keep at most that one alive.
+    """
+
+    __slots__ = ("names", "columns", "dictionary", "_children", "_projections", "_merges", "_owned")
+
+    def __init__(self, names: Tuple[str, ...], dictionary=None) -> None:
+        self.names = names
+        self.columns: Dict[str, int] = {name: column for column, name in enumerate(names)}
+        self.dictionary = dictionary
+        self._children: Dict[str, "Layout"] = {}
+        self._projections: Dict[Tuple[str, ...], tuple] = {}
+        self._merges: Dict["Layout", tuple] = {}
+        self._owned: Optional["Layout"] = None
+
+    def child(self, name: str) -> Optional["Layout"]:
+        """This layout plus a column for ``name`` (``None`` when it has one)."""
+        found = self._children.get(name)
+        if found is None:
+            if name in self.columns:
+                return None
+            found = _remember(self._children, name, Layout(self.names + (name,), self.dictionary))
+        return found
+
+    def owned(self, dictionary) -> Optional["Layout"]:
+        """The same columns with ids of ``dictionary`` (``None`` if ids of another)."""
+        if self.dictionary is dictionary:
+            return self
+        if self.dictionary is not None:
+            return None
+        found = self._owned
+        if found is None or found.dictionary is not dictionary:
+            found = self._owned = Layout(self.names, dictionary)
+        return found
+
+    def projection(self, names: Tuple[str, ...]) -> tuple:
+        """``(pick, layout)``: ``pick(row)`` keeps the columns of ``names`` that exist.
+
+        ``pick`` is ``None`` when that is the whole row, in order.
+        """
+        found = self._projections.get(names)
+        if found is None:
+            kept = tuple(name for name in names if name in self.columns)
+            columns = [self.columns[name] for name in kept]
+            if kept == self.names:
+                found = (None, self)  # the row as it is
+            elif len(columns) > 1:
+                found = (itemgetter(*columns), _layout(kept).owned(self.dictionary))
+            else:
+                found = (lambda row: tuple([row[c] for c in columns]), _layout(kept).owned(self.dictionary))
+            _remember(self._projections, names, found)
+        return found
+
+    def merge(self, other: "Layout") -> Optional[tuple]:
+        """``(shared, extra, layout)``: the column pairs both layouts bind, the
+        columns of ``other`` appended after ours, and the merged layout;
+        ``None`` when the two carry ids of different dictionaries."""
+        try:
+            return self._merges[other]
+        except KeyError:
+            pass
+        dictionary = other.dictionary
+        if dictionary is not None and dictionary is not self.dictionary:
+            if self.dictionary is not None:
+                return None
+            return self.owned(dictionary).merge(other)
+        shared = tuple(
+            (self.columns[name], column) for column, name in enumerate(other.names) if name in self.columns
+        )
+        extra = tuple(column for column, name in enumerate(other.names) if name not in self.columns)
+        layout = self
+        for column in extra:
+            layout = layout.child(other.names[column])
+        return _remember(self._merges, other, (shared, extra, layout))
+
+    def decode(self, value):
+        """The term a column value stands for."""
+        return self.dictionary.extract(value) if value.__class__ is int else value
+
+
+_TERM_LAYOUTS: Dict[Tuple[str, ...], Layout] = {}
+
+
+def _layout(names: Tuple[str, ...]) -> Layout:
+    """The interned term-only layout of ``names``."""
+    found = _TERM_LAYOUTS.get(names)
+    return found if found is not None else _remember(_TERM_LAYOUTS, names, Layout(names))
+
+
+def _same(layout: Layout, value, other_layout: Layout, other) -> bool:
+    """Whether two column values name the same term (an id equals its term)."""
+    if value == other:
+        return True
+    return (value.__class__ is int or other.__class__ is int) and (
+        layout.decode(value) == other_layout.decode(other)
+    )
+
 
 class Binding:
-    """An immutable mapping from variable names to RDF terms."""
+    """An immutable mapping from variable names to RDF terms, stored as a row.
 
-    __slots__ = ("_values",)
+    ``layout`` and ``row`` are read-only: the row holds one value per
+    layout column, a term or an instance id (see the module docstring).
+    """
+
+    __slots__ = ("layout", "row")
 
     def __init__(self, values: Optional[Dict[str, Term]] = None) -> None:
-        self._values: Dict[str, Term] = dict(values or {})
-
-    def get(self, name: str, default: Optional[Term] = None) -> Optional[Term]:
-        """Value bound to ``name`` or ``default``."""
-        return self._values.get(name, default)
-
-    def __getitem__(self, name: str) -> Term:
-        return self._values[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._values
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._values)
-
-    def items(self) -> Iterable[Tuple[str, Term]]:
-        """Iterate over ``(variable, term)`` pairs."""
-        return self._values.items()
+        values = dict(values or {})
+        self.layout = _layout(tuple(values))
+        self.row = tuple(values.values())
 
     @classmethod
     def _adopt(cls, values: Dict[str, Term]) -> "Binding":
-        """Wrap ``values`` without copying (internal fast path; caller owns the dict)."""
-        binding = cls.__new__(cls)
-        binding._values = values
+        """Wrap ``values`` without a defensive copy (internal fast path)."""
+        return cls.of(_layout(tuple(values)), tuple(values.values()))
+
+    @staticmethod
+    def of(layout: Layout, row: tuple) -> "Binding":
+        """The binding of ``row`` under ``layout`` (one value per column)."""
+        binding = _new(Binding)
+        binding.layout = layout
+        binding.row = row
         return binding
+
+    def get(self, name: str, default: Optional[Term] = None) -> Optional[Term]:
+        """Value bound to ``name`` or ``default``."""
+        layout = self.layout
+        column = layout.columns.get(name)
+        if column is None:
+            return default
+        value = self.row[column]
+        return layout.dictionary.extract(value) if value.__class__ is int else value
+
+    def __getitem__(self, name: str) -> Term:
+        return self.layout.decode(self.row[self.layout.columns[name]])
+
+    def __contains__(self, name: str) -> bool:
+        return name in self.layout.columns
+
+    def __len__(self) -> int:
+        return len(self.row)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.layout.names)
+
+    def items(self) -> List[Tuple[str, Term]]:
+        """The ``(variable, term)`` pairs."""
+        decode = self.layout.decode
+        return [(name, decode(value)) for name, value in zip(self.layout.names, self.row)]
 
     def extended(self, name: str, value: Term) -> "Binding":
         """A new binding with ``name`` additionally bound to ``value``."""
-        merged = dict(self._values)
-        merged[name] = value
-        return Binding._adopt(merged)
+        layout = self.layout
+        child = layout._children.get(name) or layout.child(name)
+        if child is None:  # ``name`` is bound already: the new value replaces it
+            values = self.as_dict()
+            values[name] = value
+            return Binding._adopt(values)
+        return Binding.of(child, self.row + (value,))
 
     def merged(self, other: "Binding") -> Optional["Binding"]:
         """Merge with ``other``; return ``None`` when they conflict."""
-        merged = dict(self._values)
-        for name, value in other.items():
-            if name in merged and merged[name] != value:
+        layout, other_layout = self.layout, other.layout
+        plan = layout.merge(other_layout)
+        if plan is None:  # ids of two dictionaries: merge the terms
+            return Binding._adopt(self.as_dict()).merged(Binding._adopt(other.as_dict()))
+        shared, extra, merged_layout = plan
+        row, other_row = self.row, other.row
+        for mine, theirs in shared:
+            if not _same(layout, row[mine], other_layout, other_row[theirs]):
                 return None
-            merged[name] = value
-        return Binding._adopt(merged)
+        return Binding.of(merged_layout, row + tuple([other_row[column] for column in extra]) if extra else row)
 
     def compatible(self, other: "Binding") -> bool:
         """Whether the two bindings agree on every shared variable."""
-        for name, value in other.items():
-            if name in self._values and self._values[name] != value:
-                return False
-        return True
+        return self.merged(other) is not None
 
     def project(self, names: Sequence[str]) -> "Binding":
         """Restrict to the given variable names (unbound names are dropped)."""
-        return Binding._adopt(
-            {name: self._values[name] for name in names if name in self._values}
-        )
+        pick, layout = self.layout.projection(names if isinstance(names, tuple) else tuple(names))
+        return self if pick is None else Binding.of(layout, pick(self.row))
 
     def as_dict(self) -> Dict[str, Term]:
         """A plain-dict copy of the mapping."""
-        return dict(self._values)
+        return dict(self.items())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Binding):
             return NotImplemented
-        return self._values == other._values
+        same_row = self.layout is other.layout and self.row == other.row
+        return same_row or self.as_dict() == other.as_dict()
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._values.items()))
+        return hash(frozenset(self.items()))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"?{k}={v}" for k, v in sorted(self._values.items()))
+        inner = ", ".join(f"?{k}={v}" for k, v in sorted(self.items()))
         return f"Binding({inner})"
+
+
+_new = object.__new__
 
 
 class AskResult:

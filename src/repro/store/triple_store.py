@@ -268,19 +268,21 @@ class PSOLayout:
         calls (subject layer, run boundaries, object layer) and then zipped.
         """
         run = self.subject_run(property_id)
-        if run is not None:
-            yield from self._pairs_in_subject_run(*run)
+        return iter(()) if run is None else self._pairs_in_subject_run(*run)
 
     def _pairs_in_subject_run(self, subject_begin: int, subject_end: int) -> Iterator[tuple]:
         if subject_begin >= subject_end:
-            return
+            return iter(())
         subjects = self.wt_s.access_range(subject_begin, subject_end)
         boundaries = self.object_run_boundaries(subject_begin, subject_end)
         objects = self._decode_objects(boundaries[0], boundaries[-1])
-        base = boundaries[0]
-        for offset, subject_id in enumerate(subjects):
-            for object_index in range(boundaries[offset] - base, boundaries[offset + 1] - base):
-                yield subject_id, objects[object_index]
+        # Each subject once per entry of its object run, zipped with the objects.
+        repeated = [
+            subject_id
+            for subject_id, begin, end in zip(subjects, boundaries, boundaries[1:])
+            for _ in range(end - begin)
+        ]
+        return zip(repeated, objects)
 
     def pairs_for_property_interval(
         self, property_low: int, property_high: int

@@ -50,7 +50,7 @@ def assert_identical(left_store, right_store, sparql, reasoning=True):
 
 @pytest.fixture(scope="module")
 def mapped(small_lubm_store, tmp_path_factory):
-    """The reference store, saved as a v4 image and loaded back mapped."""
+    """The reference store, saved as a store image and loaded back mapped."""
     path = tmp_path_factory.mktemp("images") / "small_lubm.sedg"
     save_store_image(small_lubm_store, str(path), atomic=True)
     store = load_store(str(path), mmap=True)

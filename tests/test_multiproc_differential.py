@@ -3,7 +3,7 @@
 The process pool's contract is the same as the thread executor's, only
 harder to keep: *no observable difference* from the sequential engine even
 though leaf scans and bind-join batches execute in worker processes that
-attached to the store by ``mmap``-loading its v4 image (plus a replayed
+attached to the store by ``mmap``-loading its image (plus a replayed
 delta-log suffix for live stores).  The matrix below checks byte-identity
 (same variables, same rows, same order) on the full paper workload
 (S1-S15, M1-M5, R1-R6) plus the A1-A6 analytics, at 1, 2 and 4 workers,
@@ -68,7 +68,7 @@ def workspace(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def mapped(small_lubm_store, tmp_path_factory):
-    """The reference store saved as a v4 image and loaded back mapped.
+    """The reference store saved as a store image and loaded back mapped.
 
     Workers attach to the very same image file, so coordinator and workers
     literally share pages.

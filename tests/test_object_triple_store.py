@@ -1,4 +1,4 @@
-"""Tests for the PSO wavelet-tree/bitmap object-triple store."""
+"""Tests for the PSO id-array/bitmap object-triple store."""
 
 from __future__ import annotations
 

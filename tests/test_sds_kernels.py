@@ -1,7 +1,7 @@
 """Property-based and brute-force tests for the batched SDS kernels.
 
 The vectorized hot path (sampled select directory, ``rank_many`` /
-``select_many`` / ``select_range`` on bitvectors, batched ``access_range`` /
+``select_range`` on bitvectors, batched ``access_range`` /
 ``range_search`` / ``locate`` on the id layers, word-level builder
 ingestion) must agree bit-for-bit with the naive single-call definitions.
 Every test here checks a batched kernel against its brute-force reference.
@@ -20,7 +20,6 @@ from repro.sds.kernels import (
     nth_set_bit,
     popcount,
     reset_kernel_counters,
-    set_offsets,
     total_kernel_calls,
 )
 
@@ -45,7 +44,6 @@ class TestWordKernels:
         expected = [i for i in range(64) if (word >> i) & 1]
         for n, offset in enumerate(expected, start=1):
             assert nth_set_bit(word, n) == offset
-        assert set_offsets(word) == expected
 
     def test_nth_set_bit_exhausted_raises(self):
         with pytest.raises(ValueError):
@@ -85,7 +83,7 @@ class TestSampledSelect:
         positions = [i for i, b in enumerate(bits) if b]
         for occurrence in sorted(set(rng.sample(range(1, len(positions) + 1), 400)) | {1, len(positions)}):
             assert bv.select(occurrence) == positions[occurrence - 1]
-        assert bv.select_many(range(1, len(positions) + 1, 97)) == positions[::97]
+        assert bv.select_range(1, len(positions)) == positions
 
     def test_select0_ignores_trailing_word_padding(self):
         # Select serves set bits only: asking for a zero is an error, also
@@ -94,8 +92,6 @@ class TestSampledSelect:
         bv = BitVector(bits)
         with pytest.raises(ValueError):
             bv.select(1, 0)
-        with pytest.raises(ValueError):
-            bv.select_many([1], 0)
         with pytest.raises(ValueError):
             bv.select_range(1, 1, 0)
 
@@ -114,19 +110,6 @@ class TestBatchedBitVectorKernels:
 
     @settings(max_examples=60, deadline=None)
     @given(bits=st.one_of(bit_lists, sparse_bits), data=st.data())
-    def test_select_many_matches_repeated_select(self, bits, data):
-        bv = BitVector(bits)
-        total = bv.count(1)
-        if total == 0:
-            return
-        occurrences = sorted(
-            data.draw(st.lists(st.integers(min_value=1, max_value=total), max_size=40))
-        )
-        expected = [bv.select(j) for j in occurrences]
-        assert bv.select_many(occurrences) == expected
-
-    @settings(max_examples=60, deadline=None)
-    @given(bits=bit_lists, data=st.data())
     def test_select_range_matches_repeated_select(self, bits, data):
         bv = BitVector(bits)
         total = bv.count(1)
@@ -137,15 +120,10 @@ class TestBatchedBitVectorKernels:
         expected = [bv.select(j) for j in range(first, last + 1)]
         assert bv.select_range(first, last) == expected
 
-    def test_select_many_rejects_descending_occurrences(self):
-        bv = BitVector([1] * 10)
-        with pytest.raises(ValueError):
-            bv.select_many([5, 3], 1)
-
-    def test_select_many_beyond_population_raises(self):
+    def test_select_range_beyond_population_raises(self):
         bv = BitVector([1, 0, 1])
         with pytest.raises(ValueError):
-            bv.select_many([1, 3], 1)
+            bv.select_range(1, 3)
 
 
 class TestBuilderFastPaths:
