@@ -187,10 +187,6 @@ class EdgeRDFStore:
 
     @staticmethod
     def _combine(left: List[Binding], right: List[Binding]) -> List[Binding]:
-        if not left:
-            return right
-        if not right:
-            return []
         combined: List[Binding] = []
         for left_binding in left:
             for right_binding in right:

@@ -21,27 +21,27 @@ The previous list-materializing evaluation survives as
 :class:`~repro.query.materializing.MaterializingQueryEngine`; the
 differential tests check that the two return byte-identical results.  Both
 engines plan with :class:`~repro.query.optimizer.CostBasedJoinOrderOptimizer`
-and follow its join policy: a planned merge join runs when exactly one
-variable is shared and the prefix is at least half the pattern's estimated
-size, and every other step is a bind-propagation join.
+and join the same way: every BGP step after the first is a bind-propagation
+join, and UNION branches and VALUES rows join through one nested-loop join
+(:func:`~repro.query.operators.join`).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Set, Union as TypingUnion
+import itertools
+from typing import Iterator, List, Optional, Union as TypingUnion
 
 from repro.caching import LruCache
 from repro.query import operators as ops
 from repro.query.optimizer import CostBasedJoinOrderOptimizer
 from repro.query.plan import (
     GroupPlan,
-    JoinMethod,
     ModifierOp,
     PhysicalPlan,
     PipelinePlan,
 )
 from repro.query.tp_eval import TriplePatternEvaluator
-from repro.sparql.algebra import group_solutions
+from repro.sparql.algebra import group_solutions, values_bindings
 from repro.sparql.ast import (
     AskQuery,
     GroupGraphPattern,
@@ -248,7 +248,7 @@ class QueryEngine:
         """Interpret one :class:`GroupPlan`: the WHERE-clause pipeline.
 
         Operators are chained exactly in the IR's order: BGP joins, UNION
-        combination, OPTIONAL left-outer joins, VALUES, BINDs, then FILTERs.
+        joins, OPTIONAL left-outer joins, VALUES, BINDs, then FILTERs.
         ``seed`` pre-binds variables (used by OPTIONAL evaluation, where the
         outer solution propagates into the group's patterns).
 
@@ -262,14 +262,12 @@ class QueryEngine:
             for step in plan.paths:
                 stream = paths.evaluate_many(step.pattern, stream)
         for union in plan.unions:
-            branch_solutions: List[Binding] = []
-            for branch in union:
-                branch_solutions.extend(self._execute_group(branch, Binding()))
-            stream = ops.union_combine(stream, branch_solutions)
+            branches = (self._execute_group(branch, Binding()) for branch in union)
+            stream = ops.join(stream, itertools.chain.from_iterable(branches))
         for optional in plan.optionals:
             stream = ops.optional_join(stream, optional, self._execute_group)
         for block in plan.values:
-            stream = ops.values_join(stream, block)
+            stream = ops.join(stream, values_bindings(block))
         for bind in plan.binds:
             stream = ops.extend(stream, bind)
         for constraint in plan.filters:
@@ -281,48 +279,8 @@ class QueryEngine:
     # ------------------------------------------------------------------ #
 
     def _bgp_stream(self, plan: PhysicalPlan, seed: Binding) -> Iterator[Binding]:
-        """Chain the planned BGP steps into a lazy left-deep join pipeline.
-
-        Bind-propagation joins stream; a merge join materializes the pipeline
-        prefix first (it needs the whole left side anyway, and the merge
-        decision compares its size against the pattern's cardinality
-        estimate, mirroring the materializing engine step for step).  A
-        generator function, so even that materialization waits for the
-        first pull.
-        """
-        if not plan.steps:
-            yield seed
-            return
+        """Chain the planned BGP steps into a lazy left-deep pipeline of bind joins."""
         stream: Iterator[Binding] = iter([seed])
-        bound: Set[str] = set(seed)
-        for position, step in enumerate(plan.steps):
-            if position == 0:
-                stream = ops.bind_join(self.evaluator, stream, step.pattern)
-            else:
-                stream = self._join_step(stream, step.pattern, step.join_method, bound)
-            bound.update(step.pattern.variable_names())
-        yield from stream
-
-    def _join_step(
-        self,
-        stream: Iterator[Binding],
-        pattern: TriplePattern,
-        planned: JoinMethod,
-        bound: Set[str],
-    ) -> Iterator[Binding]:
-        """One join of the left-deep plan: the planned method, demoted if unprofitable."""
-        shared = [name for name in pattern.variable_names() if name in bound]
-        if planned == JoinMethod.MERGE and len(shared) == 1:
-            # The merge decision needs the left cardinality: a merge join
-            # enumerates the pattern's whole property run, which only pays
-            # off when the prefix is at least comparable in size.  The
-            # prefix is materialized here — the merge join would have to
-            # buffer it anyway.
-            left = list(stream)
-            if not left:
-                return iter(())
-            right_estimate = self.evaluator.estimate_cardinality(pattern)
-            if right_estimate > 2 * len(left):
-                return ops.bind_join(self.evaluator, iter(left), pattern)
-            return ops.merge_join(self.evaluator, left, pattern, shared[0])
-        return ops.bind_join(self.evaluator, stream, pattern)
+        for step in plan.steps:
+            stream = ops.bind_join(self.evaluator, stream, step.pattern)
+        return stream

@@ -13,21 +13,19 @@ path, but the materializing evaluator is retained because
 
 Both engines share the planner
 (:class:`~repro.query.optimizer.CostBasedJoinOrderOptimizer`: the same join
-orders and planned join methods), the triple-pattern evaluator and the
-solution-modifier algebra (:mod:`repro.sparql.algebra`).  The oracle applies
-the one join policy — a planned merge join is demoted to bind propagation
-when the prefix is small — with its own list operators, so differences can
-only come from the operator evaluation strategy under test.
+orders), the triple-pattern evaluator and the solution-modifier algebra
+(:mod:`repro.sparql.algebra`).  The oracle bind-joins every BGP step and
+joins UNION branches and VALUES rows with plain nested loops, so
+differences can only come from the operator evaluation strategy under test.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple, Union as TypingUnion
 
-from repro.query.operators import term_join_key
 from repro.query.optimizer import CostBasedJoinOrderOptimizer
 from repro.query.paths import path_sort_key
-from repro.query.plan import JoinMethod, PhysicalPlan
+from repro.query.plan import PhysicalPlan
 from repro.query.tp_eval import TriplePatternEvaluator
 from repro.rdf.namespaces import RDF_TYPE
 from repro.rdf.terms import Term, URI
@@ -438,10 +436,6 @@ class MaterializingQueryEngine:
     @staticmethod
     def _combine(left: List[Binding], right: List[Binding]) -> List[Binding]:
         """Join two binding sets on their shared variables (nested loop)."""
-        if not left:
-            return right
-        if not right:
-            return []
         combined: List[Binding] = []
         for left_binding in left:
             for right_binding in right:
@@ -457,48 +451,10 @@ class MaterializingQueryEngine:
     def _evaluate_bgp(self, patterns: List[TriplePattern], seed: Binding) -> List[Binding]:
         if not patterns:
             return [seed]
-        plan = self._plan_bgp(patterns)
         current: List[Binding] = [seed]
-        for position, step in enumerate(plan.steps):
-            if position == 0:
-                next_bindings: List[Binding] = []
-                for binding in current:
-                    next_bindings.extend(self.evaluator.evaluate(step.pattern, binding))
-                current = next_bindings
-                continue
-            if not current:
-                return []
-            method = self._effective_join_method(step.join_method, step.pattern, current)
-            if method == JoinMethod.MERGE:
-                current = self._merge_join(current, step.pattern)
-            else:
-                current = self._bind_propagation_join(current, step.pattern)
+        for step in self._plan_bgp(patterns).steps:
+            current = self._bind_propagation_join(current, step.pattern)
         return current
-
-    def _effective_join_method(
-        self, planned: JoinMethod, pattern: TriplePattern, current: List[Binding]
-    ) -> JoinMethod:
-        if planned == JoinMethod.MERGE:
-            shared = self._shared_variables(pattern, current)
-            if len(shared) != 1:
-                return JoinMethod.BIND_PROPAGATION
-            # A merge join enumerates the pattern's whole property run; it only
-            # pays off when the intermediate result is at least comparable in
-            # size (otherwise bind propagation probes far fewer entries).
-            right_estimate = self.evaluator.estimate_cardinality(pattern)
-            if right_estimate > 2 * len(current):
-                return JoinMethod.BIND_PROPAGATION
-            return JoinMethod.MERGE
-        return planned
-
-    @staticmethod
-    def _shared_variables(pattern: TriplePattern, current: List[Binding]) -> List[str]:
-        if not current:
-            return []
-        bound_names = set(current[0].as_dict())
-        for binding in current[1:]:
-            bound_names |= set(binding.as_dict())
-        return [name for name in pattern.variable_names() if name in bound_names]
 
     def _bind_propagation_join(
         self, current: List[Binding], pattern: TriplePattern
@@ -507,50 +463,4 @@ class MaterializingQueryEngine:
         results: List[Binding] = []
         for binding in current:
             results.extend(self.evaluator.evaluate(pattern, binding))
-        return results
-
-    def _merge_join(self, current: List[Binding], pattern: TriplePattern) -> List[Binding]:
-        """Sort-merge join on the single variable shared with the prefix.
-
-        The PSO layout already delivers the right-hand side ordered by subject
-        inside a property run; the left-hand side is sorted on the join key,
-        then both sides are merged.
-        """
-        shared = self._shared_variables(pattern, current)
-        if len(shared) != 1:
-            return self._bind_propagation_join(current, pattern)
-        join_name = shared[0]
-        right = list(self.evaluator.evaluate(pattern, Binding()))
-
-        def key(binding: Binding) -> tuple:
-            return term_join_key(binding.get(join_name))
-
-        left_sorted = sorted(current, key=key)
-        right_sorted = sorted(right, key=key)
-        results: List[Binding] = []
-        left_index = 0
-        right_index = 0
-        while left_index < len(left_sorted) and right_index < len(right_sorted):
-            left_key = key(left_sorted[left_index])
-            right_key = key(right_sorted[right_index])
-            if left_key < right_key:
-                left_index += 1
-                continue
-            if right_key < left_key:
-                right_index += 1
-                continue
-            # Equal keys: emit the cross product of the two equal runs.
-            left_end = left_index
-            while left_end < len(left_sorted) and key(left_sorted[left_end]) == left_key:
-                left_end += 1
-            right_end = right_index
-            while right_end < len(right_sorted) and key(right_sorted[right_end]) == right_key:
-                right_end += 1
-            for i in range(left_index, left_end):
-                for j in range(right_index, right_end):
-                    merged = left_sorted[i].merged(right_sorted[j])
-                    if merged is not None:
-                        results.append(merged)
-            left_index = left_end
-            right_index = right_end
         return results

@@ -11,9 +11,9 @@ binding may expand into a whole batched answer run, which is then streamed
 element by element.
 
 Operators that are inherently blocking (sort, grouping, the right-hand side
-of a merge join) materialize internally and say so in their docstring; the
-``ORDER BY ... LIMIT k`` case avoids the full sort with a bounded top-k
-selection (:func:`top_k`).
+of a UNION or VALUES join) materialize internally and say so in their
+docstring; the ``ORDER BY ... LIMIT k`` case avoids the full sort with a
+bounded top-k selection (:func:`top_k`).
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ import itertools
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.rdf.terms import Term
-from repro.sparql.algebra import order_key_function, values_bindings
+from repro.sparql.algebra import order_key_function
 from repro.sparql.ast import (
     Bind,
     Expression,
     GroupGraphPattern,
-    InlineData,
     OrderCondition,
     SelectExpression,
     TriplePattern,
@@ -62,86 +61,18 @@ def bind_join(
     yield from evaluator.evaluate_many(pattern, upstream)
 
 
-def term_join_key(term: Optional[Term]) -> Tuple:
-    """The merge-join sort key over one binding slot (unbound sorts last).
+def join(upstream: Iterable[Binding], right: Iterable[Binding]) -> Iterator[Binding]:
+    """Join the stream with a materialized right side (UNION branches, VALUES rows).
 
-    The single source of truth for join-key ordering: both the streaming
-    and the materializing engine sort merge-join inputs with this key, so
-    their emission orders cannot diverge.
+    A nested loop: every left row meets every right row, in order.  The
+    right side is drawn on the first pull; an empty one never pulls the left.
     """
-    if term is None:
-        return (9, "")
-    return (0, term.n3() if hasattr(term, "n3") else str(term))
-
-
-def merge_join(
-    evaluator,
-    left: Sequence[Binding],
-    pattern: TriplePattern,
-    join_name: str,
-) -> Iterator[Binding]:
-    """Sort-merge join on the single variable shared with the prefix.
-
-    Blocking on both sides: the PSO layout delivers the right-hand side
-    ordered by subject inside a property run, the left side is sorted on the
-    join key, then both are merged.  Kept byte-compatible with the
-    materializing engine's merge join (same key, same emission order).
-    """
-    right = list(evaluator.evaluate(pattern, Binding()))
-
-    def key(binding: Binding) -> Tuple:
-        return term_join_key(binding.get(join_name))
-
-    left_sorted = sorted(left, key=key)
-    right_sorted = sorted(right, key=key)
-    left_index = 0
-    right_index = 0
-    while left_index < len(left_sorted) and right_index < len(right_sorted):
-        left_key = key(left_sorted[left_index])
-        right_key = key(right_sorted[right_index])
-        if left_key < right_key:
-            left_index += 1
-            continue
-        if right_key < left_key:
-            right_index += 1
-            continue
-        # Equal keys: emit the cross product of the two equal runs.
-        left_end = left_index
-        while left_end < len(left_sorted) and key(left_sorted[left_end]) == left_key:
-            left_end += 1
-        right_end = right_index
-        while right_end < len(right_sorted) and key(right_sorted[right_end]) == right_key:
-            right_end += 1
-        for i in range(left_index, left_end):
-            for j in range(right_index, right_end):
-                merged = left_sorted[i].merged(right_sorted[j])
-                if merged is not None:
-                    yield merged
-        left_index = left_end
-        right_index = right_end
-
-
-def union_combine(
-    upstream: Iterator[Binding],
-    branch_solutions: Sequence[Binding],
-) -> Iterator[Binding]:
-    """Join the upstream stream with the materialized UNION branch solutions.
-
-    Streams the left side; keeps the historical engine behaviour that an
-    *empty* left side passes the union solutions through unchanged (the
-    usual case: a group whose only content is the UNION).
-    """
-    if not branch_solutions:
-        # Right side empty: only an empty left side produces output (the
-        # pass-through above), which here is also empty.
+    rows = list(right)
+    if not rows:
         return
-    first = next(upstream, None)
-    if first is None:
-        yield from branch_solutions
-        return
-    for left in itertools.chain([first], upstream):
-        for right in branch_solutions:
-            merged = left.merged(right)
+    for binding in upstream:
+        for row in rows:
+            merged = binding.merged(row)
             if merged is not None:
                 yield merged
 
@@ -170,19 +101,6 @@ def optional_join(
             yield extended
         if not matched:
             yield binding
-
-
-def values_join(
-    upstream: Iterable[Binding],
-    inline: InlineData,
-) -> Iterator[Binding]:
-    """Join the stream with a VALUES inline-data block (streaming left side)."""
-    table = values_bindings(inline)
-    for binding in upstream:
-        for row in table:
-            merged = binding.merged(row)
-            if merged is not None:
-                yield merged
 
 
 # --------------------------------------------------------------------- #

@@ -29,7 +29,6 @@ from repro.dictionary.statistics import DictionaryStatistics
 from repro.query.cardinality import CardinalityEstimator, JoinState, PatternEstimate
 from repro.query.paths import path_access_label
 from repro.query.plan import (
-    JoinMethod,
     ModifierOp,
     ModifierStep,
     PathStep,
@@ -349,12 +348,11 @@ class CostBasedJoinOrderOptimizer:
     def plan_paths(self, paths, bound_names: Set[str]) -> List[PathStep]:
         """Order the group's property-path patterns for bind-propagation.
 
-        Paths join after the BGP (they cannot anchor a merge join), so the
-        only planning freedom is their order: paths with a bound endpoint —
-        a constant, or a variable the BGP already binds — run first (each
-        upstream row prunes the BFS to one source), ranked by estimated
-        rows ascending; unbound-unbound paths (full relation
-        materializations) run last.
+        Paths join after the BGP, so the only planning freedom is their
+        order: paths with a bound endpoint — a constant, or a variable the
+        BGP already binds — run first (each upstream row prunes the BFS to
+        one source), ranked by estimated rows ascending; unbound-unbound
+        paths (full relation materializations) run last.
         """
         if not paths:
             return []
@@ -386,25 +384,6 @@ class CostBasedJoinOrderOptimizer:
                 )
             )
         return steps
-
-    @staticmethod
-    def _pick_join_method(node: QueryNode, bound_variables: Set[str]) -> JoinMethod:
-        """Merge joins apply when the new TP re-enumerates an ordered subject run.
-
-        The PSO layout keeps subjects ordered inside a property run, so a
-        star-shaped ``?s p ?o`` pattern whose subject variable is already
-        bound by the prefix can be merge-joined; every other case falls back
-        to bind propagation (index nested loop), as in the paper.
-        """
-        pattern = node.pattern
-        subject_is_shared_variable = (
-            isinstance(pattern.subject, Variable) and pattern.subject.name in bound_variables
-        )
-        object_unbound = isinstance(pattern.object, Variable) and pattern.object.name not in bound_variables
-        predicate_bound = not isinstance(pattern.predicate, Variable)
-        if subject_is_shared_variable and object_unbound and predicate_bound and not node.is_rdf_type:
-            return JoinMethod.MERGE
-        return JoinMethod.BIND_PROPAGATION
 
     # ------------------------------------------------------------------ #
     # DP enumeration
@@ -568,7 +547,6 @@ class CostBasedJoinOrderOptimizer:
     ) -> PhysicalPlan:
         steps: List[PlanStep] = []
         done: Set[int] = set()
-        bound_variables: Set[str] = set()
         state: Optional[JoinState] = None
         cumulative_cost = 0.0
         mask = 0
@@ -577,8 +555,6 @@ class CostBasedJoinOrderOptimizer:
             estimate = self.estimator.estimate_pattern(node.pattern)
             access_path = classify_access_path(node.pattern)
             join_type = ""
-            join_method = JoinMethod.NONE
-            cartesian = False
             mask |= 1 << index
             if position == 0:
                 state = self.estimator.initial_state(node.pattern)
@@ -600,23 +576,18 @@ class CostBasedJoinOrderOptimizer:
                 state = new_state
                 if edges:
                     join_type = min(edges[0].join_types, key=lambda t: _JOIN_RANK.get(t, 9))
-                    join_method = self._pick_join_method(node, bound_variables)
                 else:
-                    join_method = JoinMethod.BIND_PROPAGATION
-                    cartesian = True
+                    join_type = "×"
             steps.append(
                 PlanStep(
                     pattern_index=index,
                     pattern=node.pattern,
                     access_path=access_path,
-                    join_method=join_method,
                     join_type=join_type,
                     estimated_cardinality=int(round(estimate.rows)),
                     estimated_rows=int(round(state.rows)),
                     estimated_cost=cumulative_cost,
-                    cartesian=cartesian,
                 )
             )
             done.add(index)
-            bound_variables.update(node.pattern.variable_names())
         return PhysicalPlan(steps=steps, method=method)

@@ -3,8 +3,8 @@
 The optimizer produces a left-deep sequence of plan steps; each step records
 the access path the executor will use (which storage layout and which of the
 paper's algorithms), the join type linking it to the already-computed
-prefix, the join method every engine follows (merge or bind propagation),
-and the estimated cardinality, cumulative row count and cumulative cost in
+prefix (every step after the first is a bind-propagation join), and the
+estimated cardinality, cumulative row count and cumulative cost in
 SDS-kernel-call units.  Cross products are flagged explicitly (``CARTESIAN`` in the
 rendering) so the hazard is visible in every EXPLAIN.
 
@@ -47,45 +47,40 @@ class AccessPath(enum.Enum):
     LITERAL_SCAN = "literal-scan"      # datatype store scan for literal-bound objects
 
 
-class JoinMethod(enum.Enum):
-    """Join algorithm used to combine a step with the current intermediate result."""
-
-    NONE = "none"                      # first step of the plan
-    BIND_PROPAGATION = "bind"          # index nested-loop: propagate bindings into the TP
-    MERGE = "merge"                    # merge join on ordered subject runs
-
-
 @dataclass
 class PlanStep:
     """One step of the left-deep plan.
 
+    Every step after the first is a bind-propagation join; ``join_type``
+    labels its edge to the prefix (``"SS"``, ``"OS"``, ...; ``"×"`` for a
+    cross product, ``""`` on the first step).
     ``estimated_cardinality`` is the pattern's stand-alone estimate;
     ``estimated_rows`` / ``estimated_cost``
     are cumulative — the expected intermediate-result size after this join
     and the total SDS-kernel-call budget spent up to and including it.
-    ``cartesian`` flags a step with no join edge to the prefix: the executor
-    falls back to re-evaluating the pattern per prefix row (an explicit,
-    explicitly-costed cross product).
     """
 
     pattern_index: int
     pattern: TriplePattern
     access_path: AccessPath
-    join_method: JoinMethod = JoinMethod.NONE
     join_type: str = ""
     estimated_cardinality: Optional[int] = None
     estimated_rows: Optional[int] = None
     estimated_cost: Optional[float] = None
-    cartesian: bool = False
+
+    @property
+    def cartesian(self) -> bool:
+        """No join edge to the prefix: the executor re-evaluates the pattern
+        per prefix row (an explicit, explicitly-costed cross product)."""
+        return self.join_type == "×"
 
     def describe(self) -> str:
         """One-line human-readable description."""
         parts = [f"tp{self.pattern_index + 1} [{self.access_path.value}]"]
         if self.cartesian:
             parts.append("CARTESIAN")
-        if self.join_method != JoinMethod.NONE:
-            join_label = self.join_type or "×"
-            parts.append(f"join={self.join_method.value}({join_label})")
+        if self.join_type:
+            parts.append(f"join=bind({self.join_type})")
         if self.estimated_cardinality is not None:
             parts.append(f"card~{self.estimated_cardinality}")
         if self.estimated_rows is not None:

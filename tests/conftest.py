@@ -9,8 +9,6 @@ import pytest
 
 from repro.ontology.rhodf import saturate_properties, saturate_types
 from repro.ontology.schema import OntologySchema
-from repro.query import operators as ops
-from repro.query.engine import QueryEngine
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import RDF, RDFS, Namespace
 from repro.rdf.terms import Literal, Triple
@@ -87,9 +85,7 @@ def _naive_group(graph: Graph, group: GroupGraphPattern) -> List[Binding]:
             combined = left.merged(right)
             if combined is not None:
                 merged.append(combined)
-        bindings = merged if bindings else union_bindings
-        if not group.bgp.patterns and len(group.unions) == 1:
-            bindings = union_bindings
+        bindings = merged
     for bind in group.binds:
         updated = []
         for binding in bindings:
@@ -106,30 +102,6 @@ def hierarchy_closure(graph: Graph, schema: OntologySchema) -> Graph:
     closed = saturate_properties(graph, schema)
     closed = saturate_types(closed, schema)
     return closed
-
-
-def query_engine_with_join_strategy(store: SuccinctEdge, strategy: str, reasoning: bool = True):
-    """A ``QueryEngine`` whose every join runs one operator.
-
-    ``"auto"`` keeps the engine's own join policy.  ``"bind"`` bind-joins
-    every step; ``"merge"`` merge-joins every step that shares exactly one
-    variable with the prefix (the merge join's precondition) and bind-joins
-    the rest.  Different operators over the same plan must give the same
-    solutions.
-    """
-    engine = QueryEngine(store, reasoning=reasoning)
-    if strategy == "auto":
-        return engine
-    assert strategy in ("bind", "merge"), strategy
-
-    def join_step(stream, pattern, planned, bound):
-        shared = [name for name in pattern.variable_names() if name in bound]
-        if strategy == "merge" and len(shared) == 1:
-            return ops.merge_join(engine.evaluator, list(stream), pattern, shared[0])
-        return ops.bind_join(engine.evaluator, stream, pattern)
-
-    engine._join_step = join_step
-    return engine
 
 
 # --------------------------------------------------------------------------- #

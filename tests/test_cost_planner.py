@@ -19,7 +19,7 @@ from repro.bench.measure import measure_call
 from repro.query.engine import QueryEngine
 from repro.query.materializing import MaterializingQueryEngine
 from repro.query.optimizer import CostBasedJoinOrderOptimizer, CostModel
-from repro.query.plan import AccessPath, JoinMethod
+from repro.query.plan import AccessPath
 from repro.rdf.graph import Graph
 from repro.sparql.parser import parse_query
 from repro.store.succinct_edge import SuccinctEdge
@@ -43,7 +43,7 @@ class TestEdgeCases:
         )
         assert len(plan) == 1
         step = plan.steps[0]
-        assert step.join_method == JoinMethod.NONE
+        assert step.join_type == "" and "join=" not in step.describe()
         assert not step.cartesian
         assert step.estimated_rows is not None
         assert step.estimated_cost is not None and step.estimated_cost > 0
@@ -254,6 +254,27 @@ DIFFERENTIAL_QUERIES = [
     "SELECT ?n WHERE { ?x <http://example.org/name> ?n . ?y <http://example.org/age> ?a }",
     "SELECT * WHERE { ?s ?p ?o . ?s <http://example.org/age> ?a }",
     "SELECT ?x WHERE { ?x a <http://example.org/Student> } ORDER BY ?x",
+    # The UNION / VALUES join against the oracle's nested loops, rows in
+    # order: left rows that bind every shared variable and left rows an
+    # OPTIONAL left without one, UNDEF cells in shared and unshared
+    # columns, a shared variable no VALUES row binds throughout, and
+    # duplicate right rows.
+    "SELECT * WHERE { ?x <http://example.org/name> ?n . OPTIONAL { ?x <http://example.org/headOf> ?h } "
+    "OPTIONAL { { ?x <http://example.org/age> ?a . ?x <http://example.org/headOf> ?h } UNION "
+    "{ ?x <http://example.org/advisor> ?v . ?x <http://example.org/headOf> ?h } } }",
+    "SELECT * WHERE { ?x <http://example.org/name> ?n . OPTIONAL { ?x <http://example.org/memberOf> ?d } "
+    "VALUES ?d { <http://example.org/dept2> <http://example.org/dept1> } }",
+    "SELECT * WHERE { ?x <http://example.org/name> ?n . OPTIONAL { ?x <http://example.org/memberOf> ?d } "
+    "VALUES (?d ?x) { (<http://example.org/dept1> <http://example.org/alice>) "
+    "(<http://example.org/dept2> UNDEF) (<http://example.org/dept1> UNDEF) } }",
+    "SELECT * WHERE { ?x <http://example.org/name> ?n . OPTIONAL { ?x <http://example.org/memberOf> ?d } "
+    "VALUES (?x ?d) { (<http://example.org/alice> <http://example.org/dept1>) "
+    "(UNDEF <http://example.org/dept2>) (<http://example.org/bob> UNDEF) } }",
+    "SELECT * WHERE { ?x <http://example.org/name> ?n . OPTIONAL { ?x <http://example.org/memberOf> ?d } "
+    "VALUES ?d { <http://example.org/dept2> <http://example.org/dept1> <http://example.org/dept2> } }",
+    "SELECT * WHERE { ?x <http://example.org/advisor> ?p . ?p <http://example.org/name> ?n . "
+    "{ ?p <http://example.org/name> ?n } UNION { ?p <http://example.org/age> ?a } UNION "
+    "{ ?p <http://example.org/name> ?n } }",
 ]
 
 

@@ -8,16 +8,12 @@ from repro.query.engine import QueryEngine
 from repro.query.rewriter import HighLevelQueryBuilder
 from repro.rdf.namespaces import QUDT
 from repro.rdf.terms import Literal
+from repro.baselines.multi_index_store import MultiIndexMemoryStore
 from repro.query.materializing import MaterializingQueryEngine
 from repro.query.multiproc import ProcessPoolQueryEngine
 from repro.query.parallel import ParallelQueryEngine
 from repro.serve.cluster import ClusterQueryEngine
-from tests.conftest import (
-    EX,
-    hierarchy_closure,
-    naive_query,
-    query_engine_with_join_strategy,
-)
+from tests.conftest import EX, hierarchy_closure, naive_query
 
 
 def oracle_rows(graph, schema, query, reasoning):
@@ -86,19 +82,6 @@ class TestJoins:
             toy_data, toy_schema, query, False
         )
 
-    def test_join_strategies_agree(self, toy_store):
-        query = (
-            "SELECT ?x ?n ?d WHERE { ?x <http://example.org/memberOf> ?d . "
-            "?x <http://example.org/name> ?n }"
-        )
-        results = {
-            strategy: query_engine_with_join_strategy(toy_store, strategy, reasoning=False)
-            .execute(query)
-            .to_set()
-            for strategy in ("auto", "bind", "merge")
-        }
-        assert results["auto"] == results["bind"] == results["merge"]
-
     def test_cartesian_product_supported(self, toy_store, toy_data, toy_schema):
         query = (
             "SELECT ?a ?b WHERE { ?a <http://example.org/headOf> ?x . ?b <http://example.org/age> ?v }"
@@ -142,13 +125,77 @@ class TestUnionQueries:
             toy_data, toy_schema, query, False
         )
 
-    def test_union_combined_with_bgp(self, toy_store):
+    def test_union_joined_with_bgp(self, toy_store):
         query = (
             "SELECT ?x ?n WHERE { ?x <http://example.org/name> ?n . "
             "{ ?x a <http://example.org/GraduateStudent> } UNION { ?x a <http://example.org/Professor> } }"
         )
         result = toy_store.query(query, reasoning=False)
         assert result.to_set() == {(EX.alice, Literal("Alice")), (EX.dave, Literal("Dave"))}
+
+    # A UNION joins what precedes it in its group: after a BGP with no
+    # solutions the join is empty, and only a group whose BGP is empty (its
+    # one seed row) passes the branch rows through.
+    NAME_OR_AGE = "{ ?x <http://example.org/name> ?n } UNION { ?x <http://example.org/age> ?n }"
+    UNION_CASES = [
+        # Four names and two ages.
+        pytest.param(
+            f"SELECT ?x ?n WHERE {{ {NAME_OR_AGE} }}",
+            {
+                (EX.alice, Literal("Alice")),
+                (EX.bob, Literal("Bob")),
+                (EX.carol, Literal("Carol")),
+                (EX.dave, Literal("Dave")),
+                (EX.alice, Literal(27)),
+                (EX.bob, Literal(55)),
+            },
+            id="union-only",
+        ),
+        # Bob heads dept1: his name and his age.
+        pytest.param(
+            f"SELECT ?x ?n WHERE {{ ?x <http://example.org/headOf> ?d . {NAME_OR_AGE} }}",
+            {(EX.bob, Literal("Bob")), (EX.bob, Literal(55))},
+            id="after-bgp",
+        ),
+        # Nobody heads <http://nowhere/x>.
+        pytest.param(
+            f"SELECT ?x ?n WHERE {{ ?x <http://example.org/headOf> <http://nowhere/x> . {NAME_OR_AGE} }}",
+            set(),
+            id="after-empty-bgp",
+        ),
+        # The first UNION has no solutions, so neither has its join with the second.
+        pytest.param(
+            "SELECT ?x ?n WHERE { { ?x <http://example.org/headOf> <http://nowhere/x> } UNION "
+            f"{{ ?x <http://example.org/worksFor> <http://nowhere/x> }} {NAME_OR_AGE} }}",
+            set(),
+            id="after-empty-union",
+        ),
+    ]
+
+    @pytest.mark.parametrize("engine", ["streaming", "materializing", "baseline", "naive"])
+    @pytest.mark.parametrize("query, expected", UNION_CASES)
+    def test_union_after_bgp_joins_its_solutions(self, toy_store, toy_data, toy_ontology, engine, query, expected):
+        if engine == "streaming":
+            result = QueryEngine(toy_store, reasoning=False).execute(query)
+        elif engine == "materializing":
+            result = MaterializingQueryEngine(toy_store, reasoning=False).execute(query)
+        elif engine == "baseline":
+            store = MultiIndexMemoryStore()
+            store.load(toy_data, ontology=toy_ontology)
+            result = store.query(query)
+        else:
+            result = naive_query(toy_data, query)
+        assert len(result) == len(expected)
+        assert result.to_set() == expected
+
+    def test_union_after_empty_bgp_on_lubm(self, small_lubm_store):
+        union = "{ ?x lubm:name ?n } UNION { ?x lubm:emailAddress ?n }"
+        prefix = "PREFIX lubm: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
+        empty = f"SELECT ?x ?n WHERE {{ ?x lubm:headOf <http://nowhere/x> . {union} }}"
+        for engine_class in (QueryEngine, MaterializingQueryEngine):
+            engine = engine_class(small_lubm_store, reasoning=False)
+            assert len(engine.execute(prefix + f"SELECT ?x ?n WHERE {{ {union} }}")) > 0
+            assert len(engine.execute(prefix + empty)) == 0
 
 
 class TestReasoningQueries:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.query.optimizer import CostBasedJoinOrderOptimizer
-from repro.query.plan import AccessPath, JoinMethod, classify_access_path
+from repro.query.plan import AccessPath, classify_access_path
 from repro.query.query_graph import QueryGraph
 from repro.sparql.parser import parse_query
 from tests.conftest import EX
@@ -156,15 +156,6 @@ class TestOptimizerHeuristics:
         plan = CostBasedJoinOrderOptimizer().optimize([])
         assert len(plan) == 0
         assert plan.order() == []
-
-    def test_merge_join_planned_for_star_pattern(self, toy_store):
-        optimizer = CostBasedJoinOrderOptimizer(statistics=toy_store.statistics)
-        query = parse_query(
-            "SELECT * WHERE { ?x <http://example.org/memberOf> <http://example.org/dept1> . "
-            "?x <http://example.org/name> ?n }"
-        )
-        plan = optimizer.optimize(list(query.triple_patterns))
-        assert plan.steps[1].join_method == JoinMethod.MERGE
 
     def test_without_statistics_cost_planner_still_plans(self):
         optimizer = CostBasedJoinOrderOptimizer(statistics=None)

@@ -22,7 +22,7 @@ from repro.rdf.terms import Literal
 from repro.sparql.ast import AskQuery
 from repro.sparql.bindings import AskResult
 from repro.sparql.parser import parse_query
-from tests.conftest import EX, query_engine_with_join_strategy
+from tests.conftest import EX
 
 NAME = f"<{EX.name}>"
 AGE = f"<{EX.age}>"
@@ -303,56 +303,27 @@ class TestDifferentialStreamingVsMaterializing:
                 continue
             assert actual.to_tuples() == expected.to_tuples(), query.identifier
 
-    def test_join_strategies_still_agree(self, small_lubm_store, small_lubm_catalog):
-        query = small_lubm_catalog.by_identifier()["M1"].sparql
-        results = {
-            strategy: query_engine_with_join_strategy(small_lubm_store, strategy, reasoning=False)
-            .execute(query)
-            .to_set()
-            for strategy in ("auto", "bind", "merge")
-        }
-        assert results["auto"] == results["bind"] == results["merge"]
+    def test_default_join_policy_picks_operator(self, engines, monkeypatch):
+        """Every BGP step runs the bind join: one scans the first pattern, one joins."""
+        query = (
+            "PREFIX lubm: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
+            "SELECT ?x ?p ?d WHERE { ?x lubm:advisor ?p . ?p lubm:worksFor ?d }"
+        )
+        calls = 0
+        original = ops.bind_join
 
-    @pytest.mark.parametrize(
-        "identifier, reasoning, operator",
-        [
-            # Subject star on ?X: memberOf (with its sub-properties) joins a
-            # prefix large enough to merge.  M1's name run is over twice its
-            # worksFor prefix here, so the policy bind-joins it instead.
-            ("M2", True, "merge_join"),
-            ("chain", False, "bind_join"),  # advisor probed per bound ?p
-        ],
-    )
-    def test_default_join_policy_picks_operator(
-        self, engines, small_lubm_catalog, monkeypatch, identifier, reasoning, operator
-    ):
-        """The one join policy really runs both join operators."""
-        if identifier == "chain":
-            query = (
-                "PREFIX lubm: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
-                "SELECT ?x ?p ?d WHERE { ?x lubm:advisor ?p . ?p lubm:worksFor ?d }"
-            )
-        else:
-            query = small_lubm_catalog.by_identifier()[identifier].sparql
-        calls = {"merge_join": 0, "bind_join": 0}
-        for name in calls:
-            original = getattr(ops, name)
+        def spy(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
 
-            def spy(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(ops, name, spy)
-        streaming, materializing = engines[reasoning]
+        monkeypatch.setattr(ops, "bind_join", spy)
+        streaming, materializing = engines[False]
         actual = streaming.execute(query)
         expected = materializing.execute(query)
         assert len(actual) > 0
         assert actual.to_tuples() == expected.to_tuples()
-        if operator == "merge_join":
-            assert calls["merge_join"] == 1
-        else:
-            # One bind join scans the first pattern, the other is the join.
-            assert calls == {"merge_join": 0, "bind_join": 2}
+        assert calls == 2
 
 
 class TestEarlyTermination:
@@ -400,8 +371,8 @@ class TestEarlyTermination:
         assert prefix.kernel_calls < full.kernel_calls
 
     def test_pipeline_construction_is_free(self, small_lubm_store):
-        # Building the pipeline — UNION branches and merge-join prefixes
-        # included — must not touch the store before the first pull.
+        # Building the pipeline — UNION branches included — must not touch
+        # the store before the first pull.
         union_query = (
             "PREFIX lubm: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
             "SELECT ?x WHERE { { ?x lubm:worksFor ?d } UNION { ?x lubm:name ?n } }"
