@@ -7,11 +7,17 @@ a :class:`~repro.query.plan.GroupPlan` (BGP join steps plus OPTIONAL / UNION
 typed payloads, and execution walks exactly those steps.  ``explain()``
 renders the same IR, so the printed plan *is* the executed plan.
 
-Operators come from :mod:`repro.query.operators`: triple-pattern scans and
-bind-propagation joins stream bindings one at a time on top of the batched
-SDS kernels.  Because consumers pull, a ``LIMIT 10`` stops every upstream
-operator after ten rows — the remaining triple-pattern probes (and their SDS
-kernel calls) never execute — and ``ASK`` stops after the first solution.
+Operators come from :mod:`repro.query.operators`: triple-pattern scans,
+bind-propagation joins, FILTER, BIND, projection, DISTINCT and the slice
+stream batches of id rows (:class:`~repro.sparql.bindings.Batch`) on top of
+the batched SDS kernels.  Because consumers pull and streams start with
+batches of about one row that grow ×4, a ``LIMIT 10`` stops every upstream
+operator within one batch of its tenth row — the remaining triple-pattern
+probes (and their SDS kernel calls) never execute — and ``ASK`` stops after
+the first batch.  When only projection sits between the BGP and the slice,
+the last step's batches never outgrow the rows the slice still takes.  Property paths, OPTIONAL, the UNION/VALUES join, aggregation and
+ORDER BY still work per binding between :func:`~repro.sparql.bindings.rows`
+and :func:`~repro.sparql.bindings.batches`.
 
 Compiled plans are cached per BGP and invalidated on the statistics version
 (every delta write bumps it), so live updates re-plan with fresh
@@ -49,7 +55,7 @@ from repro.sparql.ast import (
     SelectQuery,
     TriplePattern,
 )
-from repro.sparql.bindings import AskResult, Binding, ResultSet
+from repro.sparql.bindings import BATCH_ROWS, AskResult, Batch, Binding, ResultSet
 from repro.sparql.parser import parse_query
 from repro.store.succinct_edge import SuccinctEdge
 
@@ -167,7 +173,7 @@ class QueryEngine:
             return self.ask(parsed)
         assert isinstance(parsed, SelectQuery)
         names = parsed.projected_names()
-        return ResultSet(names, self.stream(parsed))
+        return ResultSet(names, batches=list(self.stream(parsed)))
 
     def ask(self, query: TypingUnion[str, AskQuery]) -> AskResult:
         """Execute an ASK query, stopping at the first solution found."""
@@ -177,13 +183,13 @@ class QueryEngine:
         solutions = self._group_stream(parsed.where, Binding())
         return AskResult(next(solutions, None) is not None)
 
-    def stream(self, query: TypingUnion[str, SelectQuery]) -> Iterator[Binding]:
-        """The streaming entry point: yield projected solutions one by one.
+    def stream(self, query: TypingUnion[str, SelectQuery]) -> Iterator[Batch]:
+        """The streaming entry point: yield the projected solutions in batches.
 
         The returned iterator drives the whole operator pipeline lazily —
         consuming only a prefix (e.g. ``itertools.islice``) evaluates only
-        that prefix, which is what the edge server uses to serve paginated
-        results without computing full answer sets.
+        that prefix, and the first batches hold about one, four, sixteen ...
+        rows.  No batch is empty.
 
         The modifier pipeline is interpreted step by step from the plan IR:
         each :class:`~repro.query.plan.ModifierStep` carries its typed
@@ -192,17 +198,18 @@ class QueryEngine:
         parsed = parse_query(query) if isinstance(query, str) else query
         if not isinstance(parsed, SelectQuery):
             raise TypeError(f"stream() needs a SELECT query, got {type(parsed).__name__}")
-        stream: Iterator[Binding] = self._group_stream(parsed.where, Binding())
-        for step in self.optimizer.plan_modifiers(parsed):
+        steps = self.optimizer.plan_modifiers(parsed)
+        stream: Iterator[Batch] = self._group_stream(parsed.where, Binding(), _rows_wanted(steps))
+        for step in steps:
             if step.op == ModifierOp.AGGREGATE:
-                stream = iter(group_solutions(step.payload, list(stream)))
+                stream = ops.batches(group_solutions(step.payload, list(ops.rows(stream))), BATCH_ROWS)
             elif step.op == ModifierOp.EXTEND:
                 stream = ops.extend_select(stream, list(step.payload))
             elif step.op == ModifierOp.SORT:
-                stream = iter(ops.order(stream, list(step.payload)))
+                stream = ops.batches(ops.order(ops.rows(stream), list(step.payload)), BATCH_ROWS)
             elif step.op == ModifierOp.TOP_K:
                 conditions, fetch = step.payload
-                stream = iter(ops.top_k(stream, list(conditions), fetch))
+                stream = ops.batches(ops.top_k(ops.rows(stream), list(conditions), fetch), BATCH_ROWS)
             elif step.op == ModifierOp.PROJECT:
                 stream = ops.project(stream, list(step.payload))
             elif step.op == ModifierOp.DISTINCT:
@@ -240,34 +247,48 @@ class QueryEngine:
     # group evaluation (streaming interpretation of the GroupPlan IR)
     # ------------------------------------------------------------------ #
 
-    def _group_stream(self, group: GroupGraphPattern, seed: Binding) -> Iterator[Binding]:
+    def _group_stream(
+        self, group: GroupGraphPattern, seed: Binding, wanted: Optional[int] = None
+    ) -> Iterator[Batch]:
         """Compile ``group`` (cached per BGP) and interpret its plan."""
-        return self._execute_group(self.compile_group(group), seed)
+        return self._execute_group(self.compile_group(group), seed, wanted)
 
-    def _execute_group(self, plan: GroupPlan, seed: Binding) -> Iterator[Binding]:
+    def _group_rows(self, plan: GroupPlan, seed: Binding) -> Iterator[Binding]:
+        """The solutions of one seeded group, per binding (for OPTIONAL)."""
+        return ops.rows(self._execute_group(plan, seed))
+
+    def _execute_group(
+        self, plan: GroupPlan, seed: Binding, wanted: Optional[int] = None
+    ) -> Iterator[Batch]:
         """Interpret one :class:`GroupPlan`: the WHERE-clause pipeline.
 
         Operators are chained exactly in the IR's order: BGP joins, UNION
         joins, OPTIONAL left-outer joins, VALUES, BINDs, then FILTERs.
         ``seed`` pre-binds variables (used by OPTIONAL evaluation, where the
-        outer solution propagates into the group's patterns).
+        outer solution propagates into the group's patterns).  ``wanted``
+        is how many solutions a ``LIMIT`` takes from the group.
 
         This is a generator function, so *nothing* — including UNION branch
-        materialization — happens before the first solution is pulled;
+        materialization — happens before the first batch is pulled;
         ``ASK``/``LIMIT`` early termination survives pipeline construction.
         """
-        stream = self._bgp_stream(plan.bgp, seed)
-        if plan.paths:
-            paths = self._path_evaluator()
-            for step in plan.paths:
-                stream = paths.evaluate_many(step.pattern, stream)
-        for union in plan.unions:
-            branches = (self._execute_group(branch, Binding()) for branch in union)
-            stream = ops.join(stream, itertools.chain.from_iterable(branches))
-        for optional in plan.optionals:
-            stream = ops.optional_join(stream, optional, self._execute_group)
-        for block in plan.values:
-            stream = ops.join(stream, values_bindings(block))
+        if plan.paths or plan.unions or plan.optionals or plan.values or plan.filters:
+            wanted = None  # the BGP's rows are not the group's solutions
+        stream = self._bgp_stream(plan.bgp, seed, wanted)
+        if plan.paths or plan.unions or plan.optionals or plan.values:
+            solutions = ops.rows(stream)
+            if plan.paths:
+                paths = self._path_evaluator()
+                for step in plan.paths:
+                    solutions = paths.evaluate_many(step.pattern, solutions)
+            for union in plan.unions:
+                branches = (self._group_rows(branch, Binding()) for branch in union)
+                solutions = ops.join(solutions, itertools.chain.from_iterable(branches))
+            for optional in plan.optionals:
+                solutions = ops.optional_join(solutions, optional, self._group_rows)
+            for block in plan.values:
+                solutions = ops.join(solutions, values_bindings(block))
+            stream = ops.batches(solutions)
         for bind in plan.binds:
             stream = ops.extend(stream, bind)
         for constraint in plan.filters:
@@ -278,9 +299,27 @@ class QueryEngine:
     # BGP evaluation (left-deep streaming pipeline)
     # ------------------------------------------------------------------ #
 
-    def _bgp_stream(self, plan: PhysicalPlan, seed: Binding) -> Iterator[Binding]:
-        """Chain the planned BGP steps into a lazy left-deep pipeline of bind joins."""
-        stream: Iterator[Binding] = iter([seed])
-        for step in plan.steps:
-            stream = ops.bind_join(self.evaluator, stream, step.pattern)
+    def _bgp_stream(
+        self, plan: PhysicalPlan, seed: Binding, wanted: Optional[int] = None
+    ) -> Iterator[Batch]:
+        """Chain the planned BGP steps into a lazy left-deep pipeline of bind joins.
+
+        ``wanted`` (the rows a ``LIMIT`` takes) bounds the last step's batches.
+        """
+        stream: Iterator[Batch] = iter([Batch(seed.layout, [seed.row])])
+        last = len(plan.steps) - 1
+        for index, step in enumerate(plan.steps):
+            stream = ops.bind_join(self.evaluator, stream, step.pattern, wanted if index == last else None)
         return stream
+
+
+def _rows_wanted(steps) -> Optional[int]:
+    """How many WHERE solutions the slice takes, when every modifier before it
+    keeps one row per solution (``None``: no such bound)."""
+    for step in steps:
+        if step.op == ModifierOp.SLICE:
+            offset, limit = step.payload
+            return None if limit is None else (offset or 0) + limit
+        if step.op not in (ModifierOp.EXTEND, ModifierOp.PROJECT):
+            return None
+    return None

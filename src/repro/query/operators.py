@@ -1,25 +1,28 @@
 """Streaming (pull-based) physical operators for the query pipeline.
 
-Each operator is a generator over :class:`~repro.sparql.bindings.Binding`
-streams: it pulls solutions from its upstream operator only when the
-downstream consumer asks for the next one.  A ``LIMIT`` therefore stops the
-whole pipeline after the requested number of rows — the upstream
+The unit of pull is a :class:`~repro.sparql.bindings.Batch`: one layout and
+up to :data:`~repro.sparql.bindings.BATCH_ROWS` id rows.  The bind join,
+FILTER, BIND, ``(expr AS ?v)``, projection, DISTINCT and the slice each
+take a batch stream and loop over a batch's rows inside one frame; they pull
+the next batch only when the downstream consumer asks for one.  Streams
+start with batches of about one row and grow ×4 per batch
+(:func:`~repro.sparql.bindings.grow`), so a ``LIMIT`` still stops the whole
+pipeline within one batch of the requested number of rows — the upstream
 triple-pattern probes (and the SDS kernel calls behind them) for the
-remaining rows never happen.  The operators sit on top of the batched
-:class:`~repro.query.tp_eval.TriplePatternEvaluator` emission: one pulled
-binding may expand into a whole batched answer run, which is then streamed
-element by element.
+remaining rows never happen.
 
-Operators that are inherently blocking (sort, grouping, the right-hand side
-of a UNION or VALUES join) materialize internally and say so in their
-docstring; the ``ORDER BY ... LIMIT k`` case avoids the full sort with a
-bounded top-k selection (:func:`top_k`).
+The left-outer join of OPTIONAL and the UNION/VALUES join work per binding:
+the engine feeds them through :func:`~repro.sparql.bindings.rows` and cuts
+their output again with :func:`~repro.sparql.bindings.batches`.  Operators
+that are inherently blocking (sort, grouping, the right-hand side of a UNION
+or VALUES join) materialize internally and say so in their docstring; the
+``ORDER BY ... LIMIT k`` case avoids the full sort with a bounded top-k
+selection (:func:`top_k`).
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.rdf.terms import Term
@@ -32,7 +35,7 @@ from repro.sparql.ast import (
     SelectExpression,
     TriplePattern,
 )
-from repro.sparql.bindings import Binding
+from repro.sparql.bindings import BATCH_ROWS, Batch, Binding, batches, rows
 from repro.sparql.expressions import evaluate_bind, evaluate_filter
 
 #: A group evaluator: ``(group, seed_binding) -> stream of solutions``.
@@ -49,16 +52,18 @@ GroupEvaluator = Callable[[object, Binding], Iterator[Binding]]
 
 def bind_join(
     evaluator,
-    upstream: Iterable[Binding],
+    upstream: Iterable[Batch],
     pattern: TriplePattern,
-) -> Iterator[Binding]:
-    """Index nested-loop join: propagate each upstream binding into ``pattern``.
+    wanted: Optional[int] = None,
+) -> Iterator[Batch]:
+    """Index nested-loop join: propagate each upstream row into ``pattern``.
 
-    Fully streaming — each upstream binding triggers one batched
-    triple-pattern evaluation and its extensions are yielded immediately
-    (:meth:`~repro.query.tp_eval.TriplePatternEvaluator.evaluate_many`).
+    Fully streaming — each upstream batch's rows are probed in order and
+    their extensions leave in batches as soon as one fills
+    (:meth:`~repro.query.tp_eval.TriplePatternEvaluator.evaluate_many`);
+    ``wanted`` is how many rows a ``LIMIT`` takes from the join in all.
     """
-    yield from evaluator.evaluate_many(pattern, upstream)
+    yield from evaluator.evaluate_many(pattern, upstream, wanted)
 
 
 def join(upstream: Iterable[Binding], right: Iterable[Binding]) -> Iterator[Binding]:
@@ -67,12 +72,12 @@ def join(upstream: Iterable[Binding], right: Iterable[Binding]) -> Iterator[Bind
     A nested loop: every left row meets every right row, in order.  The
     right side is drawn on the first pull; an empty one never pulls the left.
     """
-    rows = list(right)
-    if not rows:
+    others = list(right)
+    if not others:
         return
     for binding in upstream:
-        for row in rows:
-            merged = binding.merged(row)
+        for other in others:
+            merged = binding.merged(other)
             if merged is not None:
                 yield merged
 
@@ -104,39 +109,54 @@ def optional_join(
 
 
 # --------------------------------------------------------------------- #
-# per-row operators
+# batch operators
 # --------------------------------------------------------------------- #
 
 
-def filter_solutions(upstream: Iterable[Binding], expression: Expression) -> Iterator[Binding]:
+def filter_solutions(upstream: Iterable[Batch], expression: Expression) -> Iterator[Batch]:
     """FILTER: keep solutions whose effective boolean value is true."""
-    for binding in upstream:
-        if evaluate_filter(expression, binding):
-            yield binding
+    of = Binding.of
+    for batch in upstream:
+        layout = batch.layout
+        kept = [row for row in batch.rows if evaluate_filter(expression, of(layout, row))]
+        if kept:
+            yield Batch(layout, kept)
 
 
-def extend(upstream: Iterable[Binding], bind: Bind) -> Iterator[Binding]:
+def _extended(upstream: Iterable[Batch], extend: Callable[[Binding], Binding]) -> Iterator[Batch]:
+    """Each batch's bindings through ``extend``, re-cut where their layouts differ."""
+    for batch in upstream:
+        yield from batches(map(extend, rows([batch])), BATCH_ROWS)
+
+
+def extend(upstream: Iterable[Batch], bind: Bind) -> Iterator[Batch]:
     """BIND: extend each solution with one computed variable (errors skip)."""
-    for binding in upstream:
-        value = evaluate_bind(bind.expression, binding)
-        yield binding if value is None else binding.extended(bind.variable.name, value)
+    expression, name = bind.expression, bind.variable.name
+
+    def one(binding: Binding) -> Binding:
+        value = evaluate_bind(expression, binding)
+        return binding if value is None else binding.extended(name, value)
+
+    return _extended(upstream, one)
 
 
 def extend_select(
-    upstream: Iterable[Binding],
+    upstream: Iterable[Batch],
     expressions: Sequence[SelectExpression],
-) -> Iterator[Binding]:
+) -> Iterator[Batch]:
     """Evaluate non-aggregated ``(expr AS ?var)`` projection items per row."""
-    for binding in upstream:
-        current = binding
+
+    def one(binding: Binding) -> Binding:
         for item in expressions:
-            value = evaluate_bind(item.expression, current)
+            value = evaluate_bind(item.expression, binding)
             if value is not None:
-                current = current.extended(item.variable.name, value)
-        yield current
+                binding = binding.extended(item.variable.name, value)
+        return binding
+
+    return _extended(upstream, one)
 
 
-def project(upstream: Iterable[Binding], names: Sequence[str]) -> Iterator[Binding]:
+def project(upstream: Iterable[Batch], names: Sequence[str]) -> Iterator[Batch]:
     """Projection: restrict every solution to the projected variable names.
 
     The rows keep their instance ids: each input layout maps to its cached
@@ -144,35 +164,60 @@ def project(upstream: Iterable[Binding], names: Sequence[str]) -> Iterator[Bindi
     """
     names = tuple(names)
     plans = {}  # input layout -> (pick, projected layout)
-    of = Binding.of
-    for binding in upstream:
-        layout = binding.layout
+    for batch in upstream:
+        layout = batch.layout
         plan = plans.get(layout)
         if plan is None:
             plan = plans[layout] = layout.projection(names)
         pick, projected = plan
-        yield binding if pick is None else of(projected, pick(binding.row))
+        yield batch if pick is None else Batch(projected, list(map(pick, batch.rows)))
 
 
-def distinct(upstream: Iterable[Binding], names: Sequence[str]) -> Iterator[Binding]:
-    """DISTINCT: drop duplicate projected rows, preserving first-seen order."""
+def distinct(upstream: Iterable[Batch], names: Sequence[str]) -> Iterator[Batch]:
+    """DISTINCT: drop duplicate projected rows, preserving first-seen order.
+
+    Rows compare by their terms, so an id and its term are one value.
+    """
     seen: Set[Tuple[Optional[Term], ...]] = set()
-    for binding in upstream:
-        row = tuple(binding.get(name) for name in names)
-        if row not in seen:
-            seen.add(row)
-            yield binding
+    plans = {}  # input layout -> the column of each name (None: unbound)
+    for batch in upstream:
+        layout = batch.layout
+        columns = plans.get(layout)
+        if columns is None:
+            columns = plans[layout] = [layout.columns.get(name) for name in names]
+        decode = layout.decode
+        kept = []
+        for row in batch.rows:
+            key = tuple([None if column is None else decode(row[column]) for column in columns])
+            if key not in seen:
+                seen.add(key)
+                kept.append(row)
+        if kept:
+            yield Batch(layout, kept)
 
 
 def slice_solutions(
-    upstream: Iterable[Binding],
+    upstream: Iterable[Batch],
     offset: Optional[int],
     limit: Optional[int],
-) -> Iterator[Binding]:
+) -> Iterator[Batch]:
     """OFFSET/LIMIT: lazy slice — stops pulling upstream after the last row."""
-    start = offset or 0
-    stop = None if limit is None else start + limit
-    return itertools.islice(upstream, start, stop)
+    skip, left = offset or 0, limit
+    if left == 0:
+        return
+    for batch in upstream:
+        kept = batch.rows
+        if skip:
+            if skip >= len(kept):
+                skip -= len(kept)
+                continue
+            kept, skip = kept[skip:], 0
+        if left is not None:
+            if len(kept) >= left:
+                yield Batch(batch.layout, kept[:left])
+                return
+            left -= len(kept)
+        yield batch if kept is batch.rows else Batch(batch.layout, kept)
 
 
 # --------------------------------------------------------------------- #

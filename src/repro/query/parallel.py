@@ -17,11 +17,12 @@ unchanged) that splits evaluation into the work units of
   without fan-out, and scatters skip shards whose per-shard counts
   (:meth:`~repro.store.sharding.ShardedStore.shard_property_cardinalities`)
   say they hold nothing for the probed property;
-* **batched bind joins** — ``evaluate_many`` groups upstream bindings into
-  ``eval_many`` units (sized from the cardinality statistics so each unit
-  yields about the same number of rows) with a bounded in-flight window,
-  yielding extensions strictly in upstream order, so ``LIMIT``/``ASK``
-  early termination survives up to one window of read-ahead;
+* **batched bind joins** — ``evaluate_many`` takes the engine's row
+  batches, regroups their rows into ``eval_many`` units (sized from the
+  cardinality statistics so each unit yields about the same number of
+  rows) with a bounded in-flight window, and cuts the extensions back into
+  batches strictly in upstream order, so ``LIMIT``/``ASK`` early
+  termination survives up to one window of read-ahead;
 * **path rounds** — ``expand_frontier`` sends one property-path BFS round as
   one ``expand`` unit per shard holding a candidate property (one
   whole-store unit on a monolithic store) and unions the replies.
@@ -62,7 +63,7 @@ from repro.query.units import execute_unit
 from repro.rdf.namespaces import RDF_TYPE
 from repro.rdf.terms import Literal, URI
 from repro.sparql.ast import TriplePattern, Variable
-from repro.sparql.bindings import Binding
+from repro.sparql.bindings import Batch, Binding, batches, rows
 from repro.store.succinct_edge import SuccinctEdge
 
 #: Default number of upstream bindings grouped into one bind-join unit.
@@ -221,9 +222,18 @@ class ParallelExecutor:
         return list(self.evaluate(pattern, Binding()))
 
     def evaluate_many(
-        self, pattern: TriplePattern, bindings: Iterable[Binding]
-    ) -> Iterator[Binding]:
+        self, pattern: TriplePattern, upstream: Iterable[Batch], wanted: Optional[int] = None
+    ) -> Iterator[Batch]:
         """Batched, ordered bind-propagation join over ``eval_many`` units.
+
+        Units carry terms by value, so the rows become bindings here; the
+        extensions are cut back into batches in upstream order.  ``wanted``
+        is not used: the in-flight window reads ahead of any ``LIMIT``.
+        """
+        return batches(self._bind_join(pattern, rows(upstream)))
+
+    def _bind_join(self, pattern: TriplePattern, bindings: Iterable[Binding]) -> Iterator[Binding]:
+        """The extensions of ``bindings``, gathered from ``eval_many`` units.
 
         Upstream bindings are pulled at most ``window × batch_size`` ahead
         of the consumer; results stream strictly in upstream order, so the

@@ -12,9 +12,12 @@ SDS operations of the paper's Section 5.2:
   identifier interval, so concept and property hierarchies are answered
   without materialisation or UNION rewriting.
 
-Algorithms 3 and 4 answer one upstream binding at a time, as in the paper,
-until a bind-join step has probed one run often enough to pay for decoding
-it.  :meth:`TriplePatternEvaluator.evaluate_many` gives each step a
+A bind-join step takes batches of upstream rows
+(:class:`~repro.sparql.bindings.Batch`) and walks each batch's rows in
+order.  Algorithms 3 and 4 answer one bound id at a time, as in the paper —
+once per batch for an id that several rows bind — until the step has probed
+one run often enough to pay for decoding it.
+:meth:`TriplePatternEvaluator.evaluate_many` gives each step a
 :class:`StepProbes` state that charges every probe of a run against the
 run's size (a ski-rental rule); at the next probe of a run whose charge has
 reached its size, the run is decoded once (``pairs_for_property`` /
@@ -25,20 +28,21 @@ datatype layout always stay on the probe path: decoding literal records
 costs more than the probes it saves.
 
 Solutions stay ids.  Each step is compiled once (:class:`_Step`), and the
-object-layout and type-store hits extend the binding's row with their
-instance ids, undecoded; a later step reads a bound id column and probes
-with it directly.  Ids decode only where an operator reads the value or at
-the response encoder (see :mod:`repro.sparql.bindings`).
+object-layout and type-store hits extend the row with their instance ids,
+undecoded; a later step reads a bound id column and probes with it
+directly.  Ids decode only where an operator reads the value or at the
+response encoder (see :mod:`repro.sparql.bindings`).
 """
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.rdf.namespaces import RDF_TYPE
 from repro.rdf.terms import Literal, Term, URI
 from repro.sparql.ast import TriplePattern, Variable
-from repro.sparql.bindings import Binding, Layout
+from repro.sparql.bindings import BATCH_ROWS, Batch, Binding, Layout, grow, rows
 from repro.store.succinct_edge import SuccinctEdge
 
 #: A resolved pattern slot: a constant term, or the name of an unbound variable.
@@ -53,6 +57,9 @@ _TYPE = object()
 
 class StepProbes:
     """Run buckets of one bind-join step (one ``evaluate_many`` call).
+
+    The step asks once per batch for each run and id its rows bind, so a
+    probe here is one distinct id of one batch.
 
     Every probe of a run is charged :attr:`PROBE_COST` plus :attr:`HIT_COST`
     per returned entry, in units of one decoded run entry.  A probe that
@@ -146,33 +153,37 @@ class TriplePatternEvaluator:
     ) -> Iterator[Binding]:
         """Yield the bindings extending ``binding`` that satisfy ``pattern``.
 
-        The compiled step of :meth:`evaluate_many`, run on one binding.
+        The compiled step of :meth:`evaluate_many`, run on a one-row batch.
         ``probes`` is the run-bucket state of the bind-join step this
         binding belongs to; without it the binding gets a fresh state, so
         every probe goes to the store.
         """
-        return iter(_Step(self, pattern, probes or StepProbes()).run(binding))
+        step = _Step(self, pattern, probes or StepProbes())
+        return rows(step.run(Batch(binding.layout, [binding.row])))
 
     def evaluate_all(self, pattern: TriplePattern) -> List[Binding]:
         """Evaluate ``pattern`` with no initial binding (convenience for tests)."""
         return list(self.evaluate(pattern, Binding()))
 
     def evaluate_many(
-        self, pattern: TriplePattern, bindings: Iterable[Binding]
-    ) -> Iterator[Binding]:
-        """Stream the bind-propagation join of ``bindings`` with ``pattern``.
+        self, pattern: TriplePattern, batches: Iterable[Batch], wanted: Optional[int] = None
+    ) -> Iterator[Batch]:
+        """Stream the bind-propagation join of upstream ``batches`` with ``pattern``.
 
         Compiles the step once (:class:`_Step`), then pulls one upstream
-        binding at a time, propagates it into the pattern (one batched SDS
-        probe, or a read of the step's run bucket once the probes have paid
-        for one — see :class:`StepProbes`) and yields the extensions before
-        touching the next upstream binding — the primitive the streaming
-        pipeline's ``LIMIT``/``ASK`` early termination relies on: upstream
-        bindings the consumer never asks about are never probed.
+        batch at a time and propagates its rows into the pattern in order
+        (one batched SDS probe per distinct bound id, or a read of the
+        step's run bucket once the probes have paid for one — see
+        :class:`StepProbes`).  The extensions leave in batches of one row,
+        then four, sixteen ... each as soon as it fills — the primitive the
+        streaming pipeline's ``LIMIT``/``ASK`` early termination relies on:
+        upstream rows and batches the consumer never asks about are never
+        probed.  ``wanted``, when given, is how many rows a ``LIMIT`` takes
+        from this step in all; no batch is cut longer than what is left of it.
         """
-        run = _Step(self, pattern, StepProbes()).run
-        for binding in bindings:
-            yield from run(binding)
+        run = _Step(self, pattern, StepProbes(), wanted).run
+        for batch in batches:
+            yield from run(batch)
 
     def expand_frontier(self, forward_pids, inverse_pids, frontier_ids, frontier_literals):
         """One property-path BFS round against this evaluator's store.
@@ -265,27 +276,35 @@ class TriplePatternEvaluator:
         return sorted(present)
 
 
-def _emit(binding: Binding, name: str, value: Term) -> Optional[Binding]:
-    """``binding`` with ``name`` bound to ``value``; ``None`` if it holds another value."""
-    existing = binding.get(name)
-    if existing is None:
-        return binding.extended(name, value)
-    return binding if existing == value else None
-
-
 class _Step:
     """One triple pattern compiled for one bind-join step.
 
-    Resolved once per step, not once per binding: the instance ids of the
+    Resolved once per step, not once per row: the instance ids of the
     constant subject and object, each predicate's candidate property ids,
     each class's concept id and LiteMat interval, and — per input
     :class:`~repro.sparql.bindings.Layout` — the columns that bind the
-    pattern's variables.  A bound instance id is probed with as is, a bound
-    term is located first; object-layout and type-store hits extend the row
-    with their ids, literals, concepts and predicates with terms.
+    pattern's variables and the layout of the extended rows.  A bound
+    instance id is probed with as is, a bound term is located first;
+    object-layout and type-store hits extend the row with their ids,
+    literals, concepts and predicates with terms.
+
+    :meth:`run` walks one batch's rows in order; within a batch each run
+    and bound id is asked of :class:`StepProbes` once.  Extended rows leave
+    in batches of at least one row, then four, sixteen ... up to
+    :data:`~repro.sparql.bindings.BATCH_ROWS`, each as soon as it fills, so
+    a consumer that stops early leaves the rest of the batch unprobed, and
+    never longer than the rows a ``LIMIT`` still takes from the step.  A
+    probe's answer, already materialised, is not cut (unless it overflows
+    a full batch); lazy scans are.
     """
 
-    def __init__(self, evaluator: TriplePatternEvaluator, pattern: TriplePattern, probes: StepProbes) -> None:
+    def __init__(
+        self,
+        evaluator: TriplePatternEvaluator,
+        pattern: TriplePattern,
+        probes: StepProbes,
+        wanted: Optional[int] = None,
+    ) -> None:
         self.evaluator = evaluator
         self.store = evaluator.store
         self.instances = self.store.instances
@@ -294,6 +313,9 @@ class _Step:
         self._concepts: Dict[Term, Optional[Tuple[int, int, int]]] = {}
         self._predicate = self._class = None  # a constant predicate / class, resolved
         self._layouts: Dict[Layout, tuple] = {}
+        self._memo: Dict[tuple, Sequence] = {}  # (run, id) -> answer, for one batch
+        self._size = 1  # rows in the next output batch
+        self._left = wanted  # rows a LIMIT still takes from this step (None: all)
         predicate = pattern.predicate
         # A constant object is an instance only under a constant property.
         object_is_instance = isinstance(predicate, URI) and predicate != RDF_TYPE
@@ -315,31 +337,74 @@ class _Step:
         return (slot if found is None else found,)
 
     def _compile(self, layout: Layout) -> tuple:
-        """``layout`` owned by the instance dictionary, then per slot
-        ``(constant, column, variable)``; ``()`` for ids of another dictionary."""
+        """The layout of the extended rows, then per slot ``(constant, column,
+        variable)``; ``()`` for ids of another dictionary."""
         owned = layout.owned(self.instances)
         if owned is None:
             return ()
         columns = layout.columns
-        compiled = self._layouts[layout] = (owned,) + tuple([
+        slots = tuple([
             (slot[0], None, None) if slot.__class__ is tuple
             else (None, columns[slot], None) if slot in columns
             else (None, None, slot)
             for slot in self._slots
         ])
+        extended = owned
+        for _, _, variable in (slots[0], slots[2], slots[1]):  # the order rows extend in
+            if variable is not None and variable not in extended.columns:
+                extended = extended.child(variable)
+        compiled = self._layouts[layout] = (extended,) + slots
         return compiled
 
-    def run(self, binding: Binding) -> Iterable[Binding]:
-        """The extensions of ``binding`` that satisfy the pattern."""
-        layout = binding.layout
+    def run(self, batch: Batch) -> Iterator[Batch]:
+        """The rows of ``batch`` extended by their matches, in batches."""
+        layout = batch.layout
         compiled = self._layouts.get(layout) or self._compile(layout)
         if not compiled:  # ids of another store's dictionary: go by the terms
-            return self.run(Binding(binding.as_dict()))
-        owned, (subject, s_column, subject_var), (predicate, p_column, predicate_var), slot = compiled
-        obj, o_column, object_var = slot
-        row = binding.row
-        if owned is not layout:
-            binding = Binding.of(owned, row)
+            bindings = [Binding(binding.as_dict()) for binding in rows([batch])]
+            yield from self.run(Batch(bindings[0].layout, [binding.row for binding in bindings]))
+            return
+        extended, subject, predicate, obj = compiled
+        match = self._match
+        self._memo = {}
+        size, cut = self._size, []
+        for row in batch.rows:
+            found = match(row, subject, predicate, obj)
+            if not found:
+                continue
+            if found.__class__ is list and len(cut) + len(found) <= BATCH_ROWS:
+                # A materialised answer joins the batch whole: cutting it
+                # would save no store work.
+                cut += found
+                if len(cut) >= size:
+                    yield Batch(extended, cut)
+                    size, cut = self._grown(len(cut)), []
+                continue
+            found = iter(found)
+            while True:
+                cut += islice(found, size - len(cut))
+                if len(cut) < size:
+                    break
+                yield Batch(extended, cut)
+                size, cut = self._grown(len(cut)), []
+        if cut:
+            yield Batch(extended, cut)
+            self._grown(len(cut))
+
+    def _grown(self, emitted: int) -> int:
+        """The size of the next output batch, after one of ``emitted`` rows."""
+        size = grow(self._size)
+        if self._left is not None:
+            self._left -= emitted
+            size = min(size, max(self._left, 1))
+        self._size = size
+        return size
+
+    def _match(self, row: tuple, subject_slot: tuple, predicate_slot: tuple, object_slot: tuple) -> Iterable[tuple]:
+        """The extensions of ``row`` that satisfy the pattern (a list, or lazy)."""
+        subject, s_column, subject_var = subject_slot
+        predicate, p_column, predicate_var = predicate_slot
+        obj, o_column, object_var = object_slot
         if s_column is not None:
             subject = row[s_column]
         if o_column is not None:
@@ -348,13 +413,25 @@ class _Step:
             predicate = row[p_column]
             kind = self._classify(self.instances.extract(predicate) if predicate.__class__ is int else predicate)
         elif predicate is None:
-            return self._unbound_predicate(binding, subject, subject_var, predicate_var, obj, object_var)
+            return self._unbound_predicate(row, subject, subject_var, predicate_var, obj, object_var)
         else:
             kind = self._predicate
         if kind is _TYPE:
             concept = self._class if o_column is None else self._concept(obj)
-            return self._rdf_type(binding, subject, subject_var, concept, object_var)
-        return self._property(binding, kind, subject, subject_var, obj, object_var) if kind else ()
+            return self._rdf_type(row, subject, subject_var, concept, object_var)
+        return self._property(row, kind, subject, subject_var, obj, object_var) if kind else ()
+
+    def _known(self, key: Hashable, item: int) -> Optional[Sequence]:
+        """The answer for ``item`` from the run's bucket or this batch's memo."""
+        bucket = self.probes._buckets.get(key)
+        if bucket is not None:
+            return bucket.get(item, ())
+        return self._memo.get((key, item))
+
+    def _answer(self, key: Hashable, item: int, probe, size, build) -> Sequence:
+        """:meth:`StepProbes.answer`, remembered for the rest of the batch."""
+        found = self._memo[key, item] = self.probes.answer(key, item, probe, size, build)
+        return found
 
     def _classify(self, predicate: Term):
         """:data:`_TYPE` for rdf:type, else the predicate's candidate property ids."""
@@ -392,140 +469,140 @@ class _Step:
             self._concepts[term] = found
         return self._concepts[term]
 
-    def _rdf_type(self, binding: Binding, subject, subject_var, concept, object_var) -> Iterator[Binding]:
+    def _rdf_type(self, row: tuple, subject, subject_var, concept, object_var) -> Iterable[tuple]:
         """``concept`` is the bound class's ``(id, low, high)``, or ``None``."""
-        type_store = self.store.type_store
         if object_var is None:
             if concept is None:
-                return
+                return ()
             concept_id, low, high = concept
             if subject is not None:
                 # Fully bound: a membership check through the SO access path.
-                subject_id = self._instance_id(subject)
+                subject_id = subject if subject.__class__ is int else self._instance_id(subject)
                 if subject_id is None:
-                    return
-                matched = self.probes.answer(
-                    ("type", low, high),
-                    subject_id,
-                    lambda: (
-                        _MEMBER
-                        if any(low <= c < high for c in type_store.concepts_of(subject_id))
-                        else ()
-                    ),
-                    lambda: type_store.count_concept_interval(low, high),
-                    lambda: dict.fromkeys(type_store.subjects_of_interval(low, high), _MEMBER),
-                )
-                if matched:
-                    yield binding
-                return
+                    return ()
+                key = ("type", low, high)
+                matched = self._known(key, subject_id)
+                if matched is None:
+                    type_store = self.store.type_store
+                    matched = self._answer(
+                        key,
+                        subject_id,
+                        lambda: (
+                            _MEMBER
+                            if any(low <= c < high for c in type_store.concepts_of(subject_id))
+                            else ()
+                        ),
+                        lambda: type_store.count_concept_interval(low, high),
+                        lambda: dict.fromkeys(type_store.subjects_of_interval(low, high), _MEMBER),
+                    )
+                return [row] if matched else ()
+            type_store = self.store.type_store
             if self.evaluator.reasoning:
                 subjects = type_store.subjects_of_interval(low, high)
             else:
                 subjects = type_store.subjects_of(concept_id)
             # ``subject_var`` is unbound here (a bound variable resolves to a
             # value), so each subject id extends the row directly.
-            of, child, row = Binding.of, binding.layout.child(subject_var), binding.row
-            for subject_id in subjects:
-                yield of(child, row + (subject_id,))
-            return
+            return map(row.__add__, zip(subjects))
 
         # Object is an unbound variable: enumerate concepts.
         if subject is not None:
             subject_id = self._instance_id(subject)
             if subject_id is None:
-                return
-            extend = binding.extended
-            for concept in self.evaluator._concepts_of_subject(subject_id):
-                yield extend(object_var, concept)
-            return
-
+                return ()
+            return [row + (concept,) for concept in self.evaluator._concepts_of_subject(subject_id)]
+        type_store, expand = self.store.type_store, self.evaluator._expand_concept
         if subject_var == object_var:
             # ``?x rdf:type ?x``: an individual that is its own class.
-            extract, expand = self.instances.extract, self.evaluator._expand_concept
-            for subject_id, concept_id in type_store.iter_triples():
-                subject_value = extract(subject_id)
-                if subject_value in expand(concept_id):
-                    yield binding.extended(subject_var, subject_value)
-            return
-        of, row = Binding.of, binding.row
-        pair = binding.layout.child(subject_var).child(object_var)
-        expand = self.evaluator._expand_concept
-        for subject_id, concept_id in type_store.iter_triples():
-            for concept in expand(concept_id):
-                yield of(pair, row + (subject_id, concept))
+            extract = self.instances.extract
+            return (
+                row + (value,)
+                for value, concept_id in ((extract(s), c) for s, c in type_store.iter_triples())
+                if value in expand(concept_id)
+            )
+        return (
+            row + (subject_id, concept)
+            for subject_id, concept_id in type_store.iter_triples()
+            for concept in expand(concept_id)
+        )
 
     # ------------------------------------------------------------------ #
     # object / datatype property patterns (PSO layouts)
     # ------------------------------------------------------------------ #
 
     def _property(
-        self, binding: Binding, property_ids: List[int], subject, subject_var, obj, object_var
-    ) -> Iterator[Binding]:
-        store = self.store
-        subject_id: Optional[int] = None
-        if subject is not None:
+        self, row: tuple, property_ids: List[int], subject, subject_var, obj, object_var
+    ) -> Iterable[tuple]:
+        subject_id = subject
+        if subject is not None and subject.__class__ is not int:
             subject_id = self._instance_id(subject)
             if subject_id is None:
-                return
-        object_id = None
-        if obj is not None and not isinstance(obj, Literal):
-            object_id = self._instance_id(obj)
-        of, row, layout = Binding.of, binding.row, binding.layout
-        for property_id in property_ids:
-            if subject_id is not None and obj is not None:
+                return ()
+        object_id = obj
+        if obj is not None and obj.__class__ is not int:
+            object_id = None if isinstance(obj, Literal) else self._instance_id(obj)
+        if len(property_ids) == 1:
+            return self._property_run(row, property_ids[0], subject_id, subject_var, obj, object_id, object_var)
+        # Each candidate's run is read only once the previous one is used up.
+        return chain.from_iterable(
+            self._property_run(row, property_id, subject_id, subject_var, obj, object_id, object_var)
+            for property_id in property_ids
+        )
+
+    def _property_run(
+        self, row: tuple, property_id: int, subject_id, subject_var, obj, object_id, object_var
+    ) -> Iterable[tuple]:
+        """The extensions of ``row`` through one candidate property."""
+        store = self.store
+        if subject_id is not None:
+            if obj is not None:
                 if object_id is not None:
                     found = store.object_store.contains(subject_id, property_id, object_id)
                 else:
                     found = isinstance(obj, Literal) and obj in store.datatype_store.literals_for(
                         subject_id, property_id
                     )
-                if found:
-                    yield binding
-                continue
-            if subject_id is not None:
-                # (s, p, ?o): Algorithm 3 on the object layout, plus the flat
-                # literal run of the datatype layout.  Each store call
-                # materialises its whole answer run in batched kernel calls;
-                # ``object_var`` is unbound (a bound variable would have
-                # resolved to a value), so the row is extended directly.
-                child = layout.child(object_var)
-                for found_object in self._objects_for(subject_id, property_id):
-                    yield of(child, row + (found_object,))
-                for literal in store.datatype_store.literals_for(subject_id, property_id):
-                    yield of(child, row + (literal,))
-                continue
-            if obj is not None:
-                # (?s, p, o): Algorithm 4, one batched reverse lookup.
-                if isinstance(obj, Literal):
-                    found_subjects = store.datatype_store.subjects_for(property_id, obj)
-                elif object_id is None:
-                    continue
-                else:
-                    found_subjects = self._subjects_for(property_id, object_id)
-                child = layout.child(subject_var)
-                for found_subject in found_subjects:
-                    yield of(child, row + (found_subject,))
-                continue
-            # (?s, p, ?o): materialise the property run of both layouts with
-            # one batched scan each.  The same variable may fill both slots
-            # (``?x p ?x``), in which case only diagonal pairs match.
-            if subject_var == object_var:
-                child = layout.child(subject_var)
-                for found_subject, found_object in store.object_store.pairs_for_property(property_id):
-                    if found_subject == found_object:
-                        yield of(child, row + (found_subject,))
-                continue  # a subject URI never equals a literal
-            pair = layout.child(subject_var).child(object_var)
-            for found_subject, found_object in store.object_store.pairs_for_property(property_id):
-                yield of(pair, row + (found_subject, found_object))
-            for found_subject, literal in store.datatype_store.pairs_for_property(property_id):
-                yield of(pair, row + (found_subject, literal))
+                return [row] if found else ()
+            # (s, p, ?o): Algorithm 3 on the object layout, plus the flat
+            # literal run of the datatype layout.  Each store call
+            # materialises its whole answer run in batched kernel calls;
+            # ``object_var`` is unbound (a bound variable would have
+            # resolved to a value), so the row is extended directly.
+            extended = [row + (found,) for found in self._objects_for(subject_id, property_id)]
+            literals = store.datatype_store.literals_for(subject_id, property_id)
+            if literals:
+                extended += [row + (literal,) for literal in literals]
+            return extended
+        if obj is not None:
+            # (?s, p, o): Algorithm 4, one batched reverse lookup.
+            if isinstance(obj, Literal):
+                subjects = store.datatype_store.subjects_for(property_id, obj)
+            elif object_id is None:
+                return ()
+            else:
+                subjects = self._subjects_for(property_id, object_id)
+            return [row + (found,) for found in subjects]
+        # (?s, p, ?o): the property run of both layouts, one batched scan
+        # each, the datatype one only once the object one is used up.  The
+        # same variable may fill both slots (``?x p ?x``), in which case only
+        # diagonal pairs match.
+        if subject_var == object_var:
+            pairs = store.object_store.pairs_for_property(property_id)
+            return (row + (found,) for found, found_object in pairs if found == found_object)
+        return chain.from_iterable(
+            map(row.__add__, layout.pairs_for_property(property_id))
+            for layout in (store.object_store, store.datatype_store)
+        )
 
     def _objects_for(self, subject_id: int, property_id: int) -> Sequence[int]:
         """Algorithm 3 on the object layout, or the step's subject-keyed run bucket."""
+        key = ("objects", property_id)
+        found = self._known(key, subject_id)
+        if found is not None:
+            return found
         object_store = self.store.object_store
-        return self.probes.answer(
-            ("objects", property_id),
+        return self._answer(
+            key,
             subject_id,
             lambda: object_store.objects_for(subject_id, property_id),
             lambda: object_store.count_triples_with_property(property_id),
@@ -534,9 +611,13 @@ class _Step:
 
     def _subjects_for(self, property_id: int, object_id: int) -> Sequence[int]:
         """Algorithm 4 on the object layout, or the step's object-keyed run bucket."""
+        key = ("subjects", property_id)
+        found = self._known(key, object_id)
+        if found is not None:
+            return found
         object_store = self.store.object_store
-        return self.probes.answer(
-            ("subjects", property_id),
+        return self._answer(
+            key,
             object_id,
             lambda: object_store.subjects_for(property_id, object_id),
             lambda: object_store.count_triples_with_property(property_id),
@@ -550,15 +631,26 @@ class _Step:
     # ------------------------------------------------------------------ #
 
     def _unbound_predicate(
-        self, binding: Binding, subject, subject_var, predicate_var: str, obj, object_var
-    ) -> Iterator[Binding]:
+        self, row: tuple, subject, subject_var, predicate_var: str, obj, object_var
+    ) -> Iterator[tuple]:
         store = self.store
+        # The predicate follows the subject and object columns, unless it
+        # shares a variable with one of them: then it must equal its value.
+        added = [name for name in (subject_var, object_var) if name is not None]
+        column = len(row) + added.index(predicate_var) if predicate_var in added else None
+        decode = self.instances.extract
+
+        def emit(extended: Iterable[tuple], predicate: URI) -> Iterable[tuple]:
+            if column is None:
+                return (found + (predicate,) for found in extended)
+            return (
+                found for found in extended
+                if (decode(found[column]) if found[column].__class__ is int else found[column]) == predicate
+            )
+
         # rdf:type triples first.
         concept = None if obj is None else self._concept(obj)
-        for extended in self._rdf_type(binding, subject, subject_var, concept, object_var):
-            result = _emit(extended, predicate_var, RDF_TYPE)
-            if result is not None:
-                yield result
+        yield from emit(self._rdf_type(row, subject, subject_var, concept, object_var), RDF_TYPE)
         # Every stored property across both layouts.
         property_ids = sorted(
             set(store.object_store.properties) | set(store.datatype_store.properties)
@@ -569,9 +661,6 @@ class _Step:
                 continue
             # The variable binds to the *stored* predicate, so no hierarchy
             # expansion happens here (each stored property matches itself).
-            for extended in self._property(
-                binding, [property_id], subject, subject_var, obj, object_var
-            ):
-                result = _emit(extended, predicate_var, predicate)
-                if result is not None:
-                    yield result
+            yield from emit(
+                self._property(row, [property_id], subject, subject_var, obj, object_var), predicate
+            )

@@ -39,6 +39,7 @@ import threading
 import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from json.encoder import encode_basestring_ascii as _encode_string
+from operator import attrgetter
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
@@ -57,42 +58,64 @@ def encode_result(outcome: QueryOutcome) -> bytes:
     """The SPARQL-JSON-style response body of one outcome (values stringified).
 
     The bytes equal ``json.dumps`` of ``{"head": {"vars": [...]}, "results":
-    {"rows": [[str(value) or null, ...], ...]}}``.  An instance id is written
-    from its dictionary's memo (:data:`_FRAGMENTS`): decoded and escaped once
-    per process, not once per row.  Other terms are escaped per value.
+    {"rows": [[str(value) or null, ...], ...]}}``.  The result's batches are
+    written column by column: an all-id column maps through its
+    dictionary's memo (:data:`_FRAGMENTS`), each id decoded and escaped once
+    per process, not once per row; an all-literal or all-URI column escapes
+    its strings in one pass, and any other column value by value.  The
+    columns are then zipped back into rows and each batch joined at once.
     """
     result = outcome.result
     if isinstance(result, AskResult):
         return json.dumps({"head": {}, "boolean": result.boolean}).encode("utf-8")
     names = tuple(result.variables)
-    plans = {}  # layout -> (pick the variables' values from a row, id memo)
-    rows = []
-    for binding in result.bindings:
-        layout = binding.layout
+    plans = {}  # layout -> (the column of each variable or None, id memo)
+    parts = []  # one string per batch: its rows, comma-separated
+    for batch in result.batches:
+        layout = batch.layout
         plan = plans.get(layout)
         if plan is None:
-            pick, projected = layout.projection(names)
-            if projected.names != names:  # unbound variables write null
-                columns = [layout.columns.get(name) for name in names]
-                pick = lambda row, columns=columns: [None if c is None else row[c] for c in columns]
             dictionary = layout.dictionary
-            memo = None if dictionary is None else _FRAGMENTS.setdefault(dictionary, {})
-            plan = plans[layout] = (pick, memo)
-        pick, memo = plan
-        parts = []
-        for value in binding.row if pick is None else pick(binding.row):
-            if value.__class__ is int:
-                fragment = memo.get(value)
-                if fragment is None:
-                    fragment = memo[value] = _encode_string(str(layout.dictionary.extract(value)))
-                parts.append(fragment)
-            elif value is None:
-                parts.append("null")
-            else:
-                parts.append(_encode_string(str(value)))
-        rows.append("[" + ", ".join(parts) + "]")
+            memo = {} if dictionary is None else _FRAGMENTS.setdefault(dictionary, {})
+            plan = plans[layout] = ([layout.columns.get(name) for name in names], memo)
+        columns, memo = plan
+        if not columns:
+            parts.append(", ".join(["[]"] * len(batch)))
+            continue
+        values = list(zip(*batch.rows))
+        texts = [
+            ["null"] * len(batch) if column is None else _column_text(values[column], layout, memo)
+            for column in columns
+        ]
+        parts.append("[" + "], [".join(map(", ".join, zip(*texts))) + "]")
     head = json.dumps({"vars": list(names)})
-    return ('{"head": ' + head + ', "results": {"rows": [' + ", ".join(rows) + "]}}").encode("utf-8")
+    return ('{"head": ' + head + ', "results": {"rows": [' + ", ".join(parts) + "]}}").encode("utf-8")
+
+
+#: ``str()`` of a literal and of a URI, read as one attribute.
+_STRINGS = (attrgetter("lexical"), attrgetter("value"))
+
+
+def _column_text(values: tuple, layout, memo: dict) -> list:
+    """The JSON text of each value of one column; ids are written from ``memo``."""
+    if values[0].__class__ is int:
+        try:
+            return list(map(memo.__getitem__, values))
+        except KeyError:
+            pass
+    else:
+        for string in _STRINGS:  # all literals, or all URIs
+            try:
+                return list(map(_encode_string, map(string, values)))
+            except AttributeError:
+                pass
+    for value in values:
+        if value.__class__ is int and value not in memo:
+            memo[value] = _encode_string(str(layout.dictionary.extract(value)))
+    return [
+        memo[value] if value.__class__ is int else "null" if value is None else _encode_string(str(value))
+        for value in values
+    ]
 
 
 class _SparqlRequestHandler(BaseHTTPRequestHandler):

@@ -15,10 +15,11 @@ cache fill → metrics.
 * **Timeouts** are cooperative and cover the whole stay in the service:
   the deadline clock starts before the wait for a worker slot (a request
   cannot sit behind a deep queue and still run afterwards), and during
-  execution the streaming pipeline is consumed row by row with the deadline
-  checked between rows, so a timed-out query stops probing the SDS layouts
-  instead of running to completion.  A single blocking operator step (e.g.
-  one large aggregation input) is not interrupted mid-step.
+  execution the streaming pipeline is consumed batch by batch with the
+  deadline checked after each batch (at most 256 rows), so a timed-out
+  query stops probing the SDS layouts instead of running to completion.
+  A single blocking operator step (e.g. one large aggregation input) is
+  not interrupted mid-step.
 * **Caching**: results are materialized once and cached under
   ``(query, reasoning, snapshot_epoch)``.  Any write bumps the store's
   ``data_epoch`` (on sharded stores: any shard's), so later lookups miss;
@@ -54,9 +55,6 @@ from repro.sparql.ast import AskQuery, SelectQuery
 from repro.sparql.bindings import AskResult, ResultSet
 from repro.sparql.parser import parse_query
 from repro.store.succinct_edge import SuccinctEdge
-
-#: How many rows are pulled between two deadline checks.
-_DEADLINE_CHECK_EVERY = 64
 
 
 class QueryRejected(RuntimeError):
@@ -430,13 +428,12 @@ class QueryService:
             return result
         assert isinstance(parsed, SelectQuery)
         names = parsed.projected_names()
-        rows = []
-        for row in engine.stream(parsed):
-            rows.append(row)
-            if len(rows) % _DEADLINE_CHECK_EVERY == 0:
-                self._check_deadline(started, timeout)
+        batches = []
+        for batch in engine.stream(parsed):
+            batches.append(batch)
+            self._check_deadline(started, timeout)
         self._check_deadline(started, timeout)
-        return ResultSet(names, rows)
+        return ResultSet(names, batches=batches)
 
     def _check_deadline(self, started: float, timeout: Optional[float]) -> None:
         if timeout is not None and (time.perf_counter() - started) > timeout:

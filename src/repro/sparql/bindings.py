@@ -1,4 +1,4 @@
-"""Solution mappings (variable bindings) and result sets.
+"""Solution mappings (variable bindings), batches of them, and result sets.
 
 A :class:`Binding` maps variable names to RDF terms; a :class:`ResultSet`
 is an ordered collection of bindings together with the projected variable
@@ -12,6 +12,11 @@ ids; an id becomes a term only where something reads the value (``get``,
 ``items``, equality) or at the HTTP encoder
 (:func:`repro.serve.server.encode_result`).  An id and its term are the
 same value everywhere.
+
+The streaming engine moves rows in a :class:`Batch`: one layout and a list
+of up to :data:`BATCH_ROWS` rows, the unit every operator pulls.
+:func:`batches` cuts a binding stream into batches and :func:`rows` turns
+batches back into bindings, for the operators that still work per row.
 """
 
 from __future__ import annotations
@@ -25,6 +30,9 @@ from repro.rdf.terms import Term
 #: of term-only layouts: a server sees arbitrary variable names, and a cleared
 #: cache only costs rebuilding layouts (equality never relies on identity).
 _CACHE_BOUND = 256
+
+#: The most rows one :class:`Batch` holds.
+BATCH_ROWS = 256
 
 
 def _remember(cache: dict, key, value):
@@ -245,6 +253,53 @@ class Binding:
 _new = object.__new__
 
 
+class Batch:
+    """Rows under one layout (a list of row tuples, each as in :class:`Binding`)."""
+
+    __slots__ = ("layout", "rows")
+
+    def __init__(self, layout: Layout, rows: List[tuple]) -> None:
+        self.layout = layout
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def grow(size: int) -> int:
+    """The size of the batch after one of ``size`` rows: ×4, up to :data:`BATCH_ROWS`."""
+    return size * 4 if size * 4 < BATCH_ROWS else BATCH_ROWS
+
+
+def batches(bindings: Iterable[Binding], size: int = 1) -> Iterator[Batch]:
+    """Cut ``bindings`` into batches at every layout change, ``size`` rows first.
+
+    Each full batch is yielded before the next binding is pulled.
+    """
+    layout, cut = None, []
+    for binding in bindings:
+        if binding.layout is not layout:
+            if cut:
+                yield Batch(layout, cut)
+                cut, size = [], grow(size)
+            layout = binding.layout
+        cut.append(binding.row)
+        if len(cut) >= size:
+            yield Batch(layout, cut)
+            cut, size = [], grow(size)
+    if cut:
+        yield Batch(layout, cut)
+
+
+def rows(stream: Iterable[Batch]) -> Iterator[Binding]:
+    """The bindings of a batch stream, in order."""
+    of = Binding.of
+    for batch in stream:
+        layout = batch.layout
+        for row in batch.rows:
+            yield of(layout, row)
+
+
 class AskResult:
     """The boolean outcome of an ASK query.
 
@@ -275,20 +330,46 @@ class AskResult:
 
 
 class ResultSet:
-    """An ordered collection of bindings with the projected variable names."""
+    """An ordered collection of bindings with the projected variable names.
 
-    def __init__(self, variables: Sequence[str], bindings: Iterable[Binding] = ()) -> None:
+    Built from bindings, or from the :class:`Batch` list of a streamed
+    query (``batches=``); each form is derived from the other on first use.
+    """
+
+    def __init__(
+        self,
+        variables: Sequence[str],
+        bindings: Iterable[Binding] = (),
+        batches: Optional[List[Batch]] = None,
+    ) -> None:
         self.variables = list(variables)
-        self.bindings = list(bindings)
+        self._bindings: Optional[List[Binding]] = None if batches is not None else list(bindings)
+        self._batches = batches
+
+    @property
+    def bindings(self) -> List[Binding]:
+        """The solutions as bindings."""
+        if self._bindings is None:
+            self._bindings = list(rows(self._batches))
+        return self._bindings
+
+    @property
+    def batches(self) -> List[Batch]:
+        """The solutions as batches."""
+        if self._batches is None:
+            self._batches = list(batches(self._bindings, BATCH_ROWS))
+        return self._batches
 
     def __len__(self) -> int:
-        return len(self.bindings)
+        if self._bindings is not None:
+            return len(self._bindings)
+        return sum(map(len, self._batches))
 
     def __iter__(self) -> Iterator[Binding]:
         return iter(self.bindings)
 
     def __repr__(self) -> str:
-        return f"ResultSet(variables={self.variables}, rows={len(self.bindings)})"
+        return f"ResultSet(variables={self.variables}, rows={len(self)})"
 
     def to_tuples(self) -> List[Tuple[Optional[Term], ...]]:
         """Rows as tuples following the projected variable order."""

@@ -5,14 +5,17 @@ a column may hold an id of the store's instance dictionary instead of the
 term.  Everything that reads a binding must see the term: a binding built
 from ids equals the one built from the same terms, with the same hash,
 items, merges, compatibility and projections, and DISTINCT dedupes rows
-that mix the two.
+that mix the two, across batches of both layouts.
 
 The HTTP encoder (:func:`repro.serve.server.encode_result`) writes rows
 from their columns through an id-keyed memo.  Its bytes must equal an
 independent reference — ``json.dumps`` of the stringified document — for
 every small-LUBM catalog query on a built, a mapped, an updatable (with a
 pending delta) and a sharded store, also when a compaction runs between
-execution and encoding.
+execution and encoding.  The engine hands the encoder batches of rows, so
+the shapes a batch can take are pinned too: unbound (``null``) columns,
+one result mixing layouts, an empty projection, rows holding terms, a
+column mixing ids and terms, and a cached result encoded twice.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from repro.query import operators as ops
 from repro.rdf.namespaces import LUBM, RDF_TYPE
 from repro.rdf.terms import Literal, Triple, URI
 from repro.serve.server import encode_result
-from repro.serve.service import QueryService
-from repro.sparql.bindings import AskResult, Binding, ResultSet
+from repro.serve.service import QueryOutcome, QueryService
+from repro.sparql.bindings import AskResult, Batch, Binding, ResultSet
 from repro.store.delta import MANUAL_COMPACTION
 from repro.store.persistence import load_store, save_store_image
 from repro.store.sharding import ShardedStore
@@ -106,7 +109,7 @@ def test_distinct_dedupes_rows_mixing_ids_and_terms(rows, flags):
         binding = _term_row(row)
         if binding not in expected:
             expected.append(binding)
-    assert list(ops.distinct(mixed, _NAMES)) == expected
+    assert list(ops.rows(ops.distinct(ops.batches(mixed), _NAMES))) == expected
     assert ResultSet(_NAMES, mixed).distinct().bindings == expected
     assert len(set(mixed)) == len(expected)
 
@@ -187,6 +190,58 @@ def test_encoder_bytes_equal_the_reference(stores, small_lubm_catalog, kind):
             f"SELECT ?s ?n WHERE {{ ?s <{LUBM.takesCourse}> ?o OPTIONAL {{ ?s <{LUBM.emailAddress}> ?n }} }}"
         )
         assert encode_result(optional) == _reference(optional)
+    finally:
+        service.close()
+
+
+@pytest.mark.parametrize("kind", ["built", "mapped", "updatable", "sharded"])
+def test_encoder_bytes_for_every_batch_shape(stores, small_lubm, kind):
+    store = stores[kind]
+    # The second takesCourse triple: ``_pending_writes`` keeps it.
+    takes = [t for t in small_lubm.graph if t.predicate == LUBM.takesCourse]
+    student, course = takes[1].subject, takes[1].object
+    queries = {
+        # most people head nothing: ?h is null in most rows
+        "optional": f"SELECT ?x ?h WHERE {{ ?x <{LUBM.worksFor}> ?d OPTIONAL {{ ?x <{LUBM.headOf}> ?h }} }}",
+        "union": f"SELECT ?x ?d ?c WHERE {{ {{ ?x <{LUBM.worksFor}> ?d }} UNION {{ ?x <{LUBM.takesCourse}> ?c }} }}",
+        "empty projection": f"SELECT * WHERE {{ <{student}> <{LUBM.takesCourse}> <{course}> }}",
+        "no rows": f"SELECT ?x WHERE {{ ?x <{LUBM.takesCourse}> <{NEW}nothing> }}",
+        "terms": f"SELECT ?x ?c ?n WHERE {{ ?x <{LUBM.takesCourse}> ?c BIND(STR(?c) AS ?n) VALUES ?c {{ <{course}> }} }}",
+    }
+    service = QueryService(store, cache_capacity=0)
+    try:
+        for name, sparql in queries.items():
+            outcome = service.execute(sparql)
+            assert encode_result(outcome) == _reference(outcome), (kind, name)
+        optional = service.execute(queries["optional"])
+        assert b"null" in encode_result(optional)
+        assert encode_result(service.execute(queries["empty projection"])).endswith(b'"rows": [[]]}}')
+        union = service.execute(queries["union"])
+        assert len({batch.layout for batch in union.result.batches}) > 1
+    finally:
+        service.close()
+
+    # A column mixing ids, terms and unbound values within one batch.
+    layout = Binding().layout.owned(store.instances).child("a").child("b")
+    course_id = store.instances.locate(course)
+    batch = Batch(layout, [(course_id, Literal("é \"x\"")), (course, course_id), (URI(f"{NEW}x"), course_id)])
+    mixed = ResultSet(["b", "missing", "a"], batches=[batch])
+    outcome = QueryOutcome(result=mixed, cached=False, elapsed_ms=0.0, epoch=(0, 0))
+    assert encode_result(outcome) == _reference(outcome)
+    # Rows of bindings (the oracle's form) are cut into batches on demand.
+    terms = ResultSet(["a", "b"], [Binding({"a": course}), Binding({"a": course, "b": Literal("1")})])
+    outcome = QueryOutcome(result=terms, cached=False, elapsed_ms=0.0, epoch=(0, 0))
+    assert encode_result(outcome) == _reference(outcome)
+
+
+def test_a_cached_result_encodes_twice_to_the_same_bytes(stores, small_lubm_catalog):
+    service = QueryService(stores["mapped"])
+    try:
+        for query in small_lubm_catalog.extended_queries():
+            first = service.execute(query.sparql, reasoning=query.requires_reasoning)
+            again = service.execute(query.sparql, reasoning=query.requires_reasoning)
+            assert again.cached and again.result is first.result
+            assert encode_result(first) == encode_result(again) == _reference(again), query.identifier
     finally:
         service.close()
 

@@ -17,7 +17,7 @@ from repro.query.paths import merge_expansions
 from repro.query.tp_eval import TriplePatternEvaluator
 from repro.query.units import UNIT_OPS, execute_unit
 from repro.sparql.ast import TriplePattern, Variable
-from repro.sparql.bindings import AskResult, Binding
+from repro.sparql.bindings import AskResult, Binding, batches, rows
 from repro.sparql.parser import parse_query
 from repro.store.sharding import ShardedStore
 
@@ -73,8 +73,8 @@ def test_evaluate_many_preserves_upstream_order(sharded, small_lubm_store):
     assert len(upstream) > 20
 
     with ParallelExecutor(sharded, batch_size=5) as executor:
-        parallel_out = list(executor.evaluate_many(pattern, iter(upstream)))
-    sequential_out = list(sequential.evaluate_many(pattern, iter(upstream)))
+        parallel_out = list(rows(executor.evaluate_many(pattern, batches(upstream))))
+    sequential_out = list(rows(sequential.evaluate_many(pattern, batches(upstream))))
     assert parallel_out == sequential_out
 
 

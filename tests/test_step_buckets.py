@@ -26,7 +26,7 @@ from repro.rdf.graph import Graph
 from repro.rdf.namespaces import LUBM, RDF_TYPE
 from repro.rdf.terms import Literal, Triple, URI
 from repro.sparql.ast import TriplePattern, Variable
-from repro.sparql.bindings import Binding
+from repro.sparql.bindings import Binding, batches, rows
 from repro.store.delta import CompactionPolicy
 from repro.store.persistence import load_store, save_store_image
 from repro.store.rdftype_store import RDFTypeStore
@@ -37,6 +37,11 @@ from repro.store.triple_store import PSOLayout
 QUERY_IDS = [f"M{i}" for i in range(1, 6)] + [f"R{i}" for i in range(1, 7)]
 STORE_KINDS = ("built", "mapped", "sharded", "updatable")
 NEW = "http://example.org/new/"
+
+
+def _join(evaluator, pattern, bindings):
+    """The bind-join step of ``pattern`` over ``bindings``, as bindings."""
+    return list(rows(evaluator.evaluate_many(pattern, batches(bindings))))
 
 
 def _probe_only(self, key, item, probe, size, build):
@@ -196,7 +201,7 @@ def test_a_single_binding_step_never_builds(stores, extra_decodes):
     evaluator = TriplePatternEvaluator(stores["built"])
     department = next(t.object for t in stores["built"].match(None, LUBM.memberOf, None))
     pattern = TriplePattern(Variable("x"), LUBM.memberOf, department)
-    assert extra_decodes(lambda: list(evaluator.evaluate_many(pattern, [Binding()]))) == 0
+    assert extra_decodes(lambda: _join(evaluator, pattern, [Binding()])) == 0
 
 
 def test_a_limit_that_stops_at_the_threshold_never_builds(extra_decodes):
@@ -228,7 +233,7 @@ def test_literal_probes_never_build(extra_decodes):
         [Binding({"x": subject}) for subject, _ in labels],  # (s, p, ?o)
         [Binding({"n": literal}) for _, literal in labels],  # (?s, p, o)
     ):
-        assert extra_decodes(lambda: list(evaluator.evaluate_many(pattern, bindings))) == 0
+        assert extra_decodes(lambda: _join(evaluator, pattern, bindings)) == 0
 
 
 def test_the_optional_shape_never_builds(stores, small_lubm_catalog, extra_decodes):
@@ -247,7 +252,7 @@ def test_type_membership_bucket_honours_reasoning(stores, extra_decodes, reasoni
     bindings = [Binding({"x": member}) for member in members]
 
     def rows():
-        return list(evaluator.evaluate_many(pattern, bindings))
+        return _join(evaluator, pattern, bindings)
 
     assert extra_decodes(rows) == (1 if reasoning else 0)
     assert bool(rows()) == reasoning

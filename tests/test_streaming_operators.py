@@ -4,7 +4,7 @@ Covers the OPTIONAL null-handling edge cases, ORDER BY total-order
 stability, aggregate empty-group semantics, VALUES/ASK, the differential
 check streaming-vs-materializing on the paper's query workload, and the
 early-termination guarantees (LIMIT/ASK consume fewer SDS kernel calls than
-full materialization).
+full materialization, and batches of rows no more than one row at a time).
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from repro.query.materializing import MaterializingQueryEngine
 from repro.query.plan import ModifierOp
 from repro.rdf.terms import Literal
 from repro.sparql.ast import AskQuery
-from repro.sparql.bindings import AskResult
+from repro.query.tp_eval import StepProbes, TriplePatternEvaluator
+from repro.sparql.bindings import BATCH_ROWS, AskResult, Binding
 from repro.sparql.parser import parse_query
 from tests.conftest import EX
 
@@ -382,3 +383,56 @@ class TestEarlyTermination:
         assert construction.kernel_calls == 0
         first = measure_call(lambda: next(construction.result))
         assert first.kernel_calls > 0
+
+    def test_limit_over_m4_probes_no_more_than_one_row_at_a_time(
+        self, small_lubm_store, small_lubm_catalog
+    ):
+        engine = QueryEngine(small_lubm_store, reasoning=False)
+        m4 = small_lubm_catalog.by_identifier()["M4"].sparql
+        limited = f"{m4} LIMIT 200"
+        engine.execute(limited)  # warm the plan and the property lookups
+        batched = measure_call(lambda: engine.execute(limited))
+
+        def one_step(pattern, bindings):
+            probes = StepProbes()  # one run-bucket state per bind-join step
+            for binding in bindings:
+                yield from engine.evaluator.evaluate(pattern, binding, probes)
+
+        def one_row_at_a_time():
+            solutions = iter([Binding()])
+            for step in engine.plan(m4).steps:
+                solutions = one_step(step.pattern, solutions)
+            return list(itertools.islice(solutions, 200))
+
+        reference = measure_call(one_row_at_a_time)
+        names = batched.result.variables
+        assert batched.result.to_tuples() == [
+            tuple(binding.get(name) for name in names) for binding in reference.result
+        ]
+        assert len(batched.result) == 200
+        assert batched.kernel_calls <= reference.kernel_calls
+
+    def test_ask_stops_after_the_first_one_row_batch(self, small_lubm_store, monkeypatch):
+        ask = (
+            "PREFIX lubm: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
+            "ASK { ?x lubm:worksFor ?d . ?x lubm:name ?n }"
+        )
+        sizes = []
+        original = TriplePatternEvaluator.evaluate_many
+
+        def recorded(self, pattern, batches, wanted=None):
+            for batch in original(self, pattern, batches, wanted):
+                sizes.append(len(batch))
+                yield batch
+
+        monkeypatch.setattr(TriplePatternEvaluator, "evaluate_many", recorded)
+        assert QueryEngine(small_lubm_store, reasoning=False).ask(ask)
+        assert sizes == [1, 1]  # each step yielded one batch of one row
+
+    def test_batches_grow_from_one_row(self, small_lubm_store):
+        engine = QueryEngine(small_lubm_store, reasoning=False)
+        scan = "SELECT ?x ?n WHERE { ?x <http://swat.cse.lehigh.edu/onto/univ-bench.owl#name> ?n }"
+        sizes = [len(batch) for batch in engine.stream(scan)]
+        assert sizes[:6] == [1, 4, 16, 64, BATCH_ROWS, BATCH_ROWS]
+        assert max(sizes) == BATCH_ROWS and min(sizes) > 0
+        assert sum(sizes) == len(engine.execute(scan))
