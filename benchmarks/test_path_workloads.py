@@ -8,7 +8,7 @@ SDS kernel-call count of one cold execution.  Two invariants are asserted:
 * every query's rows are multiset-identical to the naive materializing
   oracle (the adversarial shapes are exactly where a broken fixpoint would
   diverge first), and
-* the interval-frontier BFS stays linear on the ring walk: doubling the
+* the frontier BFS stays linear on the ring walk: doubling the
   chain length may at most ~double the bounded-source closure's kernel
   calls (a visited-set regression re-walks the ring per depth level and
   goes quadratic).

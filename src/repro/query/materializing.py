@@ -265,7 +265,13 @@ class NaivePathOracle:
     def sources(self, path, end: Term) -> List[Term]:
         """The multiset of path starts reaching ``end`` (mirror of :meth:`targets`)."""
         if isinstance(path, PathLink):
-            return [s for s, o in self._link_relation(path.predicate) if o == end]
+            matches = [s for s, o in self._link_relation(path.predicate) if o == end]
+            if path.predicate == RDF_TYPE:
+                # Mirror triple-pattern evaluation: a bound class's subjects
+                # are deduplicated across their explicit concepts (a subject
+                # typed with two subclasses of ``end`` yields it once).
+                return list(set(matches))
+            return matches
         if isinstance(path, PathInverse):
             return self.targets(path.path, end)
         if isinstance(path, PathSequence):
@@ -355,7 +361,7 @@ class MaterializingQueryEngine:
         # evaluation would otherwise re-plan the group once per outer row.
         self._plan_cache: Dict[Tuple[TriplePattern, ...], "PhysicalPlan"] = {}
         #: The naive reference implementation of property paths (the
-        #: differential counterpart of the interval-frontier evaluator).
+        #: differential counterpart of the id-level path evaluator).
         self.paths_oracle = NaivePathOracle(store, reasoning=reasoning)
 
     def _plan_bgp(self, patterns: List[TriplePattern]):

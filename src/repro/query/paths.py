@@ -15,35 +15,34 @@ top of the batched store accessors:
   bound endpoint the zero-length solution is included even when the term
   does not occur in the graph (the spec's ALP evaluation starts from the
   given term); with both endpoints unbound the domain is the set of terms
-  occurring in *explicit* triples (see :func:`graph_terms`).
+  occurring in *explicit* triples.
 
-Every result list is emitted in the canonical order of
-:func:`path_sort_key` — a total order over RDF terms shared with the naive
-reference oracle — so results are **byte-identical across all execution
-backends by construction**: any correct path evaluation produces the same
-sorted sequence.
+Every path is evaluated by one routine, :meth:`PathEvaluator._relation`,
+as a multiset of ``(start, end)`` *node* pairs: a node is the term's
+instance identifier whenever it has one, and the term itself otherwise
+(literals, classes that are no instance).  Sequences therefore join on
+integers, and a result is decoded once, when it is sorted into the
+canonical order of :func:`path_sort_key` — a total order over RDF terms
+shared with the naive reference oracle — so results are **byte-identical
+across all execution backends by construction**.
 
-The transitive forms run a **semi-naive BFS**.  When the closed-over path
-flattens into an alternation of plain links and inverse links (the common
-shape: ``p+``, ``(p|^q)*`` ...), the BFS runs at the *identifier* level: the
-frontier is a sorted list of instance identifiers (coalesced into intervals
-for membership tests — LiteMat assigns hierarchy-clustered ids, so real
-frontiers coalesce well) and each round is one call to the evaluator's
-``expand_frontier`` hook, which the scatter executor
-(:mod:`repro.query.parallel`) answers with per-shard ``expand`` units.  Per property the
-expansion chooses **probe vs. scan** by the cost model's constants: a small
-frontier probes ``objects_for``/``subjects_for`` per id, a large one scans
-``pairs_for_property`` once and filters against the interval frontier.
-Paths that do not compile to the id level (``rdf:type`` links, nested
-closures, sequences under a closure) fall back to a term-level BFS with the
-same visited-set fixpoint, so every form terminates on cyclic data.
+Stored edges come from :func:`stored_edges`, which chooses **probe vs.
+scan** per property and layout with the cost model's constants: a few
+starts probe ``objects_for``/``subjects_for`` per id, many scan
+``pairs_for_property`` once and filter against a set.  A closure from a
+bound endpoint whose inner path flattens into an alternation of plain and
+inverse links (``p+``, ``(p|^q)*`` ...) runs a semi-naive BFS, one round per
+call of the evaluator's ``expand_frontier`` hook, which the scatter
+executor (:mod:`repro.query.parallel`) answers with per-shard ``expand``
+units.  Every other closure is closed over an adjacency map of its inner
+relation, so every form terminates on cyclic data.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.query.tp_eval import TriplePatternEvaluator, _group_pairs
 from repro.rdf.namespaces import RDF_TYPE
 from repro.rdf.terms import Literal, Term, URI
 from repro.sparql.algebra import term_order_key
@@ -61,12 +60,15 @@ from repro.sparql.ast import (
 )
 from repro.sparql.bindings import Binding
 
-#: Probe-vs-scan constants of the frontier expansion, mirroring the planner's
+#: Probe-vs-scan constants of :func:`stored_edges`, mirroring the planner's
 #: :class:`~repro.query.optimizer.CostModel` defaults (kernel-call units): a
 #: bound-slot probe costs ~``_PROBE`` calls, one scanned row ~``_ROW``.
 _PROBE = 30.0
 _SCAN = 8.0
 _ROW = 0.4
+
+#: A path node: an instance identifier, or a term without one.
+Node = object
 
 
 def path_sort_key(term: Term) -> Tuple:
@@ -112,45 +114,69 @@ def invert_path(path: PathExpression) -> PathExpression:
 
 
 # --------------------------------------------------------------------------- #
-# the sorted-id-interval frontier
+# stored edges (the probe-vs-scan rule)
 # --------------------------------------------------------------------------- #
 
 
-class IdFrontier:
-    """A BFS frontier of instance identifiers, coalesced into intervals.
+def stored_edges(
+    store, property_ids: Sequence[int], inverse: bool, starts: Optional[Iterable[Node]]
+) -> List[Tuple[Node, Node]]:
+    """The stored edges of ``property_ids`` as ``(start, end)`` node pairs.
 
-    Membership tests bisect over the interval lower bounds — ``O(log k)``
-    in the number of *runs*, not ids.  LiteMat assigns hierarchy-clustered
-    identifiers, so the frontiers transitive queries produce coalesce into
-    few runs (the paper's interval argument, applied to path frontiers).
+    Forward edges run subject → object over both layouts (instance ids,
+    then literals); inverse edges run object → subject.  ``starts`` keeps
+    the edges leaving those nodes (instance ids, and literals, which only
+    inverse edges leave); ``None`` keeps every edge.  Per property and
+    layout, probing each start costs ``_PROBE`` and scanning the run
+    ``_SCAN + run * _ROW``; the cheaper wins, and a scan filters against a
+    set of the starts.
     """
+    object_store = store.object_store
+    datatype_store = store.datatype_store
+    ids = literals = None
+    if starts is not None:
+        ids = {node for node in starts if isinstance(node, int)}
+        literals = {node for node in starts if isinstance(node, Literal)}
+    edges: List[Tuple[Node, Node]] = []
+    for property_id in property_ids:
+        if inverse:
+            _layout_edges(
+                edges, object_store, property_id, True, ids,
+                lambda node: object_store.subjects_for(property_id, node),
+            )
+            # A literal probe decodes the whole run anyway: always scan.
+            _layout_edges(edges, datatype_store, property_id, True, literals, None)
+        else:
+            _layout_edges(
+                edges, object_store, property_id, False, ids,
+                lambda node: object_store.objects_for(node, property_id),
+            )
+            _layout_edges(
+                edges, datatype_store, property_id, False, ids,
+                lambda node: datatype_store.literals_for(node, property_id),
+            )
+    return edges
 
-    __slots__ = ("ids", "lows", "highs")
 
-    def __init__(self, sorted_ids: Sequence[int]) -> None:
-        self.ids = list(sorted_ids)
-        lows: List[int] = []
-        highs: List[int] = []
-        for identifier in self.ids:
-            if highs and identifier == highs[-1]:
-                highs[-1] = identifier + 1
-            else:
-                lows.append(identifier)
-                highs.append(identifier + 1)
-        self.lows = lows
-        self.highs = highs
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __contains__(self, identifier: int) -> bool:
-        position = bisect_right(self.lows, identifier)
-        return position > 0 and identifier < self.highs[position - 1]
-
-    @property
-    def interval_count(self) -> int:
-        """How many coalesced runs the frontier spans."""
-        return len(self.lows)
+def _layout_edges(edges, layout, property_id, inverse, starts, probe) -> None:
+    """Append one layout's edges of ``property_id`` leaving ``starts`` (``None``: all)."""
+    if starts is not None:
+        if not starts:
+            return
+        if probe is not None:
+            run = layout.count_triples_with_property(property_id)
+            if not run:
+                return
+            if len(starts) * _PROBE <= _SCAN + run * _ROW:
+                edges.extend([(start, end) for start in starts for end in probe(start)])
+                return
+    pairs = layout.pairs_for_property(property_id)
+    if not inverse:
+        edges.extend(pairs if starts is None else (pair for pair in pairs if pair[0] in starts))
+    elif starts is None:
+        edges.extend((obj, subject) for subject, obj in pairs)
+    else:
+        edges.extend((obj, subject) for subject, obj in pairs if obj in starts)
 
 
 def expand_frontier_local(
@@ -163,51 +189,19 @@ def expand_frontier_local(
     """One BFS round against one store: the sequential frontier expansion.
 
     Returns the sorted distinct instance identifiers and literals reachable
-    in exactly one step — forward over ``forward_pids`` (``objects_for`` /
-    ``literals_for`` per probe, ``pairs_for_property`` per scan) and
-    backward over ``inverse_pids`` (``subjects_for`` on both layouts).  Per
-    (property × direction) the cheaper of probing the frontier and scanning
-    the run is chosen with the planner's cost constants; scan mode filters
-    with the interval frontier.
+    in exactly one step — forward over ``forward_pids`` and backward over
+    ``inverse_pids`` — through :func:`stored_edges`.
 
     This is the ``expand`` work unit (:mod:`repro.query.units`) every
     scatter transport runs, one per shard.  It must stay a
     pure function of the store snapshot — the union of sorted distinct
     per-shard results equals the monolithic result.
     """
-    frontier = IdFrontier(frontier_ids)
-    out_ids: Set[int] = set()
-    out_literals: Set[Literal] = set()
-    object_store = store.object_store
-    datatype_store = store.datatype_store
-
-    for property_id in forward_pids:
-        run = object_store.count_triples_with_property(property_id)
-        if len(frontier) * _PROBE <= _SCAN + run * _ROW:
-            for subject_id in frontier.ids:
-                out_ids.update(object_store.objects_for(subject_id, property_id))
-                out_literals.update(datatype_store.literals_for(subject_id, property_id))
-        else:
-            for subject_id, object_id in object_store.pairs_for_property(property_id):
-                if subject_id in frontier:
-                    out_ids.add(object_id)
-            for subject_id, literal in datatype_store.pairs_for_property(property_id):
-                if subject_id in frontier:
-                    out_literals.add(literal)
-
-    for property_id in inverse_pids:
-        run = object_store.count_triples_with_property(property_id)
-        if len(frontier) * _PROBE <= _SCAN + run * _ROW:
-            for object_id in frontier.ids:
-                out_ids.update(object_store.subjects_for(property_id, object_id))
-        else:
-            for subject_id, object_id in object_store.pairs_for_property(property_id):
-                if object_id in frontier:
-                    out_ids.add(subject_id)
-        for literal in frontier_literals:
-            out_ids.update(datatype_store.subjects_for(property_id, literal))
-
-    return sorted(out_ids), _sorted_terms(out_literals)
+    frontier = [*frontier_ids, *frontier_literals]
+    ends = {end for _, end in stored_edges(store, forward_pids, False, frontier)}
+    ends.update(end for _, end in stored_edges(store, inverse_pids, True, frontier))
+    ids = sorted(end for end in ends if isinstance(end, int))
+    return ids, _sorted_terms(end for end in ends if isinstance(end, Literal))
 
 
 def merge_expansions(
@@ -231,7 +225,7 @@ def compile_link_alternation(
     and inverse links over non-``rdf:type`` predicates; ``candidate_ids``
     maps each predicate to its stored property identifiers (the LiteMat
     interval expansion under reasoning).  Returns ``None`` for every other
-    shape — the caller falls back to the term-level BFS.
+    shape — a closure over it is closed over its inner relation instead.
     """
     forward: Set[int] = set()
     inverse: Set[int] = set()
@@ -257,20 +251,13 @@ def path_access_label(path: PathExpression) -> str:
     """The access label EXPLAIN renders for a path step.
 
     ``interval-bfs`` marks closures whose inner path is structurally
-    id-steppable (links / inverse links over non-``rdf:type`` predicates);
-    everything else names the top-level algebra node.
+    id-steppable (:func:`compile_link_alternation`); everything else names
+    the top-level algebra node.
     """
-
-    def steppable(node: PathExpression) -> bool:
-        if isinstance(node, PathAlternative):
-            return all(steppable(branch) for branch in node.branches)
-        if isinstance(node, PathInverse):
-            return steppable(node.path)
-        return isinstance(node, PathLink) and node.predicate != RDF_TYPE
-
     if isinstance(path, (PathZeroOrMore, PathOneOrMore)):
         form = "zero-or-more" if isinstance(path, PathZeroOrMore) else "one-or-more"
-        return f"{form}/{'interval-bfs' if steppable(path.path) else 'term-bfs'}"
+        steppable = compile_link_alternation(path.path, lambda _: ()) is not None
+        return f"{form}/{'interval-bfs' if steppable else 'term-bfs'}"
     if isinstance(path, PathZeroOrOne):
         return "zero-or-one"
     if isinstance(path, PathSequence):
@@ -282,38 +269,6 @@ def path_access_label(path: PathExpression) -> str:
     if isinstance(path, PathNegatedSet):
         return "negated-set"
     return "link"
-
-
-def graph_terms(store) -> List[Term]:
-    """Every term occurring in an explicit triple, in canonical order.
-
-    The zero-length-path domain: subjects and objects of the PSO layouts
-    (instances and literals) plus subjects and concepts of the type store.
-    Inferred terms (hierarchy expansions) are *not* included — the
-    zero-length path matches what is stored, a deviation documented in
-    ``docs/sparql_support.md``.
-    """
-    identifiers: Set[int] = set()
-    terms: Set[Term] = set()
-    object_store = store.object_store
-    datatype_store = store.datatype_store
-    for property_id in object_store.properties:
-        for subject_id, object_id in object_store.pairs_for_property(property_id):
-            identifiers.add(subject_id)
-            identifiers.add(object_id)
-    for property_id in datatype_store.properties:
-        for subject_id, literal in datatype_store.pairs_for_property(property_id):
-            identifiers.add(subject_id)
-            terms.add(literal)
-    extract_concept = store.concepts.extract
-    for subject_id, concept_id in store.type_store.iter_triples():
-        identifiers.add(subject_id)
-        concept = extract_concept(concept_id)
-        if concept is not None:
-            terms.add(concept)
-    extract = store.instances.extract
-    terms.update(extract(identifier) for identifier in identifiers)
-    return _sorted_terms(terms)
 
 
 # --------------------------------------------------------------------------- #
@@ -352,8 +307,6 @@ class PathEvaluator:
         self, pattern: PropertyPathPattern, binding: Binding
     ) -> Iterator[Binding]:
         """Yield the bindings extending ``binding`` that satisfy ``pattern``."""
-        from repro.query.tp_eval import TriplePatternEvaluator
-
         resolve = TriplePatternEvaluator._resolve
         subject_term, subject_var = resolve(pattern.subject, binding)
         object_term, object_var = resolve(pattern.object, binding)
@@ -399,431 +352,266 @@ class PathEvaluator:
 
     def targets(self, path: PathExpression, start: Term) -> List[Term]:
         """``o`` with ``start path o``, in canonical order (multiset)."""
-        return _sorted_terms(self._eval_from(path, start))
+        ends = [end for _, end in self._relation(path, {self._node(start)}, True)]
+        decoded = self._decode(ends)
+        return [decoded[end][1] for end in sorted(ends, key=lambda end: decoded[end][0])]
 
     def sources(self, path: PathExpression, end: Term) -> List[Term]:
         """``s`` with ``s path end``, in canonical order (multiset)."""
-        return _sorted_terms(self._eval_from(invert_path(path), end))
+        return self.targets(invert_path(path), end)
 
     def holds(self, path: PathExpression, start: Term, end: Term) -> bool:
         """Whether ``start path end`` has at least one solution."""
-        return end in set(self._eval_from(path, start))
+        node = self._node(end)
+        return any(found == node for _, found in self._relation(path, {self._node(start)}, True))
 
     def pairs(self, path: PathExpression) -> List[Tuple[Term, Term]]:
         """All ``(s, o)`` with ``s path o``, sorted on both keys (multiset)."""
-        return sorted(
-            self._pairs(path),
-            key=lambda pair: (path_sort_key(pair[0]), path_sort_key(pair[1])),
-        )
+        relation = self._relation(path, None, False)
+        decoded = self._decode(node for pair in relation for node in pair)
+        relation.sort(key=lambda pair: (decoded[pair[0]][0], decoded[pair[1]][0]))
+        return [(decoded[start][1], decoded[end][1]) for start, end in relation]
+
+    def _node(self, term: Term) -> Node:
+        """The node of ``term``: its instance identifier, else the term."""
+        if isinstance(term, Literal):
+            return term
+        identifier = self.store.instances.try_locate(term)
+        return term if identifier is None else identifier
+
+    def _decode(self, nodes: Iterable[Node]) -> Dict[Node, Tuple[Tuple, Term]]:
+        """``node -> (path_sort_key, term)`` for each distinct node."""
+        extract = self.store.instances.extract
+        decoded = {}
+        for node in set(nodes):
+            term = extract(node) if isinstance(node, int) else node
+            decoded[node] = (path_sort_key(term), term)
+        return decoded
 
     # ------------------------------------------------------------------ #
-    # forward evaluation from one bound term
+    # the relation of a path
     # ------------------------------------------------------------------ #
 
-    def _eval_from(self, path: PathExpression, start: Term) -> List[Term]:
-        """One-sided path evaluation: the multiset of ends from ``start``."""
+    def _relation(
+        self, path: PathExpression, starts: Optional[Set[Node]], one_sided: bool
+    ) -> List[Tuple[Node, Node]]:
+        """The multiset of ``(start, end)`` node pairs of ``path``.
+
+        ``starts`` keeps the pairs leaving those nodes; ``None`` means every
+        start.  ``one_sided`` selects the semantics of a bound endpoint over
+        that of the all-pairs relation (both documented in
+        ``docs/sparql_support.md``): a bound subject's ``rdf:type`` classes
+        and a bound class's subjects come once each, where the relation
+        keeps one pair per stored typing, and a zero-length path matches
+        any start, where the relation's domain is :meth:`_graph_nodes`.
+        """
         if isinstance(path, PathLink):
-            return self._link_targets(path.predicate, start)
+            return self._link(path.predicate, False, starts, one_sided)
         if isinstance(path, PathInverse):
-            inner = path.path
-            if isinstance(inner, PathLink):
-                return self._link_sources(inner.predicate, start)
-            return self._eval_from(invert_path(inner), start)
+            if isinstance(path.path, PathLink):
+                return self._link(path.path.predicate, True, starts, one_sided)
+            return self._relation(invert_path(path.path), starts, one_sided)
         if isinstance(path, PathSequence):
-            frontier: List[Term] = [start]
-            for step in path.steps:
-                next_frontier: List[Term] = []
-                for term in frontier:
-                    next_frontier.extend(self._eval_from(step, term))
-                frontier = next_frontier
-                if not frontier:
+            pairs = self._relation(path.steps[0], starts, one_sided)
+            for step in path.steps[1:]:
+                if not pairs:
                     return []
-            return frontier
+                mids = {mid for _, mid in pairs}
+                following = _group_pairs(self._relation(step, mids, one_sided))
+                pairs = [
+                    (start, end) for start, mid in pairs for end in following.get(mid, ())
+                ]
+            return pairs
         if isinstance(path, PathAlternative):
-            results: List[Term] = []
-            for branch in path.branches:
-                results.extend(self._eval_from(branch, start))
-            return results
-        if isinstance(path, PathZeroOrOne):
-            distinct: Set[Term] = {start}
-            distinct.update(self._eval_from(path.path, start))
-            return list(distinct)
-        if isinstance(path, PathZeroOrMore):
-            reached = self._reachable(path.path, start)
-            reached.add(start)
-            return list(reached)
-        if isinstance(path, PathOneOrMore):
-            return list(self._reachable(path.path, start))
+            return [
+                pair
+                for branch in path.branches
+                for pair in self._relation(branch, starts, one_sided)
+            ]
         if isinstance(path, PathNegatedSet):
-            return self._negated_targets(path, start)
-        raise TypeError(f"unknown path node {type(path).__name__}")
+            return self._negated(path, starts, one_sided)
+        if isinstance(path, PathZeroOrOne):
+            closed = set(self._relation(path.path, starts, one_sided))
+        elif isinstance(path, (PathZeroOrMore, PathOneOrMore)):
+            closed = self._closure(path.path, starts, one_sided)
+            if isinstance(path, PathOneOrMore):
+                return list(closed)
+        else:
+            raise TypeError(f"unknown path node {type(path).__name__}")
+        if one_sided:
+            closed.update((node, node) for node in starts)
+        else:
+            nodes = self._graph_nodes()
+            closed.update((node, node) for node in (nodes if starts is None else nodes & starts))
+        return list(closed)
 
-    # -- plain links ----------------------------------------------------- #
-
-    def _link_targets(self, predicate: URI, start: Term) -> List[Term]:
-        """One forward link step: ``o`` with ``start predicate o`` stored."""
-        store = self.store
+    def _link(
+        self, predicate: URI, inverse: bool, starts: Optional[Set[Node]], one_sided: bool
+    ) -> List[Tuple[Node, Node]]:
+        """One link step (``inverse``: against the edge direction)."""
         if predicate == RDF_TYPE:
-            if isinstance(start, Literal):
-                return []
-            subject_id = store.instances.try_locate(start)
-            if subject_id is None:
-                return []
-            return list(self.inner._concepts_of_subject(subject_id))
-        if isinstance(start, Literal):
-            return []  # literals never occur in the subject position
-        subject_id = store.instances.try_locate(start)
-        if subject_id is None:
-            return []
-        extract = store.instances.extract
-        results: List[Term] = []
-        for property_id in self.inner._candidate_property_ids(predicate):
-            for object_id in store.object_store.objects_for(subject_id, property_id):
-                results.append(extract(object_id))
-            results.extend(store.datatype_store.literals_for(subject_id, property_id))
-        return results
+            return self._type_edges(inverse, starts, one_sided, widen=True)
+        property_ids = self.inner._candidate_property_ids(predicate)
+        return stored_edges(self.store, property_ids, inverse, starts)
 
-    def _link_sources(self, predicate: URI, end: Term) -> List[Term]:
-        """One backward link step: ``s`` with ``s predicate end`` stored."""
+    def _type_edges(
+        self, inverse: bool, starts: Optional[Set[Node]], one_sided: bool, widen: bool
+    ) -> List[Tuple[Node, Node]]:
+        """``rdf:type`` edges: subject → class, or class → subject when ``inverse``.
+
+        ``widen`` (a path link) answers each stored typing with its class
+        and, under reasoning, the superclasses (``_expand_concept``); a
+        negated set matches the explicit class only.  One-sided, a bound
+        subject's classes and a bound class's subjects come once each, like
+        the ``rdf:type`` triple pattern; the all-pairs relation keeps one
+        pair per stored typing.
+        """
         store = self.store
-        if predicate == RDF_TYPE:
-            if not isinstance(end, URI):
-                return []
-            concept_id = store.concepts.try_locate(end)
-            if concept_id is None:
-                return []
-            if self.reasoning:
-                low, high = store.concepts.interval(end)
-                subject_ids = store.type_store.subjects_of_interval(low, high)
-            else:
-                subject_ids = store.type_store.subjects_of(concept_id)
-            extract = store.instances.extract
-            return [extract(subject_id) for subject_id in subject_ids]
-        extract = store.instances.extract
-        results: List[Term] = []
-        if isinstance(end, Literal):
-            for property_id in self.inner._candidate_property_ids(predicate):
-                for subject_id in store.datatype_store.subjects_for(property_id, end):
-                    results.append(extract(subject_id))
-            return results
-        object_id = store.instances.try_locate(end)
-        if object_id is None:
-            return []
-        for property_id in self.inner._candidate_property_ids(predicate):
-            for subject_id in store.object_store.subjects_for(property_id, object_id):
-                results.append(extract(subject_id))
-        return results
+        type_store = store.type_store
+        if one_sided and inverse:
+            pairs = []
+            for start in starts:
+                concept = store.instances.extract(start) if isinstance(start, int) else start
+                concept_id = store.concepts.try_locate(concept) if isinstance(concept, URI) else None
+                if concept_id is None:
+                    continue
+                if widen and self.reasoning:
+                    subjects = type_store.subjects_of_interval(*store.concepts.interval(concept))
+                else:
+                    subjects = type_store.subjects_of(concept_id)
+                pairs.extend((start, subject) for subject in subjects)
+            return pairs
 
-    # -- negated property sets ------------------------------------------- #
+        classes: Dict[int, List[Node]] = {}
 
-    def _stored_predicates(self) -> List[Tuple[int, URI]]:
-        """Stored (property id, predicate URI) pairs, ascending by id."""
-        store = self.store
-        property_ids = sorted(
-            set(store.object_store.properties) | set(store.datatype_store.properties)
-        )
-        pairs: List[Tuple[int, URI]] = []
-        for property_id in property_ids:
-            predicate = store.properties.extract(property_id)
-            if isinstance(predicate, URI):
-                pairs.append((property_id, predicate))
+        def classes_of(concept_id: int) -> List[Node]:
+            found = classes.get(concept_id)
+            if found is None:
+                if widen:
+                    terms = self.inner._expand_concept(concept_id)
+                else:
+                    concept = store.concepts.extract(concept_id)
+                    terms = [concept] if isinstance(concept, URI) else []
+                found = classes[concept_id] = [self._node(term) for term in terms]
+            return found
+
+        if starts is None or inverse:
+            typings = type_store.iter_triples()
+        else:
+            typings = (
+                (subject, concept_id)
+                for subject in starts
+                if isinstance(subject, int)
+                for concept_id in type_store.concepts_of(subject)
+            )
+        pairs = [(subject, node) for subject, concept_id in typings for node in classes_of(concept_id)]
+        if one_sided:
+            return list(dict.fromkeys(pairs))
+        if inverse:
+            # Inverse typings from given classes: filter the swapped relation
+            # (``pairs_in_interval`` is a base type-store primitive only).
+            pairs = [(node, subject) for subject, node in pairs]
+            if starts is not None:
+                pairs = [pair for pair in pairs if pair[0] in starts]
         return pairs
 
-    def _negated_targets(self, path: PathNegatedSet, start: Term) -> List[Term]:
+    def _property_ids(self) -> List[int]:
+        """Every stored property identifier, ascending."""
+        store = self.store
+        return sorted(set(store.object_store.properties) | set(store.datatype_store.properties))
+
+    def _negated(
+        self, path: PathNegatedSet, starts: Optional[Set[Node]], one_sided: bool
+    ) -> List[Tuple[Node, Node]]:
         """NPS semantics: explicit stored predicates only, no expansion.
 
         Matches the engine's unbound-predicate evaluation: each stored
         predicate stands for itself (no LiteMat interval widening), and
-        ``rdf:type`` edges match through their explicit concept.
+        ``rdf:type`` edges match through their explicit concept.  Per
+        §18.2.2.3 a set splits into ``NPS(forward members)`` and
+        ``inv(NPS(inverse members))``: the forward direction applies iff a
+        forward member exists or the set has no inverse member, so
+        ``!(^p)`` matches inverse edges only.
         """
-        store = self.store
-        results: List[Term] = []
-        forward_excluded = set(path.forward)
-        extract = store.instances.extract
-
-        if self._nps_wants_forward(path) and not isinstance(start, Literal):
-            subject_id = store.instances.try_locate(start)
-        else:
-            subject_id = None
-        if subject_id is not None:
-            for property_id, predicate in self._stored_predicates():
-                if predicate in forward_excluded:
-                    continue
-                for object_id in store.object_store.objects_for(subject_id, property_id):
-                    results.append(extract(object_id))
-                results.extend(
-                    store.datatype_store.literals_for(subject_id, property_id)
-                )
-            if RDF_TYPE not in forward_excluded:
-                extract_concept = store.concepts.extract
-                for concept_id in store.type_store.concepts_of(subject_id):
-                    concept = extract_concept(concept_id)
-                    if concept is not None:
-                        results.append(concept)
-
-        if self._nps_wants_inverse(path):
-            results.extend(self._negated_inverse_targets(path, start))
-        return results
-
-    @staticmethod
-    def _nps_wants_forward(path: PathNegatedSet) -> bool:
-        """Whether the NPS matches forward edges.
-
-        Per §18.2.2.3 a negated set splits into ``NPS(forward members)``
-        and ``inv(NPS(inverse members))``; a pure-inverse set like
-        ``!(^p)`` therefore matches inverse edges *only* — the forward
-        direction applies iff a forward member exists (or the set has no
-        inverse members at all).
-        """
-        return bool(path.forward) or not path.inverse
-
-    @staticmethod
-    def _nps_wants_inverse(path: PathNegatedSet) -> bool:
-        """Whether the NPS includes an inverse member set (``!(...|^p)``).
-
-        Per the spec a negated set with no ``^`` members matches forward
-        edges only; once any inverse member appears, *all* non-excluded
-        inverse edges match too.
-        """
-        return bool(path.inverse)
-
-    def _negated_inverse_targets(self, path: PathNegatedSet, start: Term) -> List[Term]:
-        store = self.store
-        results: List[Term] = []
-        inverse_excluded = set(path.inverse)
-        extract = store.instances.extract
-        for property_id, predicate in self._stored_predicates():
-            if predicate in inverse_excluded:
+        extract = self.store.properties.extract
+        pairs: List[Tuple[Node, Node]] = []
+        for inverse, members in ((False, path.forward), (True, path.inverse)):
+            if not members and (inverse or path.inverse):
                 continue
-            if isinstance(start, Literal):
-                for subject_id in store.datatype_store.subjects_for(property_id, start):
-                    results.append(extract(subject_id))
-                continue
-            object_id = store.instances.try_locate(start)
-            if object_id is None:
-                continue
-            for subject_id in store.object_store.subjects_for(property_id, object_id):
-                results.append(extract(subject_id))
-        if RDF_TYPE not in inverse_excluded and isinstance(start, URI):
-            concept_id = store.concepts.try_locate(start)
-            if concept_id is not None:
-                for subject_id in store.type_store.subjects_of(concept_id):
-                    results.append(extract(subject_id))
-        return results
+            excluded = set(members)
+            kept = [pid for pid in self._property_ids() if extract(pid) not in excluded]
+            pairs.extend(stored_edges(self.store, kept, inverse, starts))
+            if RDF_TYPE not in excluded:
+                pairs.extend(self._type_edges(inverse, starts, one_sided, widen=False))
+        return pairs
 
-    # ------------------------------------------------------------------ #
-    # the closure BFS (ALP)
-    # ------------------------------------------------------------------ #
+    def _graph_nodes(self) -> Set[Node]:
+        """Every node of an explicit triple: the all-pairs zero-length domain.
 
-    def _reachable(self, inner: PathExpression, start: Term) -> Set[Term]:
-        """Terms reachable from ``start`` via one or more ``inner`` steps."""
-        compiled = compile_link_alternation(inner, self.inner._candidate_property_ids)
-        if compiled is not None:
-            return self._reachable_intervals(compiled, start)
-        expanded: Set[Term] = set()
-        reached: Set[Term] = set()
-        frontier: List[Term] = [start]
-        while frontier:
-            next_frontier: List[Term] = []
-            for term in frontier:
-                if term in expanded:
-                    continue
-                expanded.add(term)
-                for target in self._eval_from(inner, term):
-                    if target not in reached:
-                        reached.add(target)
-                        next_frontier.append(target)
-            frontier = next_frontier
-        return reached
-
-    def _reachable_intervals(
-        self, compiled: Tuple[Tuple[int, ...], Tuple[int, ...]], start: Term
-    ) -> Set[Term]:
-        """The id-level BFS: interval frontiers through ``expand_frontier``."""
-        forward_pids, inverse_pids = compiled
-        store = self.store
-        frontier_ids: List[int] = []
-        frontier_literals: List[Literal] = []
-        if isinstance(start, Literal):
-            frontier_literals = [start]
-        else:
-            start_id = store.instances.try_locate(start)
-            if start_id is None:
-                return set()  # a term absent from the dictionary has no edges
-            frontier_ids = [start_id]
-        expand = self._expand_frontier
-        expanded_ids: Set[int] = set(frontier_ids)
-        expanded_literals: Set[Literal] = set(frontier_literals)
-        reached_ids: Set[int] = set()
-        reached_literals: Set[Literal] = set()
-        while frontier_ids or frontier_literals:
-            new_ids, new_literals = expand(
-                forward_pids, inverse_pids, frontier_ids, frontier_literals
-            )
-            reached_ids.update(new_ids)
-            reached_literals.update(new_literals)
-            frontier_ids = [i for i in new_ids if i not in expanded_ids]
-            expanded_ids.update(frontier_ids)
-            frontier_literals = [
-                literal for literal in new_literals if literal not in expanded_literals
-            ]
-            expanded_literals.update(frontier_literals)
-        extract = store.instances.extract
-        reached: Set[Term] = {extract(identifier) for identifier in reached_ids}
-        reached.update(reached_literals)
-        return reached
-
-    def _expand_frontier(
-        self,
-        forward_pids: Sequence[int],
-        inverse_pids: Sequence[int],
-        frontier_ids: Sequence[int],
-        frontier_literals: Sequence[Literal],
-    ) -> Tuple[List[int], List[Literal]]:
-        """One BFS round through the backend's ``expand_frontier`` hook."""
-        hook = getattr(self.evaluator, "expand_frontier", None)
-        if hook is not None:
-            return hook(forward_pids, inverse_pids, frontier_ids, frontier_literals)
-        return expand_frontier_local(
-            self.store, forward_pids, inverse_pids, frontier_ids, frontier_literals
-        )
-
-    # ------------------------------------------------------------------ #
-    # unbound-unbound evaluation (the relation of a path)
-    # ------------------------------------------------------------------ #
-
-    def _pairs(self, path: PathExpression) -> List[Tuple[Term, Term]]:
-        """The multiset of ``(s, o)`` pairs related by ``path``."""
-        if isinstance(path, PathLink):
-            return self._link_pairs(path.predicate)
-        if isinstance(path, PathInverse):
-            return [(target, source) for source, target in self._pairs(path.path)]
-        if isinstance(path, PathSequence):
-            steps = list(path.steps)
-            pairs = self._pairs(steps[0])
-            for step in steps[1:]:
-                if not pairs:
-                    return []
-                right: dict = {}
-                for mid, target in self._pairs(step):
-                    right.setdefault(mid, []).append(target)
-                pairs = [
-                    (source, target)
-                    for source, mid in pairs
-                    for target in right.get(mid, ())
-                ]
-            return pairs
-        if isinstance(path, PathAlternative):
-            results: List[Tuple[Term, Term]] = []
-            for branch in path.branches:
-                results.extend(self._pairs(branch))
-            return results
-        if isinstance(path, PathZeroOrOne):
-            distinct = {(term, term) for term in graph_terms(self.store)}
-            distinct.update(self._pairs(path.path))
-            return list(distinct)
-        if isinstance(path, PathZeroOrMore):
-            return self._closure_pairs(path.path, include_zero=True)
-        if isinstance(path, PathOneOrMore):
-            return self._closure_pairs(path.path, include_zero=False)
-        if isinstance(path, PathNegatedSet):
-            return self._negated_pairs(path)
-        raise TypeError(f"unknown path node {type(path).__name__}")
-
-    def _link_pairs(self, predicate: URI) -> List[Tuple[Term, Term]]:
-        store = self.store
-        results: List[Tuple[Term, Term]] = []
-        if predicate == RDF_TYPE:
-            extract = store.instances.extract
-            for subject_id, concept_id in store.type_store.iter_triples():
-                subject = extract(subject_id)
-                for concept in self.inner._expand_concept(concept_id):
-                    results.append((subject, concept))
-            return results
-        extract = store.instances.extract
-        for property_id in self.inner._candidate_property_ids(predicate):
-            for subject_id, object_id in store.object_store.pairs_for_property(
-                property_id
-            ):
-                results.append((extract(subject_id), extract(object_id)))
-            for subject_id, literal in store.datatype_store.pairs_for_property(
-                property_id
-            ):
-                results.append((extract(subject_id), literal))
-        return results
-
-    def _closure_pairs(
-        self, inner: PathExpression, include_zero: bool
-    ) -> List[Tuple[Term, Term]]:
-        """ALP with both endpoints unbound: per-source reachability.
-
-        The inner relation is materialised once and closed per distinct
-        source over an adjacency map — semi-naive at the term level; the
-        id-level frontier applies per source when the inner path compiles
-        (``_reachable`` dispatches), but with the full relation already in
-        hand the adjacency walk is the cheaper route.
+        Inferred terms (hierarchy expansions) are *not* included — the
+        zero-length path matches what is stored, a deviation documented in
+        ``docs/sparql_support.md``.
         """
-        relation = set(self._pairs(inner))
-        adjacency: dict = {}
-        for source, target in relation:
-            adjacency.setdefault(source, set()).add(target)
-        results: Set[Tuple[Term, Term]] = set()
-        for source in adjacency:
-            reached: Set[Term] = set()
-            frontier = list(adjacency[source])
+        pairs = stored_edges(self.store, self._property_ids(), False, None)
+        pairs.extend(self._type_edges(False, None, False, widen=False))
+        return {node for pair in pairs for node in pair}
+
+    # ------------------------------------------------------------------ #
+    # the closure (ALP)
+    # ------------------------------------------------------------------ #
+
+    def _closure(
+        self, inner: PathExpression, starts: Optional[Set[Node]], one_sided: bool
+    ) -> Set[Tuple[Node, Node]]:
+        """Distinct ``(start, end)`` pairs joined by one or more ``inner`` steps.
+
+        From bound starts, a link alternation runs the id-level BFS through
+        the backend's ``expand_frontier`` hook per start; any other inner
+        path is expanded from the starts, one relation per BFS level, into
+        an adjacency map.  The all-pairs relation closes the whole inner
+        relation once, whatever ``starts`` it is restricted to.
+        """
+        if one_sided:
+            compiled = compile_link_alternation(inner, self.inner._candidate_property_ids)
+            if compiled is not None:
+                return {(start, end) for start in starts for end in self._reach(compiled, start)}
+            adjacency: Dict[Node, List[Node]] = {}
+            frontier = set(starts)
             while frontier:
-                next_frontier: List[Term] = []
-                for term in frontier:
-                    if term in reached:
-                        continue
-                    reached.add(term)
-                    next_frontier.extend(adjacency.get(term, ()))
-                frontier = next_frontier
-            results.update((source, target) for target in reached)
-        if include_zero:
-            results.update((term, term) for term in graph_terms(self.store))
-        return list(results)
+                adjacency.update((node, []) for node in frontier)
+                for start, end in self._relation(inner, frontier, True):
+                    adjacency[start].append(end)
+                frontier = {end for node in frontier for end in adjacency[node] if end not in adjacency}
+        else:
+            adjacency = _group_pairs(set(self._relation(inner, None, False)))
+            if starts is None:
+                starts = list(adjacency)
+        closed: Set[Tuple[Node, Node]] = set()
+        for start in starts:
+            reached: Set[Node] = set()
+            stack = list(adjacency.get(start, ()))
+            while stack:
+                node = stack.pop()
+                if node not in reached:
+                    reached.add(node)
+                    stack.extend(adjacency.get(node, ()))
+            closed.update((start, end) for end in reached)
+        return closed
 
-    def _negated_pairs(self, path: PathNegatedSet) -> List[Tuple[Term, Term]]:
-        store = self.store
-        results: List[Tuple[Term, Term]] = []
-        forward_excluded = set(path.forward)
-        extract = store.instances.extract
-        if self._nps_wants_forward(path):
-            for property_id, predicate in self._stored_predicates():
-                if predicate in forward_excluded:
-                    continue
-                for subject_id, object_id in store.object_store.pairs_for_property(
-                    property_id
-                ):
-                    results.append((extract(subject_id), extract(object_id)))
-                for subject_id, literal in store.datatype_store.pairs_for_property(
-                    property_id
-                ):
-                    results.append((extract(subject_id), literal))
-            if RDF_TYPE not in forward_excluded:
-                extract_concept = store.concepts.extract
-                for subject_id, concept_id in store.type_store.iter_triples():
-                    concept = extract_concept(concept_id)
-                    if concept is not None:
-                        results.append((extract(subject_id), concept))
-        if self._nps_wants_inverse(path):
-            inverse_excluded = set(path.inverse)
-            for property_id, predicate in self._stored_predicates():
-                if predicate in inverse_excluded:
-                    continue
-                for subject_id, object_id in store.object_store.pairs_for_property(
-                    property_id
-                ):
-                    results.append((extract(object_id), extract(subject_id)))
-                for subject_id, literal in store.datatype_store.pairs_for_property(
-                    property_id
-                ):
-                    results.append((literal, extract(subject_id)))
-            if RDF_TYPE not in inverse_excluded:
-                extract_concept = store.concepts.extract
-                for subject_id, concept_id in store.type_store.iter_triples():
-                    concept = extract_concept(concept_id)
-                    if concept is not None:
-                        results.append((concept, extract(subject_id)))
-        return results
+    def _reach(self, compiled: Tuple[Tuple[int, ...], Tuple[int, ...]], start: Node) -> Set[Node]:
+        """Nodes one or more steps from ``start``: one ``expand_frontier`` round per level."""
+        forward_pids, inverse_pids = compiled
+        # A term without an instance id (a class, an unknown term) has no edges.
+        ids = [start] if isinstance(start, int) else []
+        literals = [start] if isinstance(start, Literal) else []
+        expanded: Set[Node] = {start}
+        reached: Set[Node] = set()
+        while ids or literals:
+            new_ids, new_literals = self.evaluator.expand_frontier(
+                forward_pids, inverse_pids, ids, literals
+            )
+            reached.update(new_ids, new_literals)
+            ids = [node for node in new_ids if node not in expanded]
+            literals = [node for node in new_literals if node not in expanded]
+            expanded.update(ids, literals)
+        return reached

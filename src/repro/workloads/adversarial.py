@@ -2,19 +2,19 @@
 
 The differential suites prove path correctness on small graphs; this module
 generates the *performance* counterexamples — graph shapes chosen so that a
-naive closure evaluator does asymptotically more work than the semi-naive
-interval-frontier BFS of :mod:`repro.query.paths`:
+naive closure evaluator does asymptotically more work than the id-level
+semi-naive BFS of :mod:`repro.query.paths`:
 
 * **long chains** — ``chain0 →next→ chain1 → …`` closed into one giant
   cycle: the fixpoint needs exactly one pass per depth level, and a
   frontier that forgets the visited set re-walks the whole ring forever;
 * **high-fanout hubs** — two hub tiers with full fanout between them:
   ``link+`` from a hub reaches everything in two steps, but every frontier
-  holds hundreds of ids, so probe-vs-scan selection and interval
-  coalescing are what keep the kernel-call count flat;
+  holds hundreds of ids, so probe-vs-scan selection is what keeps the
+  kernel-call count flat;
 * **deep hierarchies** — a complete concept tree plus a ``partOf`` edge
   forest following it: ``partOf+`` roll-ups traverse depth-proportional
-  frontiers whose LiteMat-clustered ids coalesce into few intervals.
+  frontiers over LiteMat-clustered ids.
 
 Everything is deterministic (no RNG), so the benchmark tables and the CI
 smoke run measure the same workload every time.  Scale knobs are plain

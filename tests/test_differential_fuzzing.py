@@ -392,7 +392,7 @@ from repro.sparql.ast import (  # noqa: E402  (section-local, keeps the BGP half
     PropertyPathPattern,
 )
 
-_PATH_PREDICATES = _PROPERTIES + _DATA_PROPERTIES
+_PATH_PREDICATES = _PROPERTIES + _DATA_PROPERTIES + [RDF.type]
 #: A term that never appears in any random dataset — SPARQL's zero-length
 #: paths must still match it to itself (§9.3 ALP starts from the given term).
 _GHOST = EX["ghost"]
@@ -406,8 +406,8 @@ def random_path(draw, depth: int = 3):
     but every operator of the grammar — inverse, sequence, alternation,
     ``?``/``*``/``+`` and negated property sets with forward *and* inverse
     members — appears under every other operator, including closures over
-    alternations (the id-steppable fast path) and closures over sequences
-    (the term-level fallback).
+    alternations (the ``expand_frontier`` BFS) and closures over sequences
+    (closed over the inner relation).
     """
     if depth <= 0:
         return PathLink(draw(st.sampled_from(_PATH_PREDICATES)))
@@ -454,8 +454,8 @@ def random_path_pattern(draw):
     """A random path pattern: random endpoints around a random path.
 
     Endpoint shapes cover all four bound/unbound combinations, the diagonal
-    ``?x path ?x`` (both slots one variable), literal objects and the
-    off-graph ghost term on either side.
+    ``?x path ?x`` (both slots one variable), literal and class objects
+    and the off-graph ghost term on either side.
     """
     x, y = Variable("x"), Variable("y")
     subject = draw(
@@ -470,6 +470,7 @@ def random_path_pattern(draw):
             st.sampled_from([y, y, x]),
             st.sampled_from(_INDIVIDUALS),
             st.sampled_from(_LITERALS),
+            st.sampled_from(_CONCEPTS),
             st.just(_GHOST),
         )
     )
@@ -485,7 +486,7 @@ def _path_query(pattern: PropertyPathPattern) -> SelectQuery:
 
 
 def _check_path_example(dataset, pattern, reasoning):
-    """One fuzz example: streaming interval-BFS vs the naive oracle."""
+    """One fuzz example: the streaming path evaluator vs the naive oracle."""
     from repro.query.engine import QueryEngine
     from repro.query.materializing import MaterializingQueryEngine
 

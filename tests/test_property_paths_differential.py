@@ -3,11 +3,11 @@
 The property-path tentpole promises one observable semantics for every
 execution tier.  The ground truth is :class:`NaivePathOracle` — the naive
 repeated-join fixpoint inside the materializing engine, written without any
-of the production machinery (no interval frontiers, no probe-vs-scan, no
-id-level stepping).  The matrix below checks **byte-identity** (same
+of the production machinery (no id-level relations, no probe-vs-scan, no
+frontier BFS).  The matrix below checks **byte-identity** (same
 variables, same rows, same order) between that oracle and
 
-* the sequential streaming engine (interval-frontier BFS),
+* the sequential streaming engine (the id-level path evaluator),
 * the thread-parallel engine over a 4-shard store (frontier scatter),
 * the process-pool engine over both the monolithic store and the 4-shard
   layout (``"expand"`` work units in mmap-attached workers),
@@ -84,6 +84,10 @@ PATH_QUERIES = {
     "nps-bound-object": "SELECT ?x WHERE { ?x !(p:next|p:label) p:n3 }",
     "type-seq": "SELECT ?x ?c WHERE { ?x p:next/rdf:type ?c }",
     "type-inverse-seq": "SELECT ?x ?y WHERE { ?x rdf:type/^rdf:type ?y }",
+    "type-bound-seq": "SELECT ?c WHERE { p:n4 p:next/rdf:type ?c }",
+    "type-bound-object-seq": "SELECT ?x WHERE { ?x rdf:type/^rdf:type p:c0 }",
+    "type-zero-seq": "SELECT ?x ?y WHERE { ?x rdf:type/p:alt? ?y }",
+    "type-zero-bound-seq": "SELECT ?y WHERE { p:n0 rdf:type/p:alt? ?y }",
     "subprop-closure": "SELECT ?o WHERE { p:n0 p:edge+ ?o }",
     "bgp-then-path": (
         "SELECT ?x ?o WHERE { ?x rdf:type p:CycleNode . ?x p:next+ ?o }"
@@ -137,6 +141,7 @@ def build_path_graph():
         (P.n1, RDF.type, P.Node),
         (P.c0, RDF.type, P.CycleNode),
         (P.c1, RDF.type, P.CycleNode),
+        (P.c0, RDF.type, P.Hub),
         (P.hub, RDF.type, P.Hub),
     ]
     for subject, predicate, obj in triples:
@@ -153,6 +158,7 @@ def build_path_graph():
     ontology = Graph()
     ontology.add(Triple(P.CycleNode, RDFS.subClassOf, P.Node))
     ontology.add(Triple(P.Hub, RDFS.subClassOf, P.Node))
+    ontology.add(Triple(P.Node, RDFS.subClassOf, P.Thing))
     ontology.add(Triple(P.next, RDFS.subPropertyOf, P.edge))
     ontology.add(Triple(P.link, RDFS.subPropertyOf, P.edge))
     return data, live, ontology
@@ -266,7 +272,7 @@ def _cluster_engine(cluster, reasoning: bool) -> ClusterQueryEngine:
 @pytest.mark.parametrize("reasoning", [False, True], ids=["plain", "reasoning"])
 @pytest.mark.parametrize("identifier", ALL_QUERY_IDS)
 def test_streaming_matches_oracle(base_store, identifier, reasoning):
-    # The strongest single check: interval-frontier BFS against the naive
+    # The strongest single check: the id-level evaluator against the naive
     # repeated-join fixpoint, under both reasoning modes.
     oracle = MaterializingQueryEngine(base_store, reasoning=reasoning)
     streaming = QueryEngine(base_store, reasoning=reasoning)
@@ -330,7 +336,7 @@ def test_process_monolithic_byte_identical(worker_pool, base_store, identifier):
 @pytest.mark.parametrize("identifier", ALL_QUERY_IDS)
 def test_process_sharded_byte_identical(worker_pool, sharded_store, base_store, identifier):
     # Path "expand" units fan out per holding shard; the coordinator merges
-    # the interval replies and must still equal the monolithic run.
+    # the id replies and must still equal the monolithic run.
     sequential = QueryEngine(base_store, reasoning=True)
     process = ProcessPoolQueryEngine(
         sharded_store, reasoning=True, batch_size=7, pool=worker_pool
