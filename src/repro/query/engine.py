@@ -15,9 +15,11 @@ batches of about one row that grow ×4, a ``LIMIT 10`` stops every upstream
 operator within one batch of its tenth row — the remaining triple-pattern
 probes (and their SDS kernel calls) never execute — and ``ASK`` stops after
 the first batch.  When only projection sits between the BGP and the slice,
-the last step's batches never outgrow the rows the slice still takes.  Property paths, OPTIONAL, the UNION/VALUES join, aggregation and
-ORDER BY still work per binding between :func:`~repro.sparql.bindings.rows`
-and :func:`~repro.sparql.bindings.batches`.
+the last step's batches never outgrow the rows the slice still takes.
+Property paths, OPTIONAL, the UNION/VALUES join and aggregation take and
+yield batches of id rows as well; only ORDER BY still sorts bindings
+between :func:`~repro.sparql.bindings.rows` and
+:func:`~repro.sparql.bindings.batches`.
 
 Compiled plans are cached per BGP and invalidated on the statistics version
 (every delta write bumps it), so live updates re-plan with fresh
@@ -28,14 +30,14 @@ The previous list-materializing evaluation survives as
 differential tests check that the two return byte-identical results.  Both
 engines plan with :class:`~repro.query.optimizer.CostBasedJoinOrderOptimizer`
 and join the same way: every BGP step after the first is a bind-propagation
-join, and UNION branches and VALUES rows join through one nested-loop join
+join, and UNION branches and VALUES rows join in nested-loop order
 (:func:`~repro.query.operators.join`).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, List, Optional, Union as TypingUnion
+from typing import Iterable, Iterator, List, Optional, Union as TypingUnion
 
 from repro.caching import LruCache
 from repro.query import operators as ops
@@ -46,8 +48,8 @@ from repro.query.plan import (
     PhysicalPlan,
     PipelinePlan,
 )
-from repro.query.tp_eval import TriplePatternEvaluator
-from repro.sparql.algebra import group_solutions, values_bindings
+from repro.query.tp_eval import StepProbes, TriplePatternEvaluator
+from repro.sparql.algebra import values_bindings
 from repro.sparql.ast import (
     AskQuery,
     GroupGraphPattern,
@@ -55,12 +57,15 @@ from repro.sparql.ast import (
     SelectQuery,
     TriplePattern,
 )
-from repro.sparql.bindings import BATCH_ROWS, AskResult, Batch, Binding, ResultSet
+from repro.sparql.bindings import BATCH_ROWS, AskResult, Batch, Binding, ResultSet, batches
 from repro.sparql.parser import parse_query
 from repro.store.succinct_edge import SuccinctEdge
 
 #: Bound on the per-engine compiled-BGP plan cache.
 _PLAN_CACHE_CAPACITY = 256
+
+#: The layout of the one empty row that seeds a top-level group.
+_EMPTY = Binding().layout
 
 
 class QueryEngine:
@@ -88,8 +93,8 @@ class QueryEngine:
             reasoning=reasoning,
         )
         # Compiled plans per BGP, keyed on (patterns, statistics version):
-        # OPTIONAL groups are re-evaluated seeded once per upstream row, so
-        # without the cache every row would re-run the planner — and keying
+        # OPTIONAL groups are re-evaluated seeded once per upstream batch, so
+        # without the cache every batch would re-run the planner — and keying
         # on the statistics version re-plans after every applied write
         # instead of replaying orders chosen under stale cardinalities.
         self._plan_cache = LruCache(_PLAN_CACHE_CAPACITY)
@@ -180,7 +185,7 @@ class QueryEngine:
         parsed = parse_query(query) if isinstance(query, str) else query
         if not isinstance(parsed, AskQuery):
             raise TypeError(f"ask() needs an ASK query, got {type(parsed).__name__}")
-        solutions = self._group_stream(parsed.where, Binding())
+        solutions = self._group_stream(parsed.where)
         return AskResult(next(solutions, None) is not None)
 
     def stream(self, query: TypingUnion[str, SelectQuery]) -> Iterator[Batch]:
@@ -199,10 +204,10 @@ class QueryEngine:
         if not isinstance(parsed, SelectQuery):
             raise TypeError(f"stream() needs a SELECT query, got {type(parsed).__name__}")
         steps = self.optimizer.plan_modifiers(parsed)
-        stream: Iterator[Batch] = self._group_stream(parsed.where, Binding(), _rows_wanted(steps))
+        stream: Iterator[Batch] = self._group_stream(parsed.where, _rows_wanted(steps))
         for step in steps:
             if step.op == ModifierOp.AGGREGATE:
-                stream = ops.batches(group_solutions(step.payload, list(ops.rows(stream))), BATCH_ROWS)
+                stream = ops.group(stream, step.payload, self.store.instances)
             elif step.op == ModifierOp.EXTEND:
                 stream = ops.extend_select(stream, list(step.payload))
             elif step.op == ModifierOp.SORT:
@@ -247,25 +252,21 @@ class QueryEngine:
     # group evaluation (streaming interpretation of the GroupPlan IR)
     # ------------------------------------------------------------------ #
 
-    def _group_stream(
-        self, group: GroupGraphPattern, seed: Binding, wanted: Optional[int] = None
-    ) -> Iterator[Batch]:
+    def _group_stream(self, group: GroupGraphPattern, wanted: Optional[int] = None) -> Iterator[Batch]:
         """Compile ``group`` (cached per BGP) and interpret its plan."""
-        return self._execute_group(self.compile_group(group), seed, wanted)
-
-    def _group_rows(self, plan: GroupPlan, seed: Binding) -> Iterator[Binding]:
-        """The solutions of one seeded group, per binding (for OPTIONAL)."""
-        return ops.rows(self._execute_group(plan, seed))
+        return self._execute_group(self.compile_group(group), [Batch(_EMPTY, [()])], {}, wanted)
 
     def _execute_group(
-        self, plan: GroupPlan, seed: Binding, wanted: Optional[int] = None
+        self, plan: GroupPlan, upstream: Iterable[Batch], probes: dict, wanted: Optional[int] = None
     ) -> Iterator[Batch]:
         """Interpret one :class:`GroupPlan`: the WHERE-clause pipeline.
 
-        Operators are chained exactly in the IR's order: BGP joins, UNION
-        joins, OPTIONAL left-outer joins, VALUES, BINDs, then FILTERs.
-        ``seed`` pre-binds variables (used by OPTIONAL evaluation, where the
-        outer solution propagates into the group's patterns).  ``wanted``
+        Operators are chained exactly in the IR's order on batches of id
+        rows: BGP joins, paths, UNION joins, OPTIONAL left-outer joins,
+        VALUES, BINDs, then FILTERs.  ``upstream``'s rows seed the group (an
+        OPTIONAL group's outer rows).  ``probes`` holds each BGP step's
+        :class:`~repro.query.tp_eval.StepProbes` for the whole query, so an
+        OPTIONAL group keeps its buckets across outer batches.  ``wanted``
         is how many solutions a ``LIMIT`` takes from the group.
 
         This is a generator function, so *nothing* — including UNION branch
@@ -274,21 +275,17 @@ class QueryEngine:
         """
         if plan.paths or plan.unions or plan.optionals or plan.values or plan.filters:
             wanted = None  # the BGP's rows are not the group's solutions
-        stream = self._bgp_stream(plan.bgp, seed, wanted)
-        if plan.paths or plan.unions or plan.optionals or plan.values:
-            solutions = ops.rows(stream)
-            if plan.paths:
-                paths = self._path_evaluator()
-                for step in plan.paths:
-                    solutions = paths.evaluate_many(step.pattern, solutions)
-            for union in plan.unions:
-                branches = (self._group_rows(branch, Binding()) for branch in union)
-                solutions = ops.join(solutions, itertools.chain.from_iterable(branches))
-            for optional in plan.optionals:
-                solutions = ops.optional_join(solutions, optional, self._group_rows)
-            for block in plan.values:
-                solutions = ops.join(solutions, values_bindings(block))
-            stream = ops.batches(solutions)
+        stream = self._bgp_stream(plan.bgp, upstream, probes, wanted)
+        for step in plan.paths:
+            stream = self._path_evaluator().evaluate_many(step.pattern, stream)
+        for union in plan.unions:
+            branches = (self._execute_group(branch, [Batch(_EMPTY, [()])], probes) for branch in union)
+            stream = ops.join(stream, itertools.chain.from_iterable(branches))
+        for optional in plan.optionals:
+            seeded = lambda batch, plan=optional: self._execute_group(plan, [batch], probes)  # noqa: E731
+            stream = ops.optional_join(stream, seeded)
+        for block in plan.values:
+            stream = ops.join(stream, batches(values_bindings(block)))
         for bind in plan.binds:
             stream = ops.extend(stream, bind)
         for constraint in plan.filters:
@@ -300,16 +297,20 @@ class QueryEngine:
     # ------------------------------------------------------------------ #
 
     def _bgp_stream(
-        self, plan: PhysicalPlan, seed: Binding, wanted: Optional[int] = None
+        self, plan: PhysicalPlan, upstream: Iterable[Batch], probes: dict, wanted: Optional[int] = None
     ) -> Iterator[Batch]:
         """Chain the planned BGP steps into a lazy left-deep pipeline of bind joins.
 
-        ``wanted`` (the rows a ``LIMIT`` takes) bounds the last step's batches.
+        ``probes`` maps each step to its run-bucket state (see
+        :meth:`_execute_group`); ``wanted`` (the rows a ``LIMIT`` takes)
+        bounds the last step's batches.
         """
-        stream: Iterator[Batch] = iter([Batch(seed.layout, [seed.row])])
+        stream = upstream
         last = len(plan.steps) - 1
         for index, step in enumerate(plan.steps):
-            stream = ops.bind_join(self.evaluator, stream, step.pattern, wanted if index == last else None)
+            step_probes = probes.get(id(step)) or probes.setdefault(id(step), StepProbes())
+            limit = wanted if index == last else None
+            stream = ops.bind_join(self.evaluator, stream, step.pattern, limit, step_probes)
         return stream
 
 

@@ -206,14 +206,21 @@ class NaivePathOracle:
 
     @staticmethod
     def _closure(relation: List[Tuple[Term, Term]]) -> Set[Tuple[Term, Term]]:
-        """Transitive closure by iterating to a fixpoint (naive, not semi-naive)."""
+        """Transitive closure by iterating to a fixpoint (naive, not semi-naive).
+
+        Each round joins every closed pair with every closed pair leaving its
+        end, found through an index of the round's pairs by start node.
+        """
         closed: Set[Tuple[Term, Term]] = set(relation)
         while True:
+            leaving: Dict[Term, List[Term]] = {}
+            for start, end in closed:
+                leaving.setdefault(start, []).append(end)
             additions = {
                 (s, o2)
                 for s, o1 in closed
-                for o1b, o2 in closed
-                if o1 == o1b and (s, o2) not in closed
+                for o2 in leaving.get(o1, ())
+                if (s, o2) not in closed
             }
             if not additions:
                 return closed
@@ -418,14 +425,7 @@ class MaterializingQueryEngine:
                 joined.extend(extensions if extensions else [binding])
             bindings = joined
         for block in group.values:
-            table = values_bindings(block)
-            merged_rows: List[Binding] = []
-            for binding in bindings:
-                for row in table:
-                    merged = binding.merged(row)
-                    if merged is not None:
-                        merged_rows.append(merged)
-            bindings = merged_rows
+            bindings = self._combine(bindings, values_bindings(block))
         for bind in group.binds:
             extended: List[Binding] = []
             for binding in bindings:

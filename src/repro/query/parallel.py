@@ -222,13 +222,14 @@ class ParallelExecutor:
         return list(self.evaluate(pattern, Binding()))
 
     def evaluate_many(
-        self, pattern: TriplePattern, upstream: Iterable[Batch], wanted: Optional[int] = None
+        self, pattern: TriplePattern, upstream: Iterable[Batch], wanted: Optional[int] = None, probes=None
     ) -> Iterator[Batch]:
         """Batched, ordered bind-propagation join over ``eval_many`` units.
 
         Units carry terms by value, so the rows become bindings here; the
         extensions are cut back into batches in upstream order.  ``wanted``
-        is not used: the in-flight window reads ahead of any ``LIMIT``.
+        is not used: the in-flight window reads ahead of any ``LIMIT``; nor
+        is ``probes``: units hold no run buckets.
         """
         return batches(self._bind_join(pattern, rows(upstream)))
 

@@ -40,9 +40,10 @@ relation, so every form terminates on cyclic data.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.query.tp_eval import TriplePatternEvaluator, _group_pairs
+from repro.query.tp_eval import _group_pairs
 from repro.rdf.namespaces import RDF_TYPE
 from repro.rdf.terms import Literal, Term, URI
 from repro.sparql.algebra import term_order_key
@@ -57,8 +58,9 @@ from repro.sparql.ast import (
     PathZeroOrMore,
     PathZeroOrOne,
     PropertyPathPattern,
+    Variable,
 )
-from repro.sparql.bindings import Binding
+from repro.sparql.bindings import BATCH_ROWS, Batch, Binding, Layout, rows
 
 #: Probe-vs-scan constants of :func:`stored_edges`, mirroring the planner's
 #: :class:`~repro.query.optimizer.CostModel` defaults (kernel-call units): a
@@ -83,6 +85,12 @@ def path_sort_key(term: Term) -> Tuple:
 
 def _sorted_terms(terms: Iterable[Term]) -> List[Term]:
     return sorted(terms, key=path_sort_key)
+
+
+def _cut(layout: Layout, extended: List[tuple]) -> Iterator[Batch]:
+    """``extended`` in batches of up to :data:`~repro.sparql.bindings.BATCH_ROWS` rows."""
+    for start in range(0, len(extended), BATCH_ROWS):
+        yield Batch(layout, extended[start:start + BATCH_ROWS])
 
 
 def invert_path(path: PathExpression) -> PathExpression:
@@ -172,11 +180,11 @@ def _layout_edges(edges, layout, property_id, inverse, starts, probe) -> None:
                 return
     pairs = layout.pairs_for_property(property_id)
     if not inverse:
-        edges.extend(pairs if starts is None else (pair for pair in pairs if pair[0] in starts))
+        edges.extend(pairs if starts is None else [pair for pair in pairs if pair[0] in starts])
     elif starts is None:
-        edges.extend((obj, subject) for subject, obj in pairs)
+        edges.extend([(obj, subject) for subject, obj in pairs])
     else:
-        edges.extend((obj, subject) for subject, obj in pairs if obj in starts)
+        edges.extend([(obj, subject) for subject, obj in pairs if obj in starts])
 
 
 def expand_frontier_local(
@@ -303,74 +311,89 @@ class PathEvaluator:
     # the TriplePatternEvaluator-shaped surface
     # ------------------------------------------------------------------ #
 
-    def evaluate(
-        self, pattern: PropertyPathPattern, binding: Binding
-    ) -> Iterator[Binding]:
+    def evaluate(self, pattern: PropertyPathPattern, binding: Binding) -> Iterator[Binding]:
         """Yield the bindings extending ``binding`` that satisfy ``pattern``."""
-        resolve = TriplePatternEvaluator._resolve
-        subject_term, subject_var = resolve(pattern.subject, binding)
-        object_term, object_var = resolve(pattern.object, binding)
-        path = pattern.path
+        return rows(self.evaluate_many(pattern, [Batch(binding.layout, [binding.row])]))
 
-        if subject_term is not None and object_term is not None:
-            if self.holds(path, subject_term, object_term):
-                yield binding
+    def evaluate_many(self, pattern: PropertyPathPattern, upstream: Iterable[Batch]) -> Iterator[Batch]:
+        """Bind-propagation join of upstream batches with one path pattern.
+
+        Rows stay id rows: each row, in order, is extended with its path ends
+        as nodes, in :func:`path_sort_key` order (a bound subject's targets,
+        a bound object's sources, or every pair when neither is bound), or
+        kept when both ends are bound and the path holds.  The relation is
+        evaluated once per batch, for the start nodes the stream has not
+        met before (once in all for the all-pairs relation).
+        """
+        instances = self.store.instances
+        memo: Dict[Tuple[str, Node], object] = {}  # (direction, start) -> its ends
+        pairs: Optional[List[Tuple[Node, Node]]] = None
+        for batch in upstream:
+            layout, found = batch.layout.owned(instances), batch.rows
+            if layout is None:  # ids of another dictionary: go by the terms
+                decoded = [Binding(binding.as_dict()) for binding in rows([batch])]
+                layout, found = decoded[0].layout.owned(instances), [binding.row for binding in decoded]
+            subject = self._endpoint(pattern.subject, layout, found)
+            obj = self._endpoint(pattern.object, layout, found)
+            if subject.__class__ is list and obj.__class__ is list:
+                self._ends(pattern.path, "holds", subject, memo)
+                kept = [row for row, start, end in zip(found, subject, obj) if end in memo["holds", start]]
+                extended = [Batch(layout, kept)] if kept else []
+            elif subject.__class__ is list or obj.__class__ is list:
+                direction, starts, name = (
+                    ("forward", subject, obj) if subject.__class__ is list else ("inverse", obj, subject)
+                )
+                self._ends(pattern.path, direction, starts, memo)
+                extended = _cut(layout.child(name), [
+                    row + (end,) for row, start in zip(found, starts) for end in memo[direction, start]
+                ])
+            else:
+                if pairs is None:
+                    pairs = self._pairs(pattern.path)
+                if subject == obj:
+                    diagonal = [(start,) for start, end in pairs if start == end]
+                    extended = _cut(layout.child(subject), [row + pair for row in found for pair in diagonal])
+                else:
+                    extended = _cut(
+                        layout.child(subject).child(obj), [row + pair for row in found for pair in pairs]
+                    )
+            yield from extended
+
+    def _endpoint(self, slot, layout: Layout, found: List[tuple]):
+        """An unbound variable's name, else the node of each row's endpoint."""
+        if isinstance(slot, Variable):
+            column = layout.columns.get(slot.name)
+            if column is None:
+                return slot.name
+            values = [row[column] for row in found]
+            return [value if value.__class__ is int else self._node(value) for value in values]
+        return [self._node(slot)] * len(found)
+
+    def _ends(self, path: PathExpression, direction: str, starts: List[Node], memo: dict) -> None:
+        """Fill ``memo[direction, start]`` for each start not in it yet.
+
+        ``"forward"``: the ends of ``path`` in canonical order (multiset);
+        ``"inverse"``: those of the inverse path; ``"holds"``: the set of ends.
+        """
+        missing = {start for start in starts if (direction, start) not in memo}
+        if not missing:
             return
-        if subject_term is not None:
-            extend = binding.extended
-            for value in self.targets(path, subject_term):
-                yield extend(object_var, value)
+        relation = self._relation(invert_path(path) if direction == "inverse" else path, missing, True)
+        ends = _group_pairs(relation)
+        if direction == "holds":
+            memo.update(((direction, start), set(ends.get(start, ()))) for start in missing)
             return
-        if object_term is not None:
-            extend = binding.extended
-            for value in self.sources(path, object_term):
-                yield extend(subject_var, value)
-            return
-        diagonal = subject_var == object_var
-        base = binding.as_dict()
-        adopt = Binding._adopt
-        for source, target in self.pairs(path):
-            if diagonal:
-                if source == target:
-                    yield binding.extended(subject_var, source)
-                continue
-            values = dict(base)
-            values[subject_var] = source
-            values[object_var] = target
-            yield adopt(values)
+        ranks = self._ranks({end for _, end in relation})
+        for start in missing:
+            memo[direction, start] = sorted(ends.get(start, ()), key=ranks.__getitem__)
 
-    def evaluate_many(
-        self, pattern: PropertyPathPattern, bindings: Iterable[Binding]
-    ) -> Iterator[Binding]:
-        """Bind-propagation join of upstream bindings with one path pattern."""
-        for binding in bindings:
-            yield from self.evaluate(pattern, binding)
-
-    # ------------------------------------------------------------------ #
-    # the four endpoint shapes
-    # ------------------------------------------------------------------ #
-
-    def targets(self, path: PathExpression, start: Term) -> List[Term]:
-        """``o`` with ``start path o``, in canonical order (multiset)."""
-        ends = [end for _, end in self._relation(path, {self._node(start)}, True)]
-        decoded = self._decode(ends)
-        return [decoded[end][1] for end in sorted(ends, key=lambda end: decoded[end][0])]
-
-    def sources(self, path: PathExpression, end: Term) -> List[Term]:
-        """``s`` with ``s path end``, in canonical order (multiset)."""
-        return self.targets(invert_path(path), end)
-
-    def holds(self, path: PathExpression, start: Term, end: Term) -> bool:
-        """Whether ``start path end`` has at least one solution."""
-        node = self._node(end)
-        return any(found == node for _, found in self._relation(path, {self._node(start)}, True))
-
-    def pairs(self, path: PathExpression) -> List[Tuple[Term, Term]]:
-        """All ``(s, o)`` with ``s path o``, sorted on both keys (multiset)."""
+    def _pairs(self, path: PathExpression) -> List[Tuple[Node, Node]]:
+        """All ``(s, o)`` node pairs with ``s path o``, sorted on both terms (multiset)."""
         relation = self._relation(path, None, False)
-        decoded = self._decode(node for pair in relation for node in pair)
-        relation.sort(key=lambda pair: (decoded[pair[0]][0], decoded[pair[1]][0]))
-        return [(decoded[start][1], decoded[end][1]) for start, end in relation]
+        ranks = self._ranks(set(chain.from_iterable(relation)))
+        width = len(ranks)
+        relation.sort(key=lambda pair: ranks[pair[0]] * width + ranks[pair[1]])
+        return relation
 
     def _node(self, term: Term) -> Node:
         """The node of ``term``: its instance identifier, else the term."""
@@ -379,14 +402,13 @@ class PathEvaluator:
         identifier = self.store.instances.try_locate(term)
         return term if identifier is None else identifier
 
-    def _decode(self, nodes: Iterable[Node]) -> Dict[Node, Tuple[Tuple, Term]]:
-        """``node -> (path_sort_key, term)`` for each distinct node."""
+    def _ranks(self, nodes: Set[Node]) -> Dict[Node, int]:
+        """``node -> its position`` among ``nodes`` in :func:`path_sort_key` order."""
         extract = self.store.instances.extract
-        decoded = {}
-        for node in set(nodes):
-            term = extract(node) if isinstance(node, int) else node
-            decoded[node] = (path_sort_key(term), term)
-        return decoded
+        nodes = list(nodes)
+        keys = [path_sort_key(extract(node) if isinstance(node, int) else node) for node in nodes]
+        order = sorted(range(len(nodes)), key=keys.__getitem__)
+        return {nodes[index]: rank for rank, index in enumerate(order)}
 
     # ------------------------------------------------------------------ #
     # the relation of a path

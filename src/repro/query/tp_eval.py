@@ -22,8 +22,10 @@ one run often enough to pay for decoding it.
 run's size (a ski-rental rule); at the next probe of a run whose charge has
 reached its size, the run is decoded once (``pairs_for_property`` /
 ``subjects_of_interval``) into an id-keyed bucket that answers that probe
-and every later one.  Every store view yields those runs in PSO order, so
-the bucketed answers come out in the probes' order.  Literal probes of the
+and every later one; once every run a step reads has its bucket, a batch
+of bound ids is answered in one pass over the buckets.  Every store view
+yields those runs in PSO order, so the bucketed answers come out in the
+probes' order.  Literal probes of the
 datatype layout always stay on the probe path: decoding literal records
 costs more than the probes it saves.
 
@@ -36,7 +38,8 @@ response encoder (see :mod:`repro.sparql.bindings`).
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain, compress, islice
+from operator import itemgetter
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.rdf.namespaces import RDF_TYPE
@@ -54,9 +57,16 @@ _MEMBER = (True,)
 #: What a step's predicate classifies as when it is ``rdf:type``.
 _TYPE = object()
 
+#: The value types of a bound column that holds instance ids only.
+_INT = {int}
+
+#: Rows answered per list from run buckets: a bound id can have thousands
+#: of matches, and a batch's whole answer at once would sit in memory.
+_CHUNK = 16
+
 
 class StepProbes:
-    """Run buckets of one bind-join step (one ``evaluate_many`` call).
+    """Run buckets of one bind-join step, over all the batches it runs on.
 
     The step asks once per batch for each run and id its rows bind, so a
     probe here is one distinct id of one batch.
@@ -67,10 +77,11 @@ class StepProbes:
     into a bucket and answers from it, as does every later probe of the run
     (Karlin et al.'s ski rental: rent until the rent paid equals the price);
     an empty run is never decoded.
-    The first probe of a run never builds — a step that probes once (one
-    ``OPTIONAL`` per outer binding) never pays for a decode — and neither
-    does the probe that crosses the threshold: the build waits for the next
-    probe, which a ``LIMIT`` that is already satisfied never issues.
+    The first probe of a run never builds — a step that probes once never
+    pays for a decode — and neither does the probe that crosses the
+    threshold: the build waits for the next probe, which a ``LIMIT`` that is
+    already satisfied never issues.  An ``OPTIONAL`` group's steps keep one
+    state for the whole query, over every outer batch they run on.
 
     The constants are in units of one decoded PSO triple.  Measured on the
     mapped LUBM-10 image (shared 2-core host), a decoded triple costs
@@ -114,6 +125,11 @@ class StepProbes:
                 return found
             bucket = self._buckets[key] = build()
         return bucket.get(item, ())
+
+    def bucket(self, key: Hashable) -> Optional[dict]:
+        """The run's bucket, ``{}`` for a run known to be empty, ``None`` before either."""
+        found = self._buckets.get(key)
+        return {} if found is None and self._sizes.get(key) == 0 else found
 
     def _run_size(self, key: Hashable, size: Callable[[], int]) -> int:
         known = self._sizes.get(key)
@@ -166,7 +182,11 @@ class TriplePatternEvaluator:
         return list(self.evaluate(pattern, Binding()))
 
     def evaluate_many(
-        self, pattern: TriplePattern, batches: Iterable[Batch], wanted: Optional[int] = None
+        self,
+        pattern: TriplePattern,
+        batches: Iterable[Batch],
+        wanted: Optional[int] = None,
+        probes: Optional[StepProbes] = None,
     ) -> Iterator[Batch]:
         """Stream the bind-propagation join of upstream ``batches`` with ``pattern``.
 
@@ -180,8 +200,11 @@ class TriplePatternEvaluator:
         upstream rows and batches the consumer never asks about are never
         probed.  ``wanted``, when given, is how many rows a ``LIMIT`` takes
         from this step in all; no batch is cut longer than what is left of it.
+        ``probes``, when given, is the run-bucket state of a step that runs
+        over several upstream streams (an OPTIONAL group's, once per outer
+        batch); by default the step gets a fresh one.
         """
-        run = _Step(self, pattern, StepProbes(), wanted).run
+        run = _Step(self, pattern, StepProbes() if probes is None else probes, wanted).run
         for batch in batches:
             yield from run(batch)
 
@@ -310,6 +333,7 @@ class _Step:
         self.instances = self.store.instances
         self.probes = probes
         self._property_ids: Dict[Term, List[int]] = {}
+        self._literal_runs: Dict[int, bool] = {}  # property id -> has a datatype-layout run
         self._concepts: Dict[Term, Optional[Tuple[int, int, int]]] = {}
         self._predicate = self._class = None  # a constant predicate / class, resolved
         self._layouts: Dict[Layout, tuple] = {}
@@ -353,8 +377,28 @@ class _Step:
         for _, _, variable in (slots[0], slots[2], slots[1]):  # the order rows extend in
             if variable is not None and variable not in extended.columns:
                 extended = extended.child(variable)
-        compiled = self._layouts[layout] = (extended,) + slots
+        compiled = self._layouts[layout] = (extended,) + slots + (self._bucketed(*slots),)
         return compiled
+
+    def _bucketed(self, subject: tuple, predicate: tuple, obj: tuple) -> Optional[tuple]:
+        """``(column, run keys, extends)`` when one bound column answers the step
+        from run buckets alone: a bound subject's objects or a bound object's
+        subjects through object-layout runs (``extends``), or a bound
+        subject's membership of the constant class; else ``None``."""
+        kind = self._predicate
+        if predicate[0] is None or not kind:
+            return None
+        if kind is _TYPE:  # a constant class is resolved to ``_class``
+            if subject[1] is None or self._class is None:
+                return None
+            return subject[1], [("type",) + self._class[1:]], False
+        if any(map(self._has_literals, kind)):
+            return None
+        if subject[1] is not None and obj[2] is not None:
+            return subject[1], [("objects", property_id) for property_id in kind], True
+        if obj[1] is not None and subject[2] is not None:
+            return obj[1], [("subjects", property_id) for property_id in kind], True
+        return None
 
     def run(self, batch: Batch) -> Iterator[Batch]:
         """The rows of ``batch`` extended by their matches, in batches."""
@@ -364,12 +408,13 @@ class _Step:
             bindings = [Binding(binding.as_dict()) for binding in rows([batch])]
             yield from self.run(Batch(bindings[0].layout, [binding.row for binding in bindings]))
             return
-        extended, subject, predicate, obj = compiled
-        match = self._match
-        self._memo = {}
+        extended, subject, predicate, obj, bucketed = compiled
+        answers = bucketed and self._from_buckets(batch.rows, *bucketed)
+        if not answers:
+            self._memo = {}
+            answers = (self._match(row, subject, predicate, obj) for row in batch.rows)
         size, cut = self._size, []
-        for row in batch.rows:
-            found = match(row, subject, predicate, obj)
+        for found in answers:
             if not found:
                 continue
             if found.__class__ is list and len(cut) + len(found) <= BATCH_ROWS:
@@ -390,6 +435,26 @@ class _Step:
         if cut:
             yield Batch(extended, cut)
             self._grown(len(cut))
+
+    def _from_buckets(self, rows: List[tuple], column: int, keys: list, extends: bool) -> Optional[Iterator]:
+        """The batch's answers read from the run buckets of the ids in
+        ``column``, a few rows' at a time; ``None`` unless every run has one."""
+        buckets = [self.probes.bucket(key) for key in keys]
+        if None in buckets:
+            return None
+        ids = list(map(itemgetter(column), rows))
+        if set(map(type, ids)) != _INT:
+            return None
+        if not extends:
+            return iter([compress(rows, map(buckets[0].__contains__, ids))])
+        gets = [bucket.get for bucket in buckets]
+        return (  # iterators, so the batches are cut as from a lazy scan
+            iter([
+                row + (end,) for row, key in zip(rows[start:start + _CHUNK], ids[start:start + _CHUNK])
+                for get in gets for end in get(key, ())
+            ])
+            for start in range(0, len(rows), _CHUNK)
+        )
 
     def _grown(self, emitted: int) -> int:
         """The size of the next output batch, after one of ``emitted`` rows."""
@@ -559,8 +624,10 @@ class _Step:
                 if object_id is not None:
                     found = store.object_store.contains(subject_id, property_id, object_id)
                 else:
-                    found = isinstance(obj, Literal) and obj in store.datatype_store.literals_for(
-                        subject_id, property_id
+                    found = (
+                        isinstance(obj, Literal)
+                        and self._has_literals(property_id)
+                        and obj in store.datatype_store.literals_for(subject_id, property_id)
                     )
                 return [row] if found else ()
             # (s, p, ?o): Algorithm 3 on the object layout, plus the flat
@@ -569,13 +636,15 @@ class _Step:
             # ``object_var`` is unbound (a bound variable would have
             # resolved to a value), so the row is extended directly.
             extended = [row + (found,) for found in self._objects_for(subject_id, property_id)]
-            literals = store.datatype_store.literals_for(subject_id, property_id)
-            if literals:
+            if self._has_literals(property_id):
+                literals = store.datatype_store.literals_for(subject_id, property_id)
                 extended += [row + (literal,) for literal in literals]
             return extended
         if obj is not None:
             # (?s, p, o): Algorithm 4, one batched reverse lookup.
             if isinstance(obj, Literal):
+                if not self._has_literals(property_id):
+                    return ()
                 subjects = store.datatype_store.subjects_for(property_id, obj)
             elif object_id is None:
                 return ()
@@ -593,6 +662,13 @@ class _Step:
             map(row.__add__, layout.pairs_for_property(property_id))
             for layout in (store.object_store, store.datatype_store)
         )
+
+    def _has_literals(self, property_id: int) -> bool:
+        """Whether the datatype layout holds a run of ``property_id`` (once per step)."""
+        found = self._literal_runs.get(property_id)
+        if found is None:
+            found = self._literal_runs[property_id] = self.store.datatype_store.has_property(property_id)
+        return found
 
     def _objects_for(self, subject_id: int, property_id: int) -> Sequence[int]:
         """Algorithm 3 on the object layout, or the step's subject-keyed run bucket."""

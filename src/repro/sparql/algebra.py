@@ -43,7 +43,9 @@ __all__ = [
     "apply_solution_modifiers",
     "compute_aggregate",
     "evaluate_select_expression",
+    "group_solution",
     "group_solutions",
+    "number_to_term",
     "order_key_function",
     "term_order_key",
     "values_bindings",
@@ -120,7 +122,7 @@ def order_key_function(conditions: Sequence[OrderCondition]) -> Callable[[Bindin
 # --------------------------------------------------------------------- #
 
 
-def _number_to_term(value: Any) -> Term:
+def number_to_term(value: Any) -> Term:
     """A numeric aggregate result as an ``xsd:integer``/``xsd:double`` literal."""
     if isinstance(value, int):
         return Literal(str(value), datatype=XSD_INTEGER)
@@ -158,8 +160,8 @@ def compute_aggregate(aggregate: Aggregate, group: Sequence[Binding]) -> Optiona
                 tuple(sorted(binding.items(), key=lambda item: item[0]))
                 for binding in group
             }
-            return _number_to_term(len(distinct_rows))
-        return _number_to_term(len(group))
+            return number_to_term(len(distinct_rows))
+        return number_to_term(len(group))
 
     values: List[Any] = []
     for binding in group:
@@ -180,7 +182,7 @@ def compute_aggregate(aggregate: Aggregate, group: Sequence[Binding]) -> Optiona
         values = unique
 
     if name == "count":
-        return _number_to_term(len(values))
+        return number_to_term(len(values))
     if name == "sample":
         return to_term(values[0]) if values else None
     if name in ("sum", "avg"):
@@ -188,11 +190,11 @@ def compute_aggregate(aggregate: Aggregate, group: Sequence[Binding]) -> Optiona
         if any(number is None for number in numbers):
             return None  # type error: a non-numeric value in SUM/AVG
         if not numbers:
-            return _number_to_term(0)
+            return number_to_term(0)
         total = sum(numbers)  # type: ignore[arg-type]
         if name == "sum":
-            return _number_to_term(total)
-        return _number_to_term(total / len(numbers))
+            return number_to_term(total)
+        return number_to_term(total / len(numbers))
     if name in ("min", "max"):
         if not values:
             return None
@@ -299,20 +301,30 @@ def group_solutions(query: SelectQuery, solutions: Sequence[Binding]) -> List[Bi
         grouped[()] = []  # aggregates over zero solutions form one empty group
         order.append(())
 
-    results: List[Binding] = []
-    for key in order:
-        group = grouped[key]
-        values: Dict[str, Term] = {}
-        for condition, value in zip(query.group_by, key):
-            if isinstance(condition, Variable) and value is not None:
-                values[condition.name] = value
-        key_binding = Binding(values)
-        for item in query.select_expressions():
-            value = evaluate_select_expression(item.expression, group, key_binding)
-            if value is not None:
-                values[item.variable.name] = value
-        results.append(Binding(values))
-    return results
+    return [
+        group_solution(query, key, lambda expression, key_binding, group=grouped[key]: (
+            evaluate_select_expression(expression, group, key_binding)
+        ))
+        for key in order
+    ]
+
+
+def group_solution(
+    query: SelectQuery, key: Tuple, aggregate: Callable[[Expression, Binding], Optional[Term]]
+) -> Binding:
+    """One group's output binding: the GROUP BY variables bound in ``key``
+    (one term per condition) and each ``(expr AS ?var)`` item's
+    ``aggregate(expression, key_binding)`` that is not an error."""
+    values: Dict[str, Term] = {}
+    for condition, value in zip(query.group_by, key):
+        if isinstance(condition, Variable) and value is not None:
+            values[condition.name] = value
+    key_binding = Binding(values)
+    for item in query.select_expressions():
+        value = aggregate(item.expression, key_binding)
+        if value is not None:
+            values[item.variable.name] = value
+    return Binding(values)
 
 
 # --------------------------------------------------------------------- #

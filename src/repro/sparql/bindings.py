@@ -14,9 +14,11 @@ ids; an id becomes a term only where something reads the value (``get``,
 same value everywhere.
 
 The streaming engine moves rows in a :class:`Batch`: one layout and a list
-of up to :data:`BATCH_ROWS` rows, the unit every operator pulls.
-:func:`batches` cuts a binding stream into batches and :func:`rows` turns
-batches back into bindings, for the operators that still work per row.
+of up to :data:`BATCH_ROWS` rows, the unit every operator pulls, from the
+triple-pattern steps through OPTIONAL, UNION/VALUES, GROUP BY and property
+paths to the response encoder.  :func:`batches` cuts a binding stream into
+batches and :func:`rows` turns batches back into bindings, for ORDER BY,
+which sorts bindings, and for callers that want bindings.
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ def _layout(names: Tuple[str, ...]) -> Layout:
     return found if found is not None else _remember(_TERM_LAYOUTS, names, Layout(names))
 
 
-def _same(layout: Layout, value, other_layout: Layout, other) -> bool:
+def same_term(layout: Layout, value, other_layout: Layout, other) -> bool:
     """Whether two column values name the same term (an id equals its term)."""
     if value == other:
         return True
@@ -219,7 +221,7 @@ class Binding:
         shared, extra, merged_layout = plan
         row, other_row = self.row, other.row
         for mine, theirs in shared:
-            if not _same(layout, row[mine], other_layout, other_row[theirs]):
+            if not same_term(layout, row[mine], other_layout, other_row[theirs]):
                 return None
         return Binding.of(merged_layout, row + tuple([other_row[column] for column in extra]) if extra else row)
 

@@ -94,10 +94,11 @@ class PSOLayout:
         # The property layer is tiny (one entry per distinct property) but its
         # navigation is probed once per bind-propagation binding and its
         # LiteMat intervals once per reasoning pattern; the layouts are
-        # immutable, so all three lookups are memoised.
+        # immutable, so these lookups and the per-property counts are memoised.
         self._property_index_cache: dict = {}
         self._property_interval_cache: dict = {}
         self._subject_run_cache: dict = {}
+        self._triple_count_cache: dict = {}
 
     @classmethod
     def _from_components(
@@ -124,6 +125,7 @@ class PSOLayout:
         store._property_index_cache = {}
         store._property_interval_cache = {}
         store._subject_run_cache = {}
+        store._triple_count_cache = {}
         return store
 
     def _encode_objects(self, objects: list) -> IntSequence:
@@ -232,10 +234,15 @@ class PSOLayout:
         """Algorithm 2: number of triples carrying ``property_id``.
 
         Computed purely from the bitmaps: the object run spanning the whole
-        subject run of the property.
+        subject run of the property (memoised per property).
         """
+        try:
+            return self._triple_count_cache[property_id]
+        except KeyError:
+            pass
         span = self._object_span(property_id)
-        return 0 if span is None else span[3] - span[2]
+        count = self._triple_count_cache[property_id] = 0 if span is None else span[3] - span[2]
+        return count
 
     def count_subjects_with_property(self, property_id: int) -> int:
         """Number of distinct subjects attached to ``property_id`` (run length)."""

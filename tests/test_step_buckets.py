@@ -236,10 +236,13 @@ def test_literal_probes_never_build(extra_decodes):
         assert extra_decodes(lambda: _join(evaluator, pattern, bindings)) == 0
 
 
-def test_the_optional_shape_never_builds(stores, small_lubm_catalog, extra_decodes):
+def test_the_optional_shape_builds_once_per_query(stores, small_lubm_catalog, extra_decodes):
+    # The OPTIONAL group runs once per outer batch, and its step keeps one
+    # StepProbes for the whole query: the headOf run is decoded once, not
+    # once per outer batch.
     engine = QueryEngine(stores["built"])
     a1 = small_lubm_catalog.by_identifier()["A1"].sparql
-    assert extra_decodes(lambda: engine.execute(a1).to_tuples()) == 0
+    assert extra_decodes(lambda: engine.execute(a1).to_tuples()) == 1
 
 
 @pytest.mark.parametrize("reasoning", [True, False], ids=["reasoning", "plain"])

@@ -420,8 +420,8 @@ class TestEarlyTermination:
         sizes = []
         original = TriplePatternEvaluator.evaluate_many
 
-        def recorded(self, pattern, batches, wanted=None):
-            for batch in original(self, pattern, batches, wanted):
+        def recorded(self, pattern, batches, wanted=None, probes=None):
+            for batch in original(self, pattern, batches, wanted, probes):
                 sizes.append(len(batch))
                 yield batch
 
