@@ -55,7 +55,7 @@ from typing import Dict, List, Optional
 
 import multiprocessing
 
-from repro.query.parallel import DEFAULT_BATCH_SIZE, ParallelExecutor, ParallelQueryEngine
+from repro.query.parallel import ParallelExecutor, ParallelQueryEngine
 from repro.query.tp_eval import TriplePatternEvaluator
 from repro.query.units import decode_reply, decode_request, encode_reply, encode_request, execute_unit
 from repro.sds.kernels import kernel_counters, merge_kernel_counters, reset_kernel_counters
@@ -142,8 +142,8 @@ def _dispatch(spec, op, args, reasoning):
         time.sleep(args[0])
         return args[0]
     store = _attach(spec).store
-    reply = execute_unit(store, op, decode_request(op, args), reasoning)
-    return encode_reply(op, reply, store.instances)
+    reply = execute_unit(store, op, decode_request(op, args, store.instances), reasoning)
+    return encode_reply(op, reply)
 
 
 def _worker_run(task):
@@ -345,7 +345,6 @@ class ProcessExecutor(ParallelExecutor):
         reasoning: bool = True,
         inner: Optional[TriplePatternEvaluator] = None,
         max_workers: Optional[int] = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
         pool: Optional[WorkerPool] = None,
         mp_context: Optional[str] = None,
         task_timeout: Optional[float] = None,
@@ -353,13 +352,7 @@ class ProcessExecutor(ParallelExecutor):
     ) -> None:
         if max_workers is None:
             max_workers = max(2, min(8, os.cpu_count() or 1))
-        super().__init__(
-            store,
-            reasoning=reasoning,
-            inner=inner,
-            max_workers=max_workers,
-            batch_size=batch_size,
-        )
+        super().__init__(store, reasoning=reasoning, inner=inner, max_workers=max_workers)
         self._owns_pool = pool is None
         self.pool = pool if pool is not None else WorkerPool(
             max_workers=max_workers, mp_context=mp_context, task_timeout=task_timeout
@@ -432,11 +425,11 @@ class ProcessExecutor(ParallelExecutor):
     # -- the transport: units cross the process boundary ---------------- #
 
     def _submit(self, spec, op: str, args):
-        return op, self.pool.submit(spec, op, encode_request(op, args), self.reasoning)
+        return op, args, self.pool.submit(spec, op, encode_request(op, args), self.reasoning)
 
     def _await(self, ticket):
-        op, future = ticket
-        return decode_reply(op, self.pool.result(future), self.store.instances)
+        op, args, future = ticket
+        return decode_reply(op, args, self.pool.result(future), self.store.instances)
 
 
 class ProcessPoolQueryEngine(ParallelQueryEngine):
@@ -453,7 +446,6 @@ class ProcessPoolQueryEngine(ParallelQueryEngine):
         store: SuccinctEdge,
         reasoning: bool = True,
         max_workers: Optional[int] = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
         pool: Optional[WorkerPool] = None,
         mp_context: Optional[str] = None,
         task_timeout: Optional[float] = None,
@@ -467,12 +459,7 @@ class ProcessPoolQueryEngine(ParallelQueryEngine):
             "task_timeout": task_timeout,
             "workspace": workspace,
         }
-        super().__init__(
-            store,
-            reasoning=reasoning,
-            max_workers=max_workers,
-            batch_size=batch_size,
-        )
+        super().__init__(store, reasoning=reasoning, max_workers=max_workers)
 
     def _executor(self, **shared) -> ProcessExecutor:
         return ProcessExecutor(self.store, **shared, **self._transport)

@@ -5,24 +5,29 @@
 ``evaluate_many`` / ``expand_frontier`` / ``estimate_cardinality`` surface,
 so the streaming operators of :mod:`repro.query.operators` consume it
 unchanged) that splits evaluation into the work units of
-:mod:`repro.query.units` and gathers their replies in order:
+:mod:`repro.query.units` and gathers their replies in order.  It moves the
+engine's own batches (Graefe's exchange operator): parallelism runs whole
+batches through the one bind-join step, it adds no second one.
 
-* **leaf scatter** — a leaf pattern with a constant predicate and an unbound
-  subject against a :class:`~repro.store.sharding.ShardedStore` becomes one
-  unit per ``(candidate property × shard)``; replies are emitted
-  property-major, object layout before datatype layout, shard-minor, which
-  reproduces the monolithic evaluation order byte for byte;
-* **shard pruning** — a bound subject resolves to exactly one shard through
-  the store's subject-interval partitioner, so it is evaluated locally
-  without fan-out, and scatters skip shards whose per-shard counts
+* **bind joins** — ``evaluate_many`` makes each upstream
+  :class:`~repro.sparql.bindings.Batch` one ``eval_many`` unit, which runs
+  :meth:`TriplePatternEvaluator.evaluate_many
+  <repro.query.tp_eval.TriplePatternEvaluator.evaluate_many>` on it against
+  the whole store (the sharded views route each probe).  At most
+  :attr:`ParallelExecutor.window` units are in flight, and their batches
+  are yielded strictly in upstream order, so ``LIMIT``/``ASK`` early
+  termination survives up to one window of read-ahead;
+* **leaf scatter** — a group's seed (the one empty row) against a
+  :class:`~repro.store.sharding.ShardedStore`, under a pattern with a
+  constant predicate and an unbound subject, becomes one unit per
+  ``(candidate property × shard)``; replies are emitted property-major,
+  object layout before datatype layout, shard-minor, which reproduces the
+  monolithic evaluation order row for row;
+* **shard pruning** — a seed under a bound subject is evaluated locally:
+  the store's subject-interval partitioner resolves it to one shard.
+  Scatters skip shards whose per-shard counts
   (:meth:`~repro.store.sharding.ShardedStore.shard_property_cardinalities`)
   say they hold nothing for the probed property;
-* **batched bind joins** — ``evaluate_many`` takes the engine's row
-  batches, regroups their rows into ``eval_many`` units (sized from the
-  cardinality statistics so each unit yields about the same number of
-  rows) with a bounded in-flight window, and cuts the extensions back into
-  batches strictly in upstream order, so ``LIMIT``/``ASK`` early
-  termination survives up to one window of read-ahead;
 * **path rounds** — ``expand_frontier`` sends one property-path BFS round as
   one ``expand`` unit per shard holding a candidate property (one
   whole-store unit on a monolithic store) and unions the replies.
@@ -50,12 +55,13 @@ from __future__ import annotations
 import os
 import sys
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from itertools import chain, islice
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.caching import LruCache
-from repro.query.cardinality import CardinalityEstimator
 from repro.query.engine import QueryEngine
 from repro.query.paths import merge_expansions
 from repro.query.tp_eval import TriplePatternEvaluator
@@ -63,15 +69,8 @@ from repro.query.units import execute_unit
 from repro.rdf.namespaces import RDF_TYPE
 from repro.rdf.terms import Literal, URI
 from repro.sparql.ast import TriplePattern, Variable
-from repro.sparql.bindings import Batch, Binding, batches, rows
+from repro.sparql.bindings import Batch, Binding, grow, rows
 from repro.store.succinct_edge import SuccinctEdge
-
-#: Default number of upstream bindings grouped into one bind-join unit.
-DEFAULT_BATCH_SIZE = 64
-
-#: Rows one bind-join unit should produce under the adaptive batch sizing
-#: (per-shard cardinalities tell us the expected per-binding fan-out).
-_TARGET_ROWS_PER_TASK = 256
 
 
 class ParallelExecutor:
@@ -90,8 +89,6 @@ class ParallelExecutor:
         when omitted); it answers the local, unscattered evaluations.
     max_workers:
         Thread-pool size; defaults to the shard count (at least 2).
-    batch_size:
-        Upstream bindings per bind-join unit (an upper bound).
     """
 
     def __init__(
@@ -100,7 +97,6 @@ class ParallelExecutor:
         reasoning: bool = True,
         inner: Optional[TriplePatternEvaluator] = None,
         max_workers: Optional[int] = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         self.store = store
         self.reasoning = reasoning
@@ -112,17 +108,12 @@ class ParallelExecutor:
         shard_list = getattr(store, "shards", None)
         self.shards: List[SuccinctEdge] = list(shard_list) if shard_list else [store]
         self.max_workers = max_workers if max_workers else max(2, len(self.shards))
-        self.batch_size = max(1, batch_size)
         #: In-flight bind-join units beyond the one being consumed.
         self.window = self.max_workers + 1
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
-        # Per-shard cardinality plumbing: the estimator sizes bind-join
-        # batches from the expected per-binding fan-out, and the count cache
-        # (keyed on the store epoch) lets leaf scatters skip shards that
-        # hold no triples for the probed property.
-        statistics = getattr(store, "statistics", None)
-        self._cardinality = CardinalityEstimator(statistics, reasoning=reasoning)
+        # Per-shard counts (keyed on the store epoch) let leaf scatters skip
+        # shards that hold no triples for the probed property.
         self._shard_count_cache = LruCache(512)
 
     # ------------------------------------------------------------------ #
@@ -211,99 +202,77 @@ class ParallelExecutor:
         return merge_expansions(self._await(ticket) for ticket in tickets)
 
     def evaluate(self, pattern: TriplePattern, binding: Binding) -> Iterator[Binding]:
-        """One pattern evaluation; leaf patterns scatter across shards."""
-        scattered = self._try_scatter(pattern, binding)
-        if scattered is not None:
-            return scattered
-        return self.inner.evaluate(pattern, binding)
-
-    def evaluate_all(self, pattern: TriplePattern) -> List[Binding]:
-        """Evaluate with no initial binding (convenience, mirrors tp_eval)."""
-        return list(self.evaluate(pattern, Binding()))
+        """The bindings extending ``binding`` that satisfy ``pattern``: the
+        one-row case of :meth:`evaluate_many`."""
+        return rows(self.evaluate_many(pattern, [Batch(binding.layout, [binding.row])]))
 
     def evaluate_many(
         self, pattern: TriplePattern, upstream: Iterable[Batch], wanted: Optional[int] = None, probes=None
     ) -> Iterator[Batch]:
-        """Batched, ordered bind-propagation join over ``eval_many`` units.
+        """The ordered bind-propagation join of ``upstream`` with ``pattern``.
 
-        Units carry terms by value, so the rows become bindings here; the
-        extensions are cut back into batches in upstream order.  ``wanted``
-        is not used: the in-flight window reads ahead of any ``LIMIT``; nor
-        is ``probes``: units hold no run buckets.
-        """
-        return batches(self._bind_join(pattern, rows(upstream)))
-
-    def _bind_join(self, pattern: TriplePattern, bindings: Iterable[Binding]) -> Iterator[Binding]:
-        """The extensions of ``bindings``, gathered from ``eval_many`` units.
-
-        Upstream bindings are pulled at most ``window × batch_size`` ahead
-        of the consumer; results stream strictly in upstream order, so the
-        emission is byte-identical to the sequential evaluator's.
+        Each upstream batch is one ``eval_many`` unit, except a group's seed
+        (:meth:`_seed`).  At most :attr:`window` units run ahead of the one
+        whose extensions are being yielded, strictly in upstream order, so
+        the rows are the sequential evaluator's.  They leave in batches of
+        one row, then four, sixteen ... over the whole stream, as one
+        sequential step cuts them, none longer than what is left of
+        ``wanted``; each unit carries what is left of it when it is sent,
+        and stops there.  ``probes`` is not used: each unit runs its step
+        with a fresh :class:`~repro.query.tp_eval.StepProbes`.
         """
         session = self._session()
-        batch_size = self._sized_batch(pattern)
-        pending = []  # ordered in-flight tickets
-        chunk: List[Binding] = []
-        for binding in bindings:
-            scattered = self._try_scatter(pattern, binding)
-            if scattered is not None:
-                # Keep emission order: drain everything queued before the
-                # scatterable binding, then fan it out across shards.
-                if chunk:
-                    pending.append(self._submit(session, "eval_many", (pattern, tuple(chunk))))
-                    chunk = []
-                while pending:
-                    yield from self._await(pending.pop(0))
-                yield from scattered
-                continue
-            chunk.append(binding)
-            if len(chunk) >= batch_size:
-                pending.append(self._submit(session, "eval_many", (pattern, tuple(chunk))))
-                chunk = []
+        pending = deque()  # in-flight tickets, in upstream order
+        size, left = 1, wanted
+
+        def emit(extensions: Iterable[Batch]) -> Iterator[Batch]:
+            """One upstream batch's extensions (one layout), cut afresh."""
+            nonlocal size, left
+            pieces = iter(extensions)
+            first = next(pieces, None)
+            if first is None:
+                return
+            found = chain(first.rows, chain.from_iterable(piece.rows for piece in pieces))
+            while True:
+                cut = list(islice(found, size if left is None else max(1, min(size, left))))
+                if not cut:
+                    return
+                yield Batch(first.layout, cut)
+                size = grow(size)
+                if left is not None:
+                    left -= len(cut)
+
+        for batch in upstream:
+            seeded = self._seed(pattern, batch, left)
+            if seeded is None:
+                unit_wanted = None if left is None else max(left, 1)
+                pending.append(self._submit(session, "eval_many", (pattern, batch, unit_wanted)))
                 while len(pending) > self.window:
-                    yield from self._await(pending.pop(0))
-        if chunk:
-            pending.append(self._submit(session, "eval_many", (pattern, tuple(chunk))))
+                    yield from emit(self._await(pending.popleft()))
+                continue
+            while pending:
+                yield from emit(self._await(pending.popleft()))
+            yield from emit(seeded)
         while pending:
-            yield from self._await(pending.pop(0))
+            yield from emit(self._await(pending.popleft()))
 
-    def _sized_batch(self, pattern: TriplePattern) -> int:
-        """Batch size for one bind join, targeting a fixed rows-per-unit.
-
-        Sizes batches so one unit produces about
-        :data:`_TARGET_ROWS_PER_TASK` rows — high-fan-out patterns get
-        smaller batches so units stay balanced across the pool and
-        read-ahead stays bounded — never exceeding the configured batch
-        size and never dropping below 8.  Falls back to the static size
-        when the statistics cannot estimate the pattern.
-        """
-        if self._cardinality.statistics is None:
-            return self.batch_size
-        if isinstance(pattern.predicate, Variable):
-            return self.batch_size
-        estimate = self._cardinality.estimate_pattern(pattern)
-        if estimate.rows <= 0:
-            return self.batch_size
-        # The upstream bindings may fix either *variable* slot (subject for
-        # SS joins, object for SO/OO), so size against the worst-case
-        # fan-out — rows per distinct value of the smaller-distinct variable
-        # side.  Constant slots carry no distinct statistic (the estimate
-        # already divided their selectivity out), so they never shrink the
-        # batch: a (?s a C) type check keeps the full batch, as it should.
-        candidates = []
-        if isinstance(pattern.subject, Variable):
-            candidates.append(max(1.0, estimate.subject_distinct))
-        if isinstance(pattern.object, Variable):
-            candidates.append(max(1.0, estimate.object_distinct))
-        if not candidates:
-            return self.batch_size
-        fanout = estimate.rows / min(candidates)
-        if fanout <= 0:
-            return self.batch_size
-        proposed = int(_TARGET_ROWS_PER_TASK / fanout)
-        if proposed >= self.batch_size:
-            return self.batch_size
-        return max(8, proposed)
+    def _seed(self, pattern: TriplePattern, batch: Batch, wanted: Optional[int]) -> Optional[Iterator[Batch]]:
+        """The extensions of a group's seed (one empty row) that need no
+        ``eval_many`` unit: a leaf scatter, or a local evaluation when the
+        subject is constant (its owning shard answers alone).  ``None`` for
+        any other batch, and on a monolithic store."""
+        if batch.layout.names or len(batch.rows) != 1 or len(self.shards) < 2:
+            return None
+        if not isinstance(pattern.subject, Variable):
+            return self.inner.evaluate_many(pattern, [batch], wanted)
+        found = self._try_scatter(pattern)
+        if found is None:
+            return None
+        layout = batch.layout.owned(self.store.instances)
+        for slot in (pattern.subject, pattern.object):
+            if isinstance(slot, Variable) and slot.name not in layout.columns:
+                layout = layout.child(slot.name)
+        return (Batch(layout, rows) for rows in found)
 
     # ------------------------------------------------------------------ #
     # per-shard cardinalities (scatter pruning)
@@ -347,36 +316,29 @@ class ParallelExecutor:
     # leaf scatter-gather
     # ------------------------------------------------------------------ #
 
-    def _try_scatter(
-        self, pattern: TriplePattern, binding: Binding
-    ) -> Optional[Iterator[Binding]]:
-        """A lazy scatter-gather stream, or ``None`` when fan-out cannot help.
+    def _try_scatter(self, pattern: TriplePattern) -> Optional[Iterator[List[tuple]]]:
+        """The seed's extension rows, a list per per-shard unit, or ``None``
+        when fan-out cannot help.
 
-        Fan-out applies only with 2+ shards, a constant predicate and an
-        unbound subject; a bound subject is instead *pruned* to its single
-        owning shard by the sharded store views (no fan-out needed), and an
-        unbound predicate falls back to the sequential evaluator.
+        Fan-out applies only with 2+ shards, a constant predicate and a
+        variable subject; a constant subject is *pruned* to its single
+        owning shard by the sharded store views instead, and an unbound
+        predicate goes to one ``eval_many`` unit.  Rows extend the empty
+        seed row with subject and object ids (literals as terms), as
+        :class:`~repro.query.tp_eval._Step` extends it.
         """
-        if len(self.shards) < 2:
+        if len(self.shards) < 2 or not isinstance(pattern.subject, Variable):
             return None
-        resolve = TriplePatternEvaluator._resolve
-        subject_term, subject_var = resolve(pattern.subject, binding)
-        if subject_term is not None:
-            return None  # pruning case: the owning shard answers alone
-        predicate_term, _ = resolve(pattern.predicate, binding)
-        if predicate_term is None or not isinstance(predicate_term, URI):
+        predicate = pattern.predicate
+        if not isinstance(predicate, URI):
             return None
-        object_slot = resolve(pattern.object, binding)
-        if predicate_term == RDF_TYPE:
-            object_term, _ = object_slot
-            if object_term is None or not isinstance(object_term, URI):
+        if predicate == RDF_TYPE:
+            if not isinstance(pattern.object, URI):
                 return None
-            return self._scatter_rdf_type(subject_var, object_term, binding)
-        return self._scatter_property(predicate_term, subject_var, object_slot, binding)
+            return self._scatter_rdf_type(pattern.object)
+        return self._scatter_property(predicate, pattern.subject, pattern.object)
 
-    def _scatter_rdf_type(
-        self, subject_var: str, object_term: URI, binding: Binding
-    ) -> Iterator[Binding]:
+    def _scatter_rdf_type(self, object_term: URI) -> Iterator[List[tuple]]:
         """``?s rdf:type C``: one ``type_interval``/``type_concept`` unit per shard."""
         store = self.store
         concept_id = store.concepts.try_locate(object_term)
@@ -393,21 +355,12 @@ class ParallelExecutor:
             self._submit(session, op, key + (index,))
             for index in self._shards_holding(self._concept_shard_counts(low, high))
         ]
-        extract = store.instances.extract
-        extend = binding.extended
         # Shard order == ascending subject-interval order: the gathered
         # concatenation reproduces the monolithic emission order.
         for ticket in tickets:
-            for subject_id in self._await(ticket):
-                yield extend(subject_var, extract(subject_id))
+            yield list(zip(self._await(ticket)))
 
-    def _scatter_property(
-        self,
-        predicate_term: URI,
-        subject_var: str,
-        object_slot,
-        binding: Binding,
-    ) -> Iterator[Binding]:
+    def _scatter_property(self, predicate_term: URI, subject: Variable, obj) -> Iterator[List[tuple]]:
         """Constant-predicate leaf: units per (candidate property × shard).
 
         Emission mirrors
@@ -416,31 +369,27 @@ class ParallelExecutor:
         interval order), object layout before datatype layout, shards in
         ascending subject-interval order within each.
         """
-        object_term, object_var = object_slot
         store = self.store
         property_ids = self.inner._candidate_property_ids(predicate_term)
         if not property_ids:
             return
-        extract = store.instances.extract
-        extend = binding.extended
 
-        if object_term is not None:
+        if not isinstance(obj, Variable):
             # (?s, p, o): Algorithm 4 fanned per shard.
-            if isinstance(object_term, Literal):
+            if isinstance(obj, Literal):
                 op = "subjects_lit"
-            elif store.instances.try_locate(object_term) is None:
+            elif store.instances.try_locate(obj) is None:
                 return
             else:
                 op = "subjects_obj"
             session = self._session()
             tickets = [
-                self._submit(session, op, (property_id, object_term, index))
+                self._submit(session, op, (property_id, obj, index))
                 for property_id in property_ids
                 for index in self._shards_holding(self._property_shard_counts(property_id))
             ]
             for ticket in tickets:
-                for found_subject in self._await(ticket):
-                    yield extend(subject_var, extract(found_subject))
+                yield list(zip(self._await(ticket)))
             return
 
         # (?s, p, ?o): one "pairs" unit per (property × holding shard),
@@ -449,9 +398,7 @@ class ParallelExecutor:
         # serving mix — never pays for the property runs it never pulls,
         # while the units of the current and next property still overlap.
         session = self._session()
-        diagonal = subject_var == object_var
-        base = binding.as_dict()
-        adopt = Binding._adopt
+        diagonal = subject.name == obj.name
 
         def schedule(property_id: int):
             return [
@@ -467,23 +414,13 @@ class ParallelExecutor:
                 position += 1
             replies = [self._await(ticket) for ticket in window.pop(0)]
             for object_pairs, _ in replies:
-                for found_subject, found_object in object_pairs:
-                    if diagonal:
-                        if found_subject == found_object:
-                            yield extend(subject_var, extract(found_subject))
-                        continue
-                    values = dict(base)
-                    values[subject_var] = extract(found_subject)
-                    values[object_var] = extract(found_object)
-                    yield adopt(values)
-            for _, datatype_pairs in replies:
-                for found_subject, literal in datatype_pairs:
-                    if diagonal:
-                        continue  # a subject URI never equals a literal
-                    values = dict(base)
-                    values[subject_var] = extract(found_subject)
-                    values[object_var] = literal
-                    yield adopt(values)
+                if diagonal:  # a subject never equals a literal
+                    yield [(found,) for found, found_object in object_pairs if found == found_object]
+                else:
+                    yield object_pairs
+            if not diagonal:
+                for _, datatype_pairs in replies:
+                    yield datatype_pairs
 
 
 def gil_enabled() -> bool:
@@ -551,15 +488,9 @@ class ParallelQueryEngine(QueryEngine):
         store: SuccinctEdge,
         reasoning: bool = True,
         max_workers: Optional[int] = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         super().__init__(store, reasoning=reasoning)
-        self.evaluator = self._executor(
-            reasoning=reasoning,
-            inner=self.evaluator,
-            max_workers=max_workers,
-            batch_size=batch_size,
-        )
+        self.evaluator = self._executor(reasoning=reasoning, inner=self.evaluator, max_workers=max_workers)
 
     def _executor(self, **shared) -> ParallelExecutor:
         """The executor this engine drives — what the three engines differ in."""

@@ -65,7 +65,7 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.edge.device import NetworkPartitioned, SimulatedNetwork
-from repro.query.parallel import DEFAULT_BATCH_SIZE, ParallelExecutor, ParallelQueryEngine
+from repro.query.parallel import ParallelExecutor, ParallelQueryEngine
 from repro.query.tp_eval import TriplePatternEvaluator
 from repro.query.units import (
     decode_reply,
@@ -442,8 +442,8 @@ class ClusterReplica:
                 )
             if op == "ping":
                 return {"generation": self.generation, "epoch": self.epoch}
-            reply = execute_unit(self.store, op, decode_request(op, args), reasoning)
-            return encode_reply(op, reply, self.store.instances)
+            reply = execute_unit(self.store, op, decode_request(op, args, self.store.instances), reasoning)
+            return encode_reply(op, reply)
 
     # -- HTTP face -------------------------------------------------------- #
 
@@ -722,8 +722,8 @@ class ClusterExecutor(ParallelExecutor):
     per-shard round trips overlap), stamped with the position pinned for
     the query — shard-scoped units prefer their shard's replica, bind-join
     batches rotate across the set — and :meth:`_await` decodes the reply.
-    Bound-subject probes the planner prunes to a single shard stay local on
-    the coordinator's primary store, as on every transport.
+    A group's seed under a bound subject, which one shard answers, stays
+    local on the coordinator's primary store, as on every transport.
     """
 
     def __init__(
@@ -734,17 +734,10 @@ class ClusterExecutor(ParallelExecutor):
         reasoning: bool = True,
         inner: Optional[TriplePatternEvaluator] = None,
         max_workers: Optional[int] = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         if max_workers is None:
             max_workers = max(2, 2 * len(replicas))
-        super().__init__(
-            store,
-            reasoning=reasoning,
-            inner=inner,
-            max_workers=max_workers,
-            batch_size=batch_size,
-        )
+        super().__init__(store, reasoning=reasoning, inner=inner, max_workers=max_workers)
         self.replicas = replicas
         self.source = source
         self._local = threading.local()
@@ -784,11 +777,11 @@ class ClusterExecutor(ParallelExecutor):
             shard_hint=hint,
             deadline_at=deadline_at,
         )
-        return op, future
+        return op, args, future
 
     def _await(self, ticket):
-        op, future = ticket
-        return decode_reply(op, future.result(), self.store.instances)
+        op, args, future = ticket
+        return decode_reply(op, args, future.result(), self.store.instances)
 
 
 class ClusterQueryEngine(ParallelQueryEngine):
@@ -812,19 +805,13 @@ class ClusterQueryEngine(ParallelQueryEngine):
         source: ReplicationSource,
         reasoning: bool = True,
         max_workers: Optional[int] = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
         deadline_s: Optional[float] = None,
         retries: int = 1,
     ) -> None:
         self.deadline_s = deadline_s
         self.retries = max(0, retries)
         self._transport = (replicas, source)
-        super().__init__(
-            store,
-            reasoning=reasoning,
-            max_workers=max_workers,
-            batch_size=batch_size,
-        )
+        super().__init__(store, reasoning=reasoning, max_workers=max_workers)
 
     def _executor(self, **shared) -> ClusterExecutor:
         return ClusterExecutor(self.store, *self._transport, **shared)

@@ -209,11 +209,14 @@ def unit_cases(two_shard_lubm):
     """Arguments for every work-unit op on the 2-shard LUBM store.
 
     Shard-scoped ops get one case per shard plus the whole store (``None``);
-    the terms include a literal and, in ``eval_many``, a binding value no
-    dictionary holds, so both halves of the wire codec are exercised.
+    the terms include a literal and, in ``eval_many``, one batch per layout:
+    id rows, term rows with a value no dictionary holds or a literal, a
+    ``wanted`` cut and a group's seed, so both halves of the wire codec are
+    exercised.
     """
     from repro.rdf.namespaces import LUBM
     from repro.rdf.terms import URI
+    from repro.sparql.bindings import Batch
 
     store = two_shard_lubm
     works_for = store.properties.locate(LUBM.worksFor)
@@ -226,17 +229,17 @@ def unit_cases(two_shard_lubm):
     low, high = store.concepts.interval(LUBM.Student)
     worker = store.instances.extract(subject_id)
     shards = (0, 1, None)
+    name_of_x = TriplePattern(Variable("x"), LUBM.name, Variable("n"))
+    ids = Binding({"x": worker}).layout.owned(store.instances)
+    tagged = Binding({"x": department, "tag": URI("http://example.org/not-stored")})
+    aged = Binding({"x": URI("http://example.org/nobody"), "age": Literal(3)})
     return {
         "eval_many": [
-            (
-                TriplePattern(Variable("x"), LUBM.name, Variable("n")),
-                (
-                    Binding({"x": worker}),
-                    Binding({"x": department, "tag": URI("http://example.org/not-stored")}),
-                    Binding({"x": URI("http://example.org/nobody"), "age": Literal(3)}),
-                ),
-            ),
-            (TriplePattern(Variable("x"), LUBM.memberOf, department), (Binding(),)),
+            (name_of_x, Batch(ids, [(subject_id,), (department_id,), (subject_id,)]), None),
+            (name_of_x, Batch(ids, [(subject_id,), (department_id,)]), 1),
+            (name_of_x, Batch(tagged.layout, [tagged.row]), None),
+            (name_of_x, Batch(aged.layout, [aged.row]), None),
+            (TriplePattern(Variable("x"), LUBM.memberOf, department), Batch(Binding().layout, [()]), None),
         ],
         "pairs": [(property_id, shard) for property_id in (works_for, name) for shard in shards],
         "subjects_obj": [(works_for, department, shard) for shard in shards],
@@ -248,6 +251,19 @@ def unit_cases(two_shard_lubm):
             for shard in shards
         ],
     }
+
+
+@pytest.fixture(scope="session")
+def comparable_reply():
+    """A work unit's reply in a form ``==`` compares: an ``eval_many`` reply's
+    batches as ``(names, dictionary, rows)``."""
+
+    def comparable(op, reply):
+        if op == "eval_many":
+            return [(batch.layout.names, batch.layout.dictionary, batch.rows) for batch in reply]
+        return reply
+
+    return comparable
 
 
 # --------------------------------------------------------------------------- #

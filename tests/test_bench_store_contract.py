@@ -9,7 +9,9 @@ points by name (``TriplePatternEvaluator.evaluate_many``,
 module-level copy of ``parse_query`` ...).  The benchmark's files are not
 edited by engine or store changes, so these tests import them as they are
 and run them on a small mapped LUBM store: a refactor that breaks either
-contract fails here, not only in the slow e2e smoke.
+contract fails here, not only in the slow e2e smoke.  So does one that
+breaks ``probe_backends``, which builds the thread, process and cluster
+engines, a spawned worker pool and two loopback replicas.
 """
 
 from __future__ import annotations
@@ -82,3 +84,44 @@ def test_traced_replay_on_a_mapped_lubm_store(layers, small_lubm, small_lubm_sto
     assert tracer.counts["TriplePatternEvaluator.evaluate_many"] > 0
     assert sum(span.rows for span in tp_eval) > 0
     assert tracer.of("server") and tracer.of("engine") and tracer.of("sparql")
+
+
+#: Catalog queries the backend probe replays: a scan, a join, reasoning and
+#: an aggregate.
+_BACKEND_QUERIES = ("S4", "M1", "R2", "A2")
+
+
+def test_probe_backends_on_a_mapped_lubm_store(layers, small_lubm, small_lubm_store, tmp_path):
+    # The thread, process and cluster engines, the worker pool and the
+    # replicas, built with the arguments the traced pass gives them.
+    path = tmp_path / "lubm.sedg"
+    small_lubm_store.save_image(str(path))
+    catalog = QueryCatalog(small_lubm).by_identifier()
+    ops = [
+        layers.Op(
+            kind="query",
+            text=catalog[name].sparql,
+            reasoning=catalog[name].requires_reasoning,
+            query_class=catalog[name].group,
+        )
+        for name in _BACKEND_QUERIES
+    ]
+
+    class Traffic:
+        def analytic_queries(self):
+            return ops
+
+    metrics = layers.probe_backends(str(path), Traffic(), tmp_path / "backends")
+    assert set(metrics) == {
+        "parallel.exec_ratio_vs_sequential",
+        "multiproc.exec_ratio_vs_sequential",
+        "multiproc.units_per_op",
+        "multiproc.unit_roundtrip_ms_p50",
+        "multiproc.pool_restarts",
+        "cluster.exec_ratio_vs_sequential",
+        "cluster.sync_ms",
+    }
+    for name, value in metrics.items():
+        assert math.isfinite(value) and value >= 0, name
+    assert metrics["multiproc.units_per_op"] > 0
+    assert metrics["multiproc.pool_restarts"] == 0

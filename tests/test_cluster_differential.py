@@ -54,14 +54,14 @@ def _rows(result):
 
 
 def _cluster_engine(cluster, reasoning: bool) -> ClusterQueryEngine:
-    # batch_size=7 forces many bind-join batches per query, so the windowed
-    # drain and the cross-replica rotation actually get exercised.
+    # Every upstream batch of a bind join is one unit, so a multi-step query
+    # sends several, and the windowed drain and the cross-replica rotation
+    # get exercised.
     return ClusterQueryEngine(
         cluster.store,
         cluster.replica_set,
         cluster.source,
         reasoning=reasoning,
-        batch_size=7,
     )
 
 
@@ -238,7 +238,6 @@ def test_replica_joins_mid_workload(
                 joined,
                 cluster_live.source,
                 reasoning=query.requires_reasoning,
-                batch_size=7,
             )
             try:
                 assert _rows(engine.execute(query.sparql)) == _rows(
@@ -292,7 +291,7 @@ def unit_replica(two_shard_lubm, tmp_path_factory):
 
 
 @pytest.mark.parametrize("op", UNIT_OPS)
-def test_replica_unit_replies_equal_inline(op, unit_replica, unit_cases, two_shard_lubm):
+def test_replica_unit_replies_equal_inline(op, unit_replica, unit_cases, comparable_reply, two_shard_lubm):
     # Each unit crosses HTTP as JSON, pinned at the replica's position, and
     # is decoded on the coordinator: the reply must equal the inline one.
     executor = unit_replica.evaluator
@@ -300,5 +299,6 @@ def test_replica_unit_replies_equal_inline(op, unit_replica, unit_cases, two_sha
     [sent_before] = unit_replica.replicas.info()["dispatches"]
     for args in unit_cases[op]:
         reply = executor._await(executor._submit(pin, op, args))
-        assert reply == execute_unit(two_shard_lubm, op, args, True)
+        inline = execute_unit(two_shard_lubm, op, args, True)
+        assert comparable_reply(op, reply) == comparable_reply(op, inline)
     assert unit_replica.replicas.info()["dispatches"] == [sent_before + len(unit_cases[op])]

@@ -105,7 +105,6 @@ def harness(small_lubm, tmp_path):
 
 
 def _engine(harness, **kwargs) -> ClusterQueryEngine:
-    kwargs.setdefault("batch_size", 7)
     return ClusterQueryEngine(
         harness.store, harness.replica_set, harness.source, **kwargs
     )
@@ -275,7 +274,7 @@ def test_deadline_respected_under_slow_replica(small_lubm, tmp_path):
     slow = SimulatedNetwork(NetworkProfile(name="slow", rtt_ms=300.0, bandwidth_kbps=0.0))
     replica_set = ReplicaSet([server.url], networks=[slow], hedge_after_s=0.05)
     engine = ClusterQueryEngine(
-        store, replica_set, source, batch_size=7, deadline_s=0.25
+        store, replica_set, source, deadline_s=0.25
     )
     try:
         started = time.perf_counter()

@@ -185,7 +185,7 @@ def test_differential_process_backend(worker_pool, dataset, patterns, reasoning)
     oracle = MaterializingQueryEngine(store, reasoning=reasoning)
     expected = _multiset(oracle.execute(query), names)
     engine = ProcessPoolQueryEngine(
-        store, reasoning=reasoning, batch_size=3, pool=worker_pool
+        store, reasoning=reasoning, pool=worker_pool
     )
     try:
         assert _multiset(engine.execute(query), names) == expected
@@ -278,17 +278,19 @@ def _worker_scan_multiset(pool, spec, primary):
     assigned a different identifier to any individual cannot hide behind the
     coordinator's dictionary.  Returns ``(worker, primary)`` multisets.
     """
-    from repro.query.units import encode_reply, encode_request, execute_unit
-    from repro.sparql.bindings import Binding
+    from repro.query.units import decode_request, encode_reply, encode_request, execute_unit
+    from repro.sparql.bindings import Batch, Binding
 
     x, y = Variable("x"), Variable("y")
     worker, expected = Counter(), Counter()
+    seed = Batch(Binding().layout, [()])
     for predicate in _PROPERTIES + _DATA_PROPERTIES + [RDF.type]:
-        args = (TriplePattern(x, predicate, y), [Binding()])
-        reply = pool.result(pool.submit(spec, "eval_many", encode_request("eval_many", args), False))
-        worker.update(reply)
-        inline = execute_unit(primary, "eval_many", args, False)
-        expected.update(encode_reply("eval_many", inline, primary.instances))
+        request = encode_request("eval_many", (TriplePattern(x, predicate, y), seed, None))
+        _, cuts = pool.result(pool.submit(spec, "eval_many", request, False))
+        worker.update(tuple(row) for cut in cuts for row in cut)
+        args = decode_request("eval_many", request, primary.instances)
+        _, cuts = encode_reply("eval_many", execute_unit(primary, "eval_many", args, False))
+        expected.update(tuple(row) for cut in cuts for row in cut)
     return worker, expected
 
 

@@ -143,7 +143,6 @@ def test_process_monolithic_byte_identical(
     process = ProcessPoolQueryEngine(
         mapped,
         reasoning=query.requires_reasoning,
-        batch_size=7,
         pool=pool,
         workspace=workspace,
     )
@@ -165,7 +164,6 @@ def test_process_sharded_byte_identical(
     process = ProcessPoolQueryEngine(
         sharded,
         reasoning=query.requires_reasoning,
-        batch_size=7,
         pool=pool,
         workspace=workspace,
     )
@@ -187,7 +185,6 @@ def test_process_live_delta_byte_identical(
     process = ProcessPoolQueryEngine(
         mapped_live,
         reasoning=query.requires_reasoning,
-        batch_size=7,
         pool=pool,
         workspace=workspace,
     )
@@ -211,7 +208,7 @@ def test_process_rotation_under_load(
     catalog = small_lubm_catalog.by_identifier()
     probes = [catalog[identifier] for identifier in ("S1", "S9", "M2", "R2")]
     process = ProcessPoolQueryEngine(
-        store, batch_size=7, pool=pool, workspace=str(tmp_path / "spill")
+        store, pool=pool, workspace=str(tmp_path / "spill")
     )
     errors = []
 
@@ -227,7 +224,6 @@ def test_process_rotation_under_load(
                     engine = ProcessPoolQueryEngine(
                         store,
                         reasoning=query.requires_reasoning,
-                        batch_size=7,
                         pool=pool,
                         workspace=str(tmp_path / "spill"),
                     )
@@ -257,7 +253,6 @@ def test_process_rotation_under_load(
             engine = ProcessPoolQueryEngine(
                 store,
                 reasoning=query.requires_reasoning,
-                batch_size=7,
                 pool=pool,
                 workspace=str(tmp_path / "spill"),
             )
@@ -275,7 +270,7 @@ def test_process_rotation_under_load(
 
 
 @pytest.mark.parametrize("op", UNIT_OPS)
-def test_worker_unit_replies_equal_inline(op, unit_cases, two_shard_lubm, tmp_path):
+def test_worker_unit_replies_equal_inline(op, unit_cases, comparable_reply, two_shard_lubm, tmp_path):
     # Each unit is wire-encoded, run by a worker attached to the saved shard
     # images, and decoded: the reply must equal the inline one exactly.
     engine = ProcessPoolQueryEngine(two_shard_lubm, max_workers=1, workspace=str(tmp_path))
@@ -284,6 +279,7 @@ def test_worker_unit_replies_equal_inline(op, unit_cases, two_shard_lubm, tmp_pa
         spec = executor._session()
         for args in unit_cases[op]:
             reply = executor._await(executor._submit(spec, op, args))
-            assert reply == execute_unit(two_shard_lubm, op, args, True)
+            inline = execute_unit(two_shard_lubm, op, args, True)
+            assert comparable_reply(op, reply) == comparable_reply(op, inline)
     finally:
         engine.close()

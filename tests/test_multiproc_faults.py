@@ -110,7 +110,6 @@ def test_sigkill_mid_query_never_partial(small_lubm_store, small_lubm_catalog, t
         sharded,
         reasoning=query.requires_reasoning,
         max_workers=2,
-        batch_size=7,
         workspace=str(tmp_path / "spill"),
         retries=1,
     )

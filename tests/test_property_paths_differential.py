@@ -254,13 +254,11 @@ def cluster(dataset, tmp_path_factory):
 
 
 def _cluster_engine(cluster, reasoning: bool) -> ClusterQueryEngine:
-    # batch_size=7 forces several scatter rounds per closure fixpoint.
     return ClusterQueryEngine(
         cluster.store,
         cluster.replica_set,
         cluster.source,
         reasoning=reasoning,
-        batch_size=7,
     )
 
 
@@ -310,7 +308,7 @@ def test_compact_and_swap_preserves_results(live_store, compacted_store, identif
 @pytest.mark.parametrize("identifier", ALL_QUERY_IDS)
 def test_parallel_sharded_byte_identical(sharded_store, base_store, identifier):
     sequential = QueryEngine(base_store, reasoning=True)
-    parallel = ParallelQueryEngine(sharded_store, reasoning=True, batch_size=7)
+    parallel = ParallelQueryEngine(sharded_store, reasoning=True)
     try:
         assert _rows(parallel.execute(_sparql(identifier))) == _rows(
             sequential.execute(_sparql(identifier))
@@ -323,7 +321,7 @@ def test_parallel_sharded_byte_identical(sharded_store, base_store, identifier):
 def test_process_monolithic_byte_identical(worker_pool, base_store, identifier):
     sequential = QueryEngine(base_store, reasoning=True)
     process = ProcessPoolQueryEngine(
-        base_store, reasoning=True, batch_size=7, pool=worker_pool
+        base_store, reasoning=True, pool=worker_pool
     )
     try:
         assert _rows(process.execute(_sparql(identifier))) == _rows(
@@ -339,7 +337,7 @@ def test_process_sharded_byte_identical(worker_pool, sharded_store, base_store, 
     # the id replies and must still equal the monolithic run.
     sequential = QueryEngine(base_store, reasoning=True)
     process = ProcessPoolQueryEngine(
-        sharded_store, reasoning=True, batch_size=7, pool=worker_pool
+        sharded_store, reasoning=True, pool=worker_pool
     )
     try:
         assert _rows(process.execute(_sparql(identifier))) == _rows(
@@ -355,7 +353,7 @@ def test_process_live_delta_byte_identical(worker_pool, live_store, identifier):
     # suffix, so their frontiers see exactly the coordinator's overlay.
     sequential = QueryEngine(live_store, reasoning=True)
     process = ProcessPoolQueryEngine(
-        live_store, reasoning=True, batch_size=7, pool=worker_pool
+        live_store, reasoning=True, pool=worker_pool
     )
     try:
         assert _rows(process.execute(_sparql(identifier))) == _rows(
